@@ -12,9 +12,9 @@ from .divdiff import (divided_diff_vector, double_divided_diff,
                       double_divided_diff_matrix, multiplicities,
                       newton_matrix, snap_configuration)
 from .errors import (ConfigError, DegenerateConfiguration, DegenerateDensity,
-                     DomainError, EmbeddingFailure, GaussZerosError,
-                     GroundSetMismatch, IntervalsOverlap, NotPSD,
-                     NumericsError, OrderUnavailable, QuadratureNotConverged,
+                     DomainError, GaussZerosError, GroundSetMismatch,
+                     IntervalsOverlap, NotPSD, NumericsError,
+                     OrderUnavailable, QuadratureNotConverged,
                      SeparationTooSmall, SizeCap, WindowTooSmall)
 from .models import (CorrelationModel, QuadratureSpec, SpectralDensity,
                      SpectralTableModel, eval_kappa_derivs, get_model,
@@ -27,7 +27,7 @@ from .partitions import (IndexPartition, adapted_subsets, cluster_partition,
 from .simulation import (MomentEstimate, SimulationSpec, ZeroSample,
                          clt_diagnostic, empirical_k_point, empirical_moments,
                          extract_zeros, linear_statistic, replicate_statistics,
-                         sample_paths, zero_samples)
+                         zero_samples)
 from .variance import (NearSingular, TestFunction,
                        expected_linear_statistic, predicted_covariance,
                        sigma_lower_bound, sigma_squared, two_point_F)

@@ -31,9 +31,12 @@ EXIT_CONFIG = 4
 
 def _parse_points(text: str) -> np.ndarray:
     try:
-        return np.array([float(t) for t in text.split(",") if t != ""])
+        pts = np.array([float(t) for t in text.split(",") if t != ""])
     except ValueError as exc:
         raise ConfigError(f"cannot parse points {text!r}") from exc
+    if not np.all(np.isfinite(pts)):
+        raise ConfigError(f"--points must be finite numbers, got {text!r}")
+    return pts
 
 
 def _emit(args, payload: str):
@@ -144,6 +147,7 @@ def cmd_sigma2(args) -> int:
 
 
 def cmd_fcurve(args) -> int:
+    _require_positive(args, "step")
     model = get_model(args.model)
     n = int(math.floor(args.zmax / args.step + 1e-9))
     zs = [i * args.step for i in range(1, n + 1)]
@@ -162,10 +166,11 @@ def cmd_fcurve(args) -> int:
 
 def cmd_simulate(args) -> int:
     _require(args, "R")
+    _require_positive(args, "R", "step")
     model = get_model(args.model)
     spec = simulation.SimulationSpec(
         window_length=args.R * args.phi_obj.support_radius(),
-        grid_step=args.step if args.step else 0.05,
+        grid_step=0.05 if args.step is None else args.step,
         num_samples=args.n,
         master_seed=args.seed if args.seed is not None else 0,
     )
@@ -197,10 +202,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_moments(args) -> int:
     _require(args, "p", "R")
+    _require_positive(args, "R", "step")
     model = get_model(args.model)
     spec = simulation.SimulationSpec(
         window_length=args.R * args.phi_obj.support_radius(),
-        grid_step=args.step if args.step else 0.05,
+        grid_step=0.05 if args.step is None else args.step,
         num_samples=args.n,
         master_seed=args.seed if args.seed is not None else 0,
     )
@@ -266,6 +272,15 @@ def _require(args, *names):
     for name in names:
         if getattr(args, name) is None:
             raise ConfigError(f"--{name} is required (flag or config file)")
+
+
+def _require_positive(args, *names):
+    """Given values of the named options must be finite and positive."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"--{name} must be positive and finite, "
+                              f"got {value!r}")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:

@@ -1,7 +1,10 @@
 """Exception taxonomy shared by all modules.
 
 The CLI maps these onto exit codes: domain errors exit 2, numerical
-failures exit 3, configuration problems exit 4.
+failures exit 3, configuration problems exit 4.  The only numerical
+failure is a quadrature that cannot certify its tolerance: path sampling
+has no failure mode, because its spectral weights are non-negative by
+construction.
 """
 
 
@@ -59,7 +62,3 @@ class WindowTooSmall(DomainError):
 
 class QuadratureNotConverged(NumericsError):
     """A quadrature could not certify the requested absolute tolerance."""
-
-
-class EmbeddingFailure(NumericsError):
-    """Circulant embedding was not positive semi-definite and no fallback applies."""

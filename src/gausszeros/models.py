@@ -2,9 +2,9 @@
 
 Every model evaluates kappa and its derivatives with kappa(0) = 1 and
 kappa''(0) = -1 (unit variance for the process and its derivative).  The
-three presets carry exact closed-form derivatives up to order 12 plus
-monotone tail envelopes; spectral-table models evaluate derivatives by
-quadrature against their density.
+three presets carry exact closed-form derivatives up to order 12, monotone
+tail envelopes and their spectral density; spectral-table models evaluate
+derivatives by quadrature against their density.
 """
 
 from __future__ import annotations
@@ -76,6 +76,10 @@ class CorrelationModel:
     def kappa(self, x):
         return self.derivs(x, 0)[0]
 
+    def spectral_density(self, xi):
+        """Even density g with kappa(x) = int g(xi) e^{i xi x} dxi (full line)."""
+        raise NotImplementedError
+
     # -- accuracy helpers --------------------------------------------------
     def one_minus_kappa(self, x):
         """1 - kappa(x), full relative precision also for small x."""
@@ -146,6 +150,10 @@ class BargmannFockModel(CorrelationModel):
             sign = -1.0 if j % 2 else 1.0
             out[j] = sign * npoly.polyval(xb, self._he[j]) * gauss
         return out[:, 0] if scalar else out
+
+    def spectral_density(self, xi):
+        xi = np.asarray(xi, dtype=float)
+        return np.exp(-0.5 * xi * xi) / math.sqrt(2.0 * math.pi)
 
     def one_minus_kappa(self, x):
         return -np.expm1(-0.5 * np.asarray(x, dtype=float) ** 2)
@@ -233,6 +241,10 @@ class SincModel(CorrelationModel):
             out[j] = col
         return out[:, 0] if scalar else out
 
+    def spectral_density(self, xi):
+        return np.where(np.abs(np.asarray(xi, dtype=float)) < _SQRT3,
+                        0.5 / _SQRT3, 0.0)
+
     def one_minus_kappa(self, x):
         xb, scalar = _as_batch(x)
         u = _SQRT3 * xb
@@ -302,6 +314,9 @@ class CauchyModel(CorrelationModel):
                     m = j // 2
                     out[j, zero] = (-1.0) ** m * math.factorial(j) / 2.0 ** m
         return out[:, 0] if scalar else out
+
+    def spectral_density(self, xi):
+        return np.exp(-_SQRT2 * np.abs(np.asarray(xi, dtype=float))) / _SQRT2
 
     def one_minus_kappa(self, x):
         t = 0.5 * np.asarray(x, dtype=float) ** 2
@@ -506,6 +521,9 @@ class SpectralTableModel(CorrelationModel):
                 sign = (-1.0) ** (m + odd)
                 out[j, col] = sign * 2.0 * np.sum(dens * nodes ** j * trig)
         return out[:, 0] if scalar else out
+
+    def spectral_density(self, xi):
+        return self._density.density(xi)
 
     def one_minus_kappa(self, x):
         xb, scalar = _as_batch(x)

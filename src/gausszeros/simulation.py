@@ -1,33 +1,32 @@
 """Sampling of stationary Gaussian paths, zero extraction, and MC diagnostics.
 
-Paths are sampled jointly with their derivative on a uniform grid by
-circulant embedding of the 2-channel covariance (FFT); each replicate is
-drawn from its own counter-based substream keyed by (master_seed, index),
-so runs are reproducible bit-for-bit regardless of batching or thread
-count.  Zeros are located by sign changes and polished on the cubic
+Paths are sampled with their derivative on a uniform grid by one spectral
+route: a single complex FFT on a torus of period P >= L + reach, whose
+eigenvalues are the model's spectral density at the FFT frequencies, and
+whose derivative channel is the same draw multiplied by i*omega.  The real
+and imaginary parts of one draw are two independent replicates; each pair
+draws from its own counter-based substream keyed by (master_seed, pair
+index), so runs are reproducible bit-for-bit regardless of batching or
+thread count.  Zeros are located by sign changes and polished on the cubic
 Hermite interpolant of (f, f') over the bracketing cell.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.stats import kstest
+from scipy import fft
 
-from .errors import (ConfigError, EmbeddingFailure, IntervalsOverlap, NotPSD,
-                     WindowTooSmall)
+from .errors import ConfigError, IntervalsOverlap, WindowTooSmall
 from .variance import TestFunction, expected_linear_statistic
 
 __all__ = [
     "SimulationSpec",
     "ZeroSample",
     "MomentEstimate",
-    "sample_paths",
     "extract_zeros",
     "linear_statistic",
     "empirical_moments",
@@ -36,9 +35,6 @@ __all__ = [
     "replicate_statistics",
     "zero_samples",
 ]
-
-_CLIP_MASS_LIMIT = 1e-6
-_DENSE_SIZE_LIMIT = 1500
 
 
 @dataclass(frozen=True)
@@ -49,7 +45,6 @@ class SimulationSpec:
     grid_step: float = 0.05
     num_samples: int = 1
     master_seed: int = 0
-    padding_factor: float = 2.0
 
     def __post_init__(self):
         if self.window_length <= 0:
@@ -59,8 +54,6 @@ class SimulationSpec:
                               "(well below the unit correlation length)")
         if self.num_samples < 1:
             raise ConfigError("need at least one replicate")
-        if self.padding_factor < 2.0:
-            raise ConfigError("padding factor must be >= 2")
 
     @property
     def grid_size(self) -> int:
@@ -103,109 +96,52 @@ def _correlation_reach(model, target: float = 1e-9, cap: float = 400.0) -> float
     return cap
 
 
-class _CirculantSampler:
-    """FFT sampler for the joint (f, f') field on a uniform grid."""
+class _SpectralSampler:
+    """(f, f') on the grid of [0, L], as a window of a stationary torus field.
 
-    _WRAPS = 3
-
-    def __init__(self, model, spec: SimulationSpec):
-        self.m = spec.grid_size
-        self.h = spec.grid_step
-        reach = _correlation_reach(model)
-        n_ext = max(int(math.ceil(spec.padding_factor * (self.m - 1))),
-                    2 * (self.m - 1)) + int(math.ceil(reach / self.h))
-        self.n = next_fast_len(n_ext + 1)
-        lags = np.arange(self.n)
-        lags = np.where(lags <= self.n // 2, lags, lags - self.n) * self.h
-        # periodized kernel rows: summing a few wraps keeps the embedding
-        # positive also for slowly decaying correlations
-        period = self.n * self.h
-        rows = np.zeros((3, self.n))
-        for j in range(-self._WRAPS, self._WRAPS + 1):
-            rows += model.derivs(lags + j * period, 2)
-        # implied covariance of the construction is row[(j-l) mod n], i.e. the
-        # channel covariance at lag -(l-j)h: even channels are unaffected,
-        # the odd f-f' cross channel needs the reflected sign
-        s_ff = np.fft.fft(rows[0])
-        s_fd = np.fft.fft(-rows[1])       # E f(0) f'(-lag) = -kappa'(lag)
-        s_dd = np.fft.fft(-rows[2])       # E f'(0) f'(lag) = -kappa''(lag)
-        H = np.empty((self.n, 2, 2), dtype=complex)
-        H[:, 0, 0] = s_ff.real
-        H[:, 1, 1] = s_dd.real
-        H[:, 0, 1] = s_fd
-        H[:, 1, 0] = np.conj(s_fd)
-        w, v = np.linalg.eigh(H)
-        clipped = float(np.abs(np.clip(w, None, 0.0)).sum())
-        total = float(np.abs(w).sum())
-        self.clip_fraction = clipped / max(total, 1e-300)
-        if self.clip_fraction > _CLIP_MASS_LIMIT:
-            raise EmbeddingFailure(
-                f"circulant embedding clipped {self.clip_fraction:.2e} of the "
-                "spectral mass")
-        self.factor = v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
-
-    def sample(self, master_seed: int, indices) -> tuple[np.ndarray, np.ndarray]:
-        """Fields for the given replicate indices: arrays (len(indices), m)."""
-        idx = list(indices)
-        zeta = np.empty((len(idx), self.n, 2), dtype=complex)
-        for row, rep in enumerate(idx):
-            rng = _replicate_rng(master_seed, rep)
-            zeta[row] = (rng.standard_normal((self.n, 2))
-                         + 1j * rng.standard_normal((self.n, 2)))
-        w = np.einsum("nab,rnb->rna", self.factor, zeta)
-        field = math.sqrt(self.n) * np.fft.ifft(w, axis=1)
-        f = field[:, :self.m, 0].real
-        fp = field[:, :self.m, 1].real
-        return np.ascontiguousarray(f), np.ascontiguousarray(fp)
-
-
-class _DenseSampler:
-    """Eigen-factorized joint covariance; fallback when embedding fails."""
+    With step h and n = P / h nodes, the field is sum_j a_j zeta_j
+    e^{i omega_j x} over the FFT frequencies omega_j, with complex standard
+    normal zeta_j and a_j^2 = (2 pi / (n h)) g(omega_j): its covariance is
+    the Riemann sum of int g(xi) e^{i xi x} dxi, i.e. kappa periodized with
+    period P, up to the mass of g beyond the Nyquist frequency pi / h
+    (below 1e-30 for the presets at the allowed steps).  Every lag inside [0, L] stays at least P - L >= reach from
+    its nearest alias.  The spectral weights are non-negative by
+    construction, so no embedding can fail.
+    """
 
     def __init__(self, model, spec: SimulationSpec):
         self.m = spec.grid_size
-        self.h = spec.grid_step
-        if self.m > _DENSE_SIZE_LIMIT:
-            raise EmbeddingFailure(
-                f"dense fallback infeasible for {self.m} grid points")
-        lags = (np.arange(self.m)[None, :] - np.arange(self.m)[:, None]) * self.h
-        dk = model.derivs(lags.ravel(), 2)
-        k0 = dk[0].reshape(self.m, self.m)
-        k1 = dk[1].reshape(self.m, self.m)
-        k2 = dk[2].reshape(self.m, self.m)
-        # E f(x_i) f'(x_j) = kappa'((j-i)h) = k1[i, j]; k1 is antisymmetric
-        cov = np.block([[k0, k1], [k1.T, -k2]])
-        cov = 0.5 * (cov + cov.T)
-        w, v = np.linalg.eigh(cov)
-        if w.min() < -1e-9 * max(w.max(), 1e-300):
-            raise NotPSD("dense joint covariance fails the eigenvalue floor")
-        self.factor = v * np.sqrt(np.clip(w, 0.0, None))
-        self.clip_fraction = 0.0
+        h = spec.grid_step
+        span = (self.m - 1) * h + _correlation_reach(model)
+        self.n = fft.next_fast_len(int(math.ceil(span / h)))
+        omega = 2.0 * math.pi * fft.fftfreq(self.n, d=h)
+        weight = 2.0 * math.pi / (self.n * h) * model.spectral_density(omega)
+        self.amp = np.sqrt(weight).astype(complex)
+        self.amp_d = 1j * omega * self.amp
+        if self.n % 2 == 0:
+            # the Nyquist mode has no sign, so it carries no derivative
+            self.amp_d[self.n // 2] = 0.0
 
-    def sample(self, master_seed: int, indices):
-        idx = list(indices)
-        out = np.empty((len(idx), 2 * self.m))
-        for row, rep in enumerate(idx):
-            rng = _replicate_rng(master_seed, rep)
-            out[row] = self.factor @ rng.standard_normal(2 * self.m)
-        return out[:, :self.m], out[:, self.m:]
+    def sample(self, master_seed: int, pairs) -> tuple[np.ndarray, np.ndarray]:
+        """Fields of the given replicate pairs: arrays (2 len(pairs), m).
 
+        Row 2 i is the real part and row 2 i + 1 the imaginary part of pair
+        pairs[i], i.e. replicates 2 pair and 2 pair + 1.
+        """
+        pairs = list(pairs)
+        zeta = np.empty((len(pairs), self.n), dtype=complex)
+        for row, pair in enumerate(pairs):
+            rng = _replicate_rng(master_seed, pair)
+            zeta[row] = rng.standard_normal(2 * self.n).view(complex)
+        return (self._window(self.amp * zeta),
+                self._window(self.amp_d * zeta))
 
-def _build_sampler(model, spec: SimulationSpec):
-    try:
-        return _CirculantSampler(model, spec)
-    except EmbeddingFailure as exc:
-        warnings.warn(f"{exc}; engaging dense factorization fallback",
-                      RuntimeWarning, stacklevel=2)
-        return _DenseSampler(model, spec)
-
-
-def sample_paths(model, spec: SimulationSpec):
-    """Yield (f values, f' values) on the grid for each replicate."""
-    sampler = _build_sampler(model, spec)
-    for rep in range(spec.num_samples):
-        f, fp = sampler.sample(spec.master_seed, [rep])
-        yield f[0], fp[0]
+    def _window(self, coeffs: np.ndarray) -> np.ndarray:
+        field = fft.ifft(coeffs, axis=1, norm="forward")[:, :self.m]
+        out = np.empty((2 * field.shape[0], self.m))
+        out[0::2] = field.real
+        out[1::2] = field.imag
+        return out
 
 
 def _hermite_roots_batch(f0, d0, f1, d1, h: float) -> np.ndarray:
@@ -272,16 +208,20 @@ def extract_zeros(path_f, path_fp, spec: SimulationSpec,
 
 def zero_samples(model, spec: SimulationSpec, threads: int = 1
                  ) -> list[ZeroSample]:
-    """Zero sets of all replicates, batched and optionally threaded."""
-    sampler = _build_sampler(model, spec)
-    n_fft = getattr(sampler, "n", 2 * spec.grid_size)
-    batch = max(1, min(512, (1 << 19) // max(n_fft, 1)))
+    """Zero sets of all replicates, batched and optionally threaded.
+
+    Batches start at even replicates, so each holds whole pairs; with an
+    odd `num_samples` the last pair gives only its real part.
+    """
+    sampler = _SpectralSampler(model, spec)
+    batch = 2 * max(1, min(256, (1 << 18) // sampler.n))
     batches = [range(s, min(s + batch, spec.num_samples))
                for s in range(0, spec.num_samples, batch)]
 
     def work(reps):
-        f, fp = sampler.sample(spec.master_seed, reps)
-        return _zeros_from_batch(f, fp, spec)
+        f, fp = sampler.sample(spec.master_seed,
+                               range(reps.start // 2, (reps.stop + 1) // 2))
+        return _zeros_from_batch(f[:len(reps)], fp[:len(reps)], spec)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -386,6 +326,8 @@ def clt_diagnostic(model, spec: SimulationSpec, phi: TestFunction, R: float,
         raise ConfigError("sigma must be positive (from sigma_squared)")
     stats = replicate_statistics(model, spec, phi, R, threads=threads)
     t = (stats - expected_linear_statistic(phi, R)) / (math.sqrt(R) * sigma)
+    from scipy.stats import kstest  # scipy.stats costs ~0.7 s to import
+
     l2 = math.sqrt(phi.l2_norm_sq())
     ks = float(kstest(t, "norm", args=(0.0, l2)).statistic)
     m = t.mean()

@@ -178,3 +178,24 @@ def test_format_overrides(capsys):
     assert code == 0
     rec = json.loads(out)
     assert len(rec["z"]) == len(rec["F"]) == 5
+
+
+@pytest.mark.parametrize("points", ["0,nan", "0,inf"])
+def test_rho_rejects_non_finite_points(capsys, points):
+    code, out, err = run_cli(capsys, "rho", "--points", points)
+    assert code == 4
+    assert out == ""
+    assert "--points" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["fcurve", "--zmax", "0.1"],
+    ["simulate", "--R", "5", "--n", "2"],
+    ["moments", "--p", "2", "--R", "5", "--n", "4"],
+])
+def test_step_must_be_positive(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--step", "0")
+    assert code == 4
+    assert out == ""
+    assert "--step" in err
+

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from gausszeros.errors import ConfigError, DegenerateDensity, OrderUnavailable
 from gausszeros.models import (SpectralDensity, eval_kappa_derivs, get_model,
@@ -159,3 +160,23 @@ def test_spectral_table_json_roundtrip(tmp_path, bf):
 def test_get_model_errors():
     with pytest.raises(ConfigError):
         get_model("no-such-model")
+
+
+def test_spectral_density_transforms_to_kappa(presets, table):
+    # kappa(x) = int g(xi) e^{i xi x} dxi = 2 int_0^inf g(xi) cos(xi x) dxi
+    models = dict(presets, table=table)
+    for name, model in models.items():
+        upper = math.sqrt(3.0) if name == "sinc-sqrt3" else 60.0
+        # the table density has kinks at its (rescaled) nodes
+        kinks = table._kinks[1:-1] if model is table else None
+
+        def half_line(weight):
+            val, _ = quad(lambda t: weight(t) * model.spectral_density(t),
+                          0.0, upper, points=kinks, limit=400, epsabs=1e-10)
+            return 2.0 * val
+
+        assert half_line(lambda t: 1.0) == pytest.approx(1.0, abs=1e-7), name
+        assert half_line(lambda t: t * t) == pytest.approx(1.0, abs=1e-7), name
+        for x in (0.5, 1.0, 2.0):
+            got = half_line(lambda t: math.cos(t * x))
+            assert got == pytest.approx(model.kappa(x), abs=1e-7), (name, x)

@@ -5,11 +5,10 @@ import pytest
 
 from gausszeros.errors import ConfigError, IntervalsOverlap, WindowTooSmall
 from gausszeros.densities import rho_k
-from gausszeros.simulation import (SimulationSpec, _build_sampler,
+from gausszeros.simulation import (SimulationSpec, _SpectralSampler,
                                    empirical_k_point, empirical_moments,
                                    extract_zeros, linear_statistic,
-                                   replicate_statistics, sample_paths,
-                                   zero_samples)
+                                   replicate_statistics, zero_samples)
 from gausszeros.variance import (TestFunction, predicted_covariance,
                                  two_point_F)
 
@@ -19,42 +18,52 @@ def test_spec_validation():
         SimulationSpec(window_length=10.0, grid_step=0.2)
     with pytest.raises(ConfigError):
         SimulationSpec(window_length=-1.0)
-    with pytest.raises(ConfigError):
-        SimulationSpec(window_length=1.0, padding_factor=1.0)
 
 
-def test_sampler_marginals(bf):
+SAMPLED_MODELS = ("bf", "sinc", "cauchy", "table")
+
+
+@pytest.fixture(scope="module")
+def sampled_fields(request):
+    """Per model: (model, f, f') of 10000 replicates on [0, 3]."""
     spec = SimulationSpec(window_length=3.0, grid_step=0.05,
                           num_samples=10_000, master_seed=1)
-    sampler = _build_sampler(bf, spec)
-    f, fp = sampler.sample(1, range(10_000))
-    n = f.size
-    for arr in (f, fp):
-        se = math.sqrt(2.0 / 10_000)  # loose: treats nodes as correlated
-        assert abs(arr.var() - 1.0) < 3 * se
-    # f and f' at a common node are uncorrelated
-    c = np.mean(f[:, 10] * fp[:, 10])
-    assert abs(c) < 3.0 / math.sqrt(10_000)
+    out = {}
+    for name in SAMPLED_MODELS:
+        model = request.getfixturevalue(name)
+        sampler = _SpectralSampler(model, spec)
+        # 100 pairs at a time keeps the full-period draws small
+        parts = [sampler.sample(spec.master_seed, range(s, s + 100))
+                 for s in range(0, spec.num_samples // 2, 100)]
+        out[name] = (model, np.concatenate([p[0] for p in parts]),
+                     np.concatenate([p[1] for p in parts]))
+    return out
 
 
-def test_sampler_cross_covariance(bf):
-    spec = SimulationSpec(window_length=3.0, grid_step=0.05,
-                          num_samples=10_000, master_seed=2)
-    sampler = _build_sampler(bf, spec)
-    f, fp = sampler.sample(2, range(10_000))
-    lag = 20  # distance 1.0
-    se = 3.0 / math.sqrt(10_000)
-    assert abs(np.mean(f[:, 0] * f[:, lag]) - bf.kappa(1.0)) < se
-    assert abs(np.mean(f[:, 0] * fp[:, lag]) - bf.derivs(1.0, 1)[1]) < se
-    assert abs(np.mean(fp[:, 0] * fp[:, lag]) + bf.derivs(1.0, 2)[2]) < se
+def _assert_covariance(a, b, target, what):
+    # stationarity: average the products over node pairs within a replicate;
+    # replicates are independent, which gives the standard error
+    prod = (a * b).mean(axis=1)
+    se = prod.std(ddof=1) / math.sqrt(prod.size)
+    assert abs(prod.mean() - target) < 3.0 * se, (what, prod.mean(), target, se)
 
 
-def test_sample_paths_stream(bf):
-    spec = SimulationSpec(window_length=2.0, grid_step=0.05, num_samples=3,
-                          master_seed=9)
-    paths = list(sample_paths(bf, spec))
-    assert len(paths) == 3
-    assert paths[0][0].shape == (spec.grid_size,)
+def test_sampler_marginals(sampled_fields):
+    # lag 0: unit variances of f and f', and f, f' uncorrelated at a node
+    for name, (_, f, fp) in sampled_fields.items():
+        _assert_covariance(f, f, 1.0, (name, "ff"))
+        _assert_covariance(fp, fp, 1.0, (name, "f'f'"))
+        _assert_covariance(f, fp, 0.0, (name, "ff'"))
+
+
+def test_sampler_cross_covariance(sampled_fields):
+    # lag 1 (20 nodes): kappa(1), kappa'(1) and -kappa''(1)
+    lag = 20
+    for name, (model, f, fp) in sampled_fields.items():
+        k0, k1, k2 = model.derivs(1.0, 2)
+        _assert_covariance(f[:, :-lag], f[:, lag:], k0, (name, "ff"))
+        _assert_covariance(f[:, :-lag], fp[:, lag:], k1, (name, "ff'"))
+        _assert_covariance(fp[:, :-lag], fp[:, lag:], -k2, (name, "f'f'"))
 
 
 def test_extract_zeros_sine_path():
@@ -120,15 +129,38 @@ def test_window_guard(bf):
 
 
 def test_determinism_across_threads_and_batches(bf):
-    spec = SimulationSpec(window_length=20.0, grid_step=0.05, num_samples=64,
-                          master_seed=123)
     phi = TestFunction.indicator(0.0, 1.0)
-    a = replicate_statistics(bf, spec, phi, 20.0, threads=1)
-    b = replicate_statistics(bf, spec, phi, 20.0, threads=4)
-    assert np.array_equal(a, b)
-    za = zero_samples(bf, spec)[5].zeros
-    zb = zero_samples(bf, spec, threads=3)[5].zeros
-    np.testing.assert_array_equal(za, zb)
+    # an odd count ends on a half pair: its last replicate is a real part
+    stats = {}
+    for n in (64, 63):
+        spec = SimulationSpec(window_length=20.0, grid_step=0.05,
+                              num_samples=n, master_seed=123)
+        a = replicate_statistics(bf, spec, phi, 20.0, threads=1)
+        b = replicate_statistics(bf, spec, phi, 20.0, threads=4)
+        assert a.size == n
+        assert np.array_equal(a, b)
+        za = zero_samples(bf, spec)[5].zeros
+        zb = zero_samples(bf, spec, threads=3)[5].zeros
+        np.testing.assert_array_equal(za, zb)
+        stats[n] = a
+    assert np.array_equal(stats[64][:63], stats[63])
+    # a pair's paths do not depend on the other pairs of its batch
+    sampler = _SpectralSampler(bf, spec)
+    whole = sampler.sample(123, range(0, 4))
+    tail = sampler.sample(123, range(2, 4))
+    for w, t in zip(whole, tail):
+        assert np.array_equal(w[4:], t)
+
+
+def test_sinc_long_window_mean_count(sinc):
+    # 2001 grid points on a period of 500: the sinc reach is capped at 400
+    r, n = 100.0, 400
+    spec = SimulationSpec(window_length=r, grid_step=0.05, num_samples=n,
+                          master_seed=11)
+    counts = np.array([s.zeros.size for s in zero_samples(sinc, spec)],
+                      dtype=float)
+    se = counts.std(ddof=1) / math.sqrt(n)
+    assert abs(counts.mean() * math.pi / r - 1.0) < 4.0 * se * math.pi / r
 
 
 def test_empirical_moments_centered(bf):
