@@ -151,7 +151,7 @@ def cmd_fcurve(args) -> int:
     model = get_model(args.model)
     n = int(math.floor(args.zmax / args.step + 1e-9))
     zs = [i * args.step for i in range(1, n + 1)]
-    fs = [variance.two_point_F(model, z) for z in zs]
+    fs = variance.two_point_F(model, np.array(zs)).tolist()
     if args.format == "json":
         _emit(args, _json_line({"z": zs, "F": fs}))
         return 0

@@ -36,6 +36,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
+_BF_CUT = 40.0  # exp(-x^2/2) is 0 in double precision beyond |x| ~ 38.6
 
 
 @dataclass(frozen=True)
@@ -144,11 +145,15 @@ class BargmannFockModel(CorrelationModel):
 
     def derivs(self, x, max_order: int) -> np.ndarray:
         xb, scalar = _as_batch(x)
-        gauss = np.exp(-0.5 * xb * xb)
-        out = np.empty((max_order + 1, xb.size))
+        # exp(-x^2/2) underflows to 0 before |x| = 40: exact zeros beyond,
+        # where the polynomial factor would overflow to inf * 0
+        live = np.abs(xb) < _BF_CUT
+        xl = xb[live]
+        gauss = np.exp(-0.5 * xl * xl)
+        out = np.zeros((max_order + 1, xb.size))
         for j in range(max_order + 1):
             sign = -1.0 if j % 2 else 1.0
-            out[j] = sign * npoly.polyval(xb, self._he[j]) * gauss
+            out[j, live] = sign * npoly.polyval(xl, self._he[j]) * gauss
         return out[:, 0] if scalar else out
 
     def spectral_density(self, xi):
@@ -156,7 +161,8 @@ class BargmannFockModel(CorrelationModel):
         return np.exp(-0.5 * xi * xi) / math.sqrt(2.0 * math.pi)
 
     def one_minus_kappa(self, x):
-        return -np.expm1(-0.5 * np.asarray(x, dtype=float) ** 2)
+        return -np.expm1(-0.5 * np.minimum(np.abs(np.asarray(x, dtype=float)),
+                                           _BF_CUT) ** 2)
 
     def envelope_start(self, order: int):
         return max(math.sqrt(max(order, 1)), 1.0)
@@ -217,9 +223,10 @@ class SincModel(CorrelationModel):
         # Leibniz on sin(u) * u^{-1}: loses ~ j! / |u|^j of precision, so it
         # is only used beyond the per-order cut where that factor is tame
         acc = np.zeros_like(u)
+        inv = 1.0 / u
         for m in range(j + 1):
             c = math.comb(j, m) * (-1.0) ** (j - m) * math.factorial(j - m)
-            acc = acc + c * np.sin(u + 0.5 * math.pi * m) / u ** (j - m + 1)
+            acc = acc + c * np.sin(u + 0.5 * math.pi * m) * inv ** (j - m + 1)
         return acc
 
     @staticmethod
@@ -297,14 +304,13 @@ class CauchyModel(CorrelationModel):
     def derivs(self, x, max_order: int) -> np.ndarray:
         xb, scalar = _as_batch(x)
         out = np.empty((max_order + 1, xb.size))
-        r2 = xb * xb + 2.0
-        r = np.sqrt(r2)
+        inv_r = 1.0 / np.hypot(xb, _SQRT2)  # no overflow at huge |x|
         theta = np.arctan2(-_SQRT2, xb)
         for j in range(max_order + 1):
             # kappa^(j)(x) = sqrt2 (-1)^j j! Im (x - i sqrt2)^{-(j+1)}
             sign = -1.0 if j % 2 else 1.0
             out[j] = (_SQRT2 * sign * math.factorial(j)
-                      * np.sin(-(j + 1) * theta) / r ** (j + 1))
+                      * np.sin(-(j + 1) * theta) * inv_r ** (j + 1))
         zero = xb == 0.0
         if np.any(zero):
             for j in range(max_order + 1):
@@ -319,8 +325,9 @@ class CauchyModel(CorrelationModel):
         return np.exp(-_SQRT2 * np.abs(np.asarray(xi, dtype=float))) / _SQRT2
 
     def one_minus_kappa(self, x):
-        t = 0.5 * np.asarray(x, dtype=float) ** 2
-        return t / (1.0 + t)
+        # t / (1 + t) with t = x^2 / 2, as (x / |x - i sqrt2|)^2: no overflow
+        x = np.asarray(x, dtype=float)
+        return (x / np.hypot(x, _SQRT2)) ** 2
 
     def envelope_start(self, order: int):
         return 0.5
@@ -466,6 +473,7 @@ class SpectralTableModel(CorrelationModel):
         self._kinks = self._panel_edges()
         self._gl_nodes, self._gl_weights = np.polynomial.legendre.leggauss(8)
         self._moments = [self._moment(j) for j in range(self.max_derivative_order + 1)]
+        self._x_far = self._far_field(tail_tol)
 
     # -- construction helpers ------------------------------------------
     def _pick_truncation(self, tol: float) -> float:
@@ -500,6 +508,20 @@ class SpectralTableModel(CorrelationModel):
             weights.append((half * self._gl_weights[None, :]).ravel())
         return np.concatenate(nodes), np.concatenate(weights)
 
+    def _far_field(self, tol: float) -> float:
+        """|x| beyond which every kappa^(j) is below `tol`, so 0 is returned.
+
+        One integration by parts gives |kappa^(j)(x)| <= 2 (|q(0)| + |q(T)|
+        + TV(q)) / |x| for q(xi) = xi^j g(xi) on [0, T]; TV is taken on the
+        x = 0 quadrature nodes and the kinks, with a factor 2 of margin.
+        """
+        xi = np.union1d(self._panels_for(0.0)[0], self._kinks)
+        bound = 0.0
+        for j in range(self.max_derivative_order + 1):
+            q = xi ** j * self._density.density(xi)
+            bound = max(bound, abs(q[0]) + abs(q[-1]) + float(np.sum(np.abs(np.diff(q)))))
+        return 4.0 * bound / tol
+
     def _moment(self, j: int) -> float:
         # full-line absolute moment of the even density
         nodes, weights = self._panels_for(0.0)
@@ -509,8 +531,10 @@ class SpectralTableModel(CorrelationModel):
     # -- CorrelationModel interface -------------------------------------
     def derivs(self, x, max_order: int) -> np.ndarray:
         xb, scalar = _as_batch(x)
-        out = np.empty((max_order + 1, xb.size))
+        out = np.zeros((max_order + 1, xb.size))
         for col, xv in enumerate(xb):
+            if abs(xv) > self._x_far:
+                continue
             nodes, weights = self._panels_for(float(xv))
             dens = weights * self._density.density(nodes)
             cos_part = np.cos(xv * nodes)
@@ -527,8 +551,10 @@ class SpectralTableModel(CorrelationModel):
 
     def one_minus_kappa(self, x):
         xb, scalar = _as_batch(x)
-        out = np.empty(xb.size)
+        out = np.ones(xb.size)
         for col, xv in enumerate(xb):
+            if abs(xv) > self._x_far:
+                continue
             nodes, weights = self._panels_for(float(xv))
             dens = weights * self._density.density(nodes)
             out[col] = 4.0 * np.sum(dens * np.sin(0.5 * xv * nodes) ** 2)

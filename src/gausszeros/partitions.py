@@ -241,7 +241,9 @@ def predicted_central_moment(model, test_functions, R: float, quad=None) -> floa
     """Leading pair-partition prediction for the p-th central moment.
 
     Sums, over all partitions of the p test functions into pairs, the
-    product of exact finite-R covariances; zero for odd p.
+    product of exact finite-R covariances; zero for odd p.  Covariances are
+    cached by the unordered pair of test-function values, so equal test
+    functions share one computation.
     """
     from .variance import predicted_covariance  # deferred import, see above
 
@@ -249,12 +251,12 @@ def predicted_central_moment(model, test_functions, R: float, quad=None) -> floa
     p = len(phis)
     if p % 2 == 1:
         return 0.0
-    cache: dict[tuple[int, int], float] = {}
+    cache: dict[frozenset, float] = {}
 
     def cov(i: int, j: int) -> float:
-        key = (min(i, j), max(i, j))
+        key = frozenset((phis[i], phis[j]))
         if key not in cache:
-            cache[key] = predicted_covariance(model, phis[key[0]], phis[key[1]], R, quad)
+            cache[key] = predicted_covariance(model, phis[i], phis[j], R, quad)
         return cache[key]
 
     total = 0.0

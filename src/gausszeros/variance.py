@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _NEAR_ZERO = 1e-4
+_INV_PI2 = 1.0 / math.pi ** 2
 
 
 class NearSingular(NumericsError):
@@ -148,26 +149,37 @@ class TestFunction:
         xs, _ = self.params
         return max(abs(xs[0]), abs(xs[-1]))
 
-    def cross_correlation(self, other: "TestFunction", u: float) -> float:
-        """int phi(x) * other(x + u) dx, closed form where available."""
+    def cross_correlation(self, other: "TestFunction", u):
+        """int phi(x) * other(x + u) dx at scalar or array u.
+
+        Closed forms for indicator and gaussian pairs; other pairs fall back
+        to a trapezoid rule per shift.  A scalar u returns a float.
+        """
+        u = np.asarray(u, dtype=float)
         if self.kind == "indicator" and other.kind == "indicator":
             a1, b1 = self.params
             a2, b2 = other.params
-            return max(0.0, min(b1, b2 - u) - max(a1, a2 - u))
-        if self.kind == "gaussian" and other.kind == "gaussian":
+            out = np.maximum(0.0, np.minimum(b1, b2 - u) - np.maximum(a1, a2 - u))
+        elif self.kind == "gaussian" and other.kind == "gaussian":
             c1, w1 = self.params
             c2, w2 = other.params
             s2 = w1 * w1 + w2 * w2
-            return (math.sqrt(2.0 * math.pi) * w1 * w2 / math.sqrt(s2)
-                    * math.exp(-0.5 * (c2 - u - c1) ** 2 / s2))
-        if self.kind == "indicator" and other.kind == "gaussian":
+            out = (math.sqrt(2.0 * math.pi) * w1 * w2 / math.sqrt(s2)
+                   * np.exp(-0.5 * (c2 - u - c1) ** 2 / s2))
+        elif self.kind == "indicator" and other.kind == "gaussian":
             a, b = self.params
             c, w = other.params
             lo = (a + u - c) / (w * math.sqrt(2.0))
             hi = (b + u - c) / (w * math.sqrt(2.0))
-            return w * math.sqrt(math.pi / 2.0) * float(erf(hi) - erf(lo))
-        if self.kind == "gaussian" and other.kind == "indicator":
-            return other.cross_correlation(self, -u)
+            out = w * math.sqrt(math.pi / 2.0) * (erf(hi) - erf(lo))
+        elif self.kind == "gaussian" and other.kind == "indicator":
+            out = np.asarray(other.cross_correlation(self, -u))
+        else:
+            out = np.array([self._cross_correlation_table(other, v)
+                            for v in u.ravel()]).reshape(u.shape)
+        return float(out) if out.ndim == 0 else out
+
+    def _cross_correlation_table(self, other: "TestFunction", u: float) -> float:
         lo = max(-self.support_radius(), -other.support_radius() - u)
         hi = min(self.support_radius(), other.support_radius() - u)
         if hi <= lo:
@@ -180,47 +192,149 @@ class TestFunction:
 # Two-point excess and the variance constant
 # ---------------------------------------------------------------------------
 
-def two_point_F(model: CorrelationModel, z: float) -> float:
+def two_point_F(model: CorrelationModel, z):
     """Two-point excess intensity rho_2(0, z) - 1/pi^2; even, -1/pi^2 at 0.
 
+    Accepts a scalar (returns a float) or an array (returns an array of the
+    same shape, from one `derivs` and one `one_minus_kappa_sq` call).
     Below |z| = 1e-4 the continuity value is returned: the exact value
     approaches -1/pi^2 linearly with slope bounded by the inverse
     correlation length, so the substitution error stays below 1e-4 there.
     """
-    z = abs(float(z))
-    if z < _NEAR_ZERO:
-        return -1.0 / math.pi ** 2
-    k0, k1, k2 = model.derivs(z, 2)
-    om2 = float(model.one_minus_kappa_sq(z))
-    if om2 < 1e-14:
-        raise NearSingular(
-            f"1 - kappa^2 = {om2:.3e} at z = {z}: model correlation reaches 1 "
-            "away from 0")
-    denom = om2 - k1 * k1
-    numer = k0 * k1 * k1 + k2 * om2
-    a = 1.0 if denom == 0.0 else min(1.0, max(-1.0, numer / denom))
-    h = math.sqrt(max(0.0, 1.0 - a * a)) + a * math.asin(a)
-    ratio = denom / om2 ** 1.5
-    return (ratio * h - 1.0) / math.pi ** 2
+    z = np.abs(np.asarray(z, dtype=float))
+    out = np.full(z.shape, -_INV_PI2)
+    far = z >= _NEAR_ZERO
+    if far.any():
+        zf = z[far]
+        k0, k1, k2 = model.derivs(zf, 2)
+        om2 = np.asarray(model.one_minus_kappa_sq(zf), dtype=float)
+        if (om2 < 1e-14).any():
+            i = int(np.argmin(om2))
+            raise NearSingular(
+                f"1 - kappa^2 = {om2[i]:.3e} at z = {zf[i]}: model correlation "
+                "reaches 1 away from 0")
+        k1sq = k1 * k1
+        denom = om2 - k1sq
+        a = np.ones_like(denom)
+        np.divide(k0 * k1sq + k2 * om2, denom, out=a, where=denom != 0.0)
+        a = np.minimum(1.0, np.maximum(-1.0, a))
+        # ratio * h - 1 with ratio = denom / om2^1.5, written as
+        # (ratio - 1) h + (h - 1) so that no rounding floor is left where
+        # kappa is tiny: ratio - 1 = (k^2 / (1 + s) - k'^2 / om2) / s, s = om2^1/2
+        s = np.sqrt(om2)
+        ratio_m1 = (k0 * k0 / (1.0 + s) - k1sq / om2) / s
+        h_m1 = a * np.arcsin(a) - a * a / (1.0 + np.sqrt(np.maximum(0.0, 1.0 - a * a)))
+        out[far] = (ratio_m1 * (1.0 + h_m1) + h_m1) * _INV_PI2
+    return float(out) if out.ndim == 0 else out
 
 
-def _integrate_chunked(f, a: float, b: float, abs_tol: float,
-                       chunk_len: float = 25.0, limit: int = 200
-                       ) -> tuple[float, float]:
-    """Deterministic piecewise adaptive quadrature with summed error bounds."""
+# QUADPACK qk21 (Piessens et al., QUADPACK, Springer 1983): the 21-point
+# Kronrod rule on [-1, 1] and its embedded 10-point Gauss rule.  Positive
+# half, centre last; the Gauss nodes are the odd-indexed Kronrod nodes.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077600525278414, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+_GK_NODES = np.concatenate([-_XGK[:10], _XGK[::-1]])
+_GK_KRONROD = np.concatenate([_WGK[:10], _WGK[::-1]])
+_GK_GAUSS = np.zeros(21)
+_GK_GAUSS[1:10:2] = _WG
+_GK_GAUSS[19:10:-2] = _WG
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _qk21(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """qk21 value and error estimate of every panel [lo_i, hi_i], one f call."""
+    centre = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    fv = np.asarray(f((centre[:, None] + half[:, None] * _GK_NODES).ravel()),
+                    dtype=float).reshape(lo.size, 21)
+    resk = fv @ _GK_KRONROD
+    resg = fv @ _GK_GAUSS
+    resabs = np.abs(fv) @ _GK_KRONROD * half
+    resasc = np.abs(fv - 0.5 * resk[:, None]) @ _GK_KRONROD * half
+    err = np.abs((resk - resg) * half)
+    scaled = (resasc != 0.0) & (err != 0.0)
+    err[scaled] = resasc[scaled] * np.minimum(
+        1.0, (200.0 * err[scaled] / resasc[scaled]) ** 1.5)
+    floor = resabs > _TINY / (50.0 * _EPS)
+    err[floor] = np.maximum(50.0 * _EPS * resabs[floor], err[floor])
+    return resk * half, err
+
+
+def _integrate_panels(f, a: float, b: float, abs_tol: float, chunk_len: float,
+                      max_panels: int, breaks=()) -> tuple[float, float]:
+    """Adaptive qk21 quadrature over equal chunks, with summed error bounds.
+
+    [a, b] is cut into n chunks of length <= chunk_len.  A chunk is done
+    when its summed panel error is <= max(abs_tol / n, 1e-13 |value|), or
+    when it holds max_panels panels.  Each round evaluates f once, on the 21
+    nodes of every new panel, and bisects in each open chunk its worst
+    panels: the fewest whose errors together cover the excess.  `breaks`
+    are extra initial panel edges, placed where f has a kink.  Returns the
+    value and the summed error estimate (inf if f was not finite).
+    """
     if b <= a:
         return 0.0, 0.0
     n_chunks = max(1, int(math.ceil((b - a) / chunk_len)))
     edges = np.linspace(a, b, n_chunks + 1)
-    per = abs_tol / n_chunks
-    total = 0.0
-    err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        res = _quad(f, lo, hi, epsabs=per, epsrel=1e-13, limit=limit,
-                    full_output=1)
-        total += res[0]
-        err += res[1]
-    return total, err
+    budget = abs_tol / n_chunks
+    inner = [t for t in breaks if a < t < b]
+    cuts = np.unique(np.concatenate([edges, inner]))
+    new_lo, new_hi = cuts[:-1], cuts[1:]
+    new_chunk = np.minimum(np.searchsorted(edges, new_lo, side="right") - 1,
+                           n_chunks - 1)
+    lo = hi = val = err = np.empty(0)
+    chunk = np.empty(0, dtype=int)
+    while True:
+        v, e = _qk21(f, new_lo, new_hi)
+        lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
+        chunk = np.concatenate([chunk, new_chunk])
+        val, err = np.concatenate([val, v]), np.concatenate([err, e])
+
+        count = np.bincount(chunk, minlength=n_chunks)
+        excess = (np.bincount(chunk, err, minlength=n_chunks)
+                  - np.maximum(budget, 1e-13 * np.abs(
+                      np.bincount(chunk, val, minlength=n_chunks))))
+        mid = 0.5 * (lo + hi)
+        cand = np.flatnonzero(((excess > 0.0) & (count < max_panels))[chunk]
+                              & (mid > lo) & (mid < hi))
+        if cand.size == 0:
+            value, total = float(val.sum()), float(err.sum())
+            # a non-finite integrand certifies nothing
+            return value, total if math.isfinite(value + total) else math.inf
+        # worst first inside each chunk; pick the prefix covering the excess
+        order = cand[np.lexsort((-err[cand], chunk[cand]))]
+        c, e = chunk[order], err[order]
+        pos = np.arange(order.size)
+        first = np.maximum.accumulate(
+            np.where(np.r_[True, c[1:] != c[:-1]], pos, 0))
+        cum = np.cumsum(e)
+        before = cum - e - (cum[first] - e[first])
+        pick = order[(before < excess[c]) & (pos - first < max_panels - count[c])]
+
+        keep = np.ones(lo.size, dtype=bool)
+        keep[pick] = False
+        new_lo = np.concatenate([lo[pick], mid[pick]])
+        new_hi = np.concatenate([mid[pick], hi[pick]])
+        new_chunk = np.concatenate([chunk[pick], chunk[pick]])
+        lo, hi, chunk = lo[keep], hi[keep], chunk[keep]
+        val, err = val[keep], err[keep]
 
 
 def sigma_squared(model: CorrelationModel, quad: QuadratureSpec | None = None
@@ -229,20 +343,18 @@ def sigma_squared(model: CorrelationModel, quad: QuadratureSpec | None = None
 
     The integral is truncated at the quadrature spec's radius; the model
     must certify that the discarded tail is below the tolerance, otherwise
-    the computation refuses to report a value.
+    the computation refuses to report a value (before integrating when the
+    tail bound alone already fails).
     """
     spec = quad or model.default_quadrature()
     T = spec.truncation_radius
-    f = lambda z: two_point_F(model, z)
-    head, e1 = _integrate_chunked(f, 0.0, min(1.0, T), 0.25 * spec.abs_tolerance,
-                                  chunk_len=1.0, limit=spec.max_nodes)
-    body, e2 = _integrate_chunked(f, min(1.0, T), T, 0.25 * spec.abs_tolerance,
-                                  chunk_len=25.0, limit=spec.max_nodes)
     tail = model.f_tail_integral_bound(T)
-    if tail is None:
-        raise QuadratureNotConverged(
-            f"model {model.kind} certifies no excess-intensity tail bound at "
-            f"truncation {T}")
+    _check_tail(model, None if tail is None else 2.0 * tail, spec)
+    f = lambda z: two_point_F(model, z)
+    head, e1 = _integrate_panels(f, 0.0, min(1.0, T), 0.25 * spec.abs_tolerance,
+                                 1.0, spec.max_nodes)
+    body, e2 = _integrate_panels(f, min(1.0, T), T, 0.25 * spec.abs_tolerance,
+                                 25.0, spec.max_nodes)
     total_err = 2.0 * (e1 + e2 + tail)
     if total_err > spec.abs_tolerance:
         raise QuadratureNotConverged(
@@ -251,22 +363,33 @@ def sigma_squared(model: CorrelationModel, quad: QuadratureSpec | None = None
     return 1.0 / math.pi + 2.0 * (head + body)
 
 
+def _check_tail(model: CorrelationModel, tail_err: float | None,
+                spec: QuadratureSpec):
+    """Refuse before integrating: no tail bound, or the bound alone too big."""
+    T = spec.truncation_radius
+    if tail_err is None:
+        raise QuadratureNotConverged(
+            f"model {model.kind} certifies no tail bound at truncation {T}")
+    if tail_err > spec.abs_tolerance:
+        raise QuadratureNotConverged(
+            f"tail bound {tail_err:.3e} alone exceeds tolerance "
+            f"{spec.abs_tolerance:.3e} (truncation {T})")
+
+
 def sigma_lower_bound(model: CorrelationModel, quad: QuadratureSpec | None = None
                       ) -> float:
     """Positive lower bound pi^-2 int_0^inf (kappa + kappa'')^2 for sigma^2."""
     spec = quad or model.default_quadrature()
     T = spec.truncation_radius
-
-    def integrand(z: float) -> float:
-        k0, _, k2 = model.derivs(z, 2)
-        return (k0 + k2) ** 2
-
-    val, err = _integrate_chunked(integrand, 0.0, T, 0.5 * spec.abs_tolerance,
-                                  chunk_len=25.0, limit=spec.max_nodes)
     tail = _squared_sum_tail(model, T)
-    if tail is None:
-        raise QuadratureNotConverged(
-            f"model {model.kind} certifies no tail bound at truncation {T}")
+    _check_tail(model, None if tail is None else tail / math.pi ** 2, spec)
+
+    def integrand(z):
+        d = model.derivs(z, 2)
+        return (d[0] + d[2]) ** 2
+
+    val, err = _integrate_panels(integrand, 0.0, T, 0.5 * spec.abs_tolerance,
+                                 25.0, spec.max_nodes)
     total_err = (err + tail) / math.pi ** 2
     if total_err > spec.abs_tolerance:
         raise QuadratureNotConverged(
@@ -287,6 +410,19 @@ def _squared_sum_tail(model: CorrelationModel, T: float) -> float | None:
     return val + edge * 50.0 * T
 
 
+def _kinks(phi1: TestFunction, phi2: TestFunction, R: float) -> list[float]:
+    """Lags z where the covariance integrand F(z) phi1*phi2(z/R) has a kink.
+
+    F(|z|) kinks at 0; an indicator pair's cross-correlation kinks where the
+    shifted ends meet.
+    """
+    z = [0.0]
+    if phi1.kind == "indicator" and phi2.kind == "indicator":
+        (a1, b1), (a2, b2) = phi1.params, phi2.params
+        z += [R * (a2 - b1), R * (a2 - a1), R * (b2 - b1), R * (b2 - a1)]
+    return z
+
+
 def predicted_covariance(model: CorrelationModel, phi1: TestFunction,
                          phi2: TestFunction, R: float,
                          quad: QuadratureSpec | None = None) -> float:
@@ -301,21 +437,27 @@ def predicted_covariance(model: CorrelationModel, phi1: TestFunction,
     T = spec.truncation_radius
     span = R * (phi1.support_radius() + phi2.support_radius())
     zmax = min(T, span + 1.0)
-
-    def outer(z: float) -> float:
-        return two_point_F(model, z) * phi1.cross_correlation(phi2, z / R)
-
-    val, err = _integrate_chunked(outer, -zmax, zmax, 0.5 * spec.abs_tolerance,
-                                  chunk_len=10.0, limit=spec.max_nodes)
+    limit = max(spec.abs_tolerance, 1e-6) * max(R, 1.0)
+    err = 0.0
     if zmax < span:
         tail = model.f_tail_integral_bound(zmax)
-        cc_sup = min(phi1.integral() * phi2.sup_bound(),
-                     phi2.integral() * phi1.sup_bound())
         if tail is None:
             raise QuadratureNotConverged(
                 "cannot certify the discarded excess-intensity tail")
-        err += 2.0 * tail * abs(cc_sup)
-    if err * R > max(spec.abs_tolerance, 1e-6) * max(R, 1.0):
+        cc_sup = min(phi1.integral() * phi2.sup_bound(),
+                     phi2.integral() * phi1.sup_bound())
+        err = 2.0 * tail * abs(cc_sup)
+        if err * R > limit:
+            raise QuadratureNotConverged(
+                f"covariance tail bound {err * R:.3e} alone too large")
+
+    def outer(z):
+        return two_point_F(model, z) * phi1.cross_correlation(phi2, z / R)
+
+    val, e = _integrate_panels(outer, -zmax, zmax, 0.5 * spec.abs_tolerance,
+                               10.0, spec.max_nodes, breaks=_kinks(phi1, phi2, R))
+    err += e
+    if err * R > limit:
         raise QuadratureNotConverged(
             f"covariance quadrature error {err * R:.3e} too large")
     return R * val + (R / math.pi) * phi1.cross_correlation(phi2, 0.0)

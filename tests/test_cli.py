@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from gausszeros import variance
 from gausszeros.cli import main
+from gausszeros.models import get_model
 
 
 def run_cli(capsys, *args):
@@ -199,3 +201,24 @@ def test_step_must_be_positive(capsys, command):
     assert out == ""
     assert "--step" in err
 
+
+
+@pytest.mark.parametrize("model", ["bargmann-fock", "sinc-sqrt3", "cauchy"])
+def test_rho_far_apart_points(capsys, model):
+    code, out, err = run_cli(capsys, "rho", "--model", model,
+                             "--points", "0,1e300")
+    assert code == 0, err
+    assert json.loads(out)["rho"] == pytest.approx(1.0 / math.pi ** 2, abs=1e-12)
+
+
+def test_fcurve_one_array_call(capsys, monkeypatch):
+    calls = []
+    two_point_F = variance.two_point_F
+    monkeypatch.setattr(variance, "two_point_F",
+                        lambda model, z: calls.append(z) or two_point_F(model, z))
+    code, out, _ = run_cli(capsys, "fcurve", "--zmax", "0.1", "--step", "0.01",
+                           "--format", "json")
+    assert code == 0
+    assert len(calls) == 1 and len(calls[0]) == 10
+    rec = json.loads(out)
+    assert rec["F"] == [two_point_F(get_model("bargmann-fock"), z) for z in rec["z"]]

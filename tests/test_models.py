@@ -180,3 +180,17 @@ def test_spectral_density_transforms_to_kappa(presets, table):
         for x in (0.5, 1.0, 2.0):
             got = half_line(lambda t: math.cos(t * x))
             assert got == pytest.approx(model.kappa(x), abs=1e-7), (name, x)
+
+
+def test_huge_arguments_finite(presets, table):
+    # BF: exp(-x^2/2) underflows to exact zeros; cauchy: no x^2 overflow;
+    # table models return 0 beyond their integration-by-parts bound
+    import warnings
+    for model in list(presets.values()) + [table]:
+        for x in (50.0, 1e20, 1e300, -1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                d = model.derivs(x, 4)
+                om2 = model.one_minus_kappa_sq(x)
+            assert np.all(np.isfinite(d)) and np.isfinite(om2), (model.kind, x)
+            assert 0.0 <= om2 <= 1.0 + 1e-12, (model.kind, x)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gausszeros import variance
 from gausszeros.errors import ConfigError, GroundSetMismatch, SizeCap
 from gausszeros.partitions import (IndexPartition, adapted_subsets,
                                    bell_number, cluster_partition,
@@ -125,3 +126,17 @@ def test_predicted_central_moment_structure(bf):
     assert predicted_central_moment(bf, [phi] * 3, r) == 0.0
     assert predicted_central_moment(bf, [phi] * 4, r) == pytest.approx(
         3.0 * m2 * m2, rel=1e-10)
+
+
+def test_predicted_central_moment_reuses_equal_covariances(bf, monkeypatch):
+    calls = []
+    monkeypatch.setattr(variance, "predicted_covariance",
+                        lambda model, p1, p2, R, quad=None:
+                        calls.append((p1, p2)) or 1.0)
+    phi1 = TestFunction.indicator(0.0, 1.0)
+    phi2 = TestFunction.gaussian(0.5, 0.2)
+    assert predicted_central_moment(bf, [phi1] * 4, 10.0) == 3.0
+    assert len(calls) == 1
+    calls.clear()
+    assert predicted_central_moment(bf, [phi1, phi2] * 2, 10.0) == 3.0
+    assert len(calls) == 3

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gausszeros import variance
 from gausszeros.densities import rho_k
 from gausszeros.errors import QuadratureNotConverged
 from gausszeros.models import QuadratureSpec
 from gausszeros.simulation import SimulationSpec, replicate_statistics
-from gausszeros.variance import (TestFunction, expected_linear_statistic,
+from gausszeros.variance import (TestFunction, _integrate_panels,
+                                 expected_linear_statistic,
                                  predicted_covariance, sigma_lower_bound,
                                  sigma_squared, two_point_F)
 
@@ -150,3 +154,118 @@ def test_cross_correlations():
                              np.exp(-0.5 * np.linspace(-3, 3, 601) ** 2))
     assert ind.cross_correlation(g, 0.3) == pytest.approx(
         ind.cross_correlation(tab, 0.3), abs=2e-3)
+
+
+def test_f_array_matches_scalar(presets, table):
+    z = np.concatenate([[0.0, 5e-5, -2e-4], np.geomspace(1e-3, 30.0, 60),
+                        -np.linspace(0.5, 7.0, 14)])
+    for model in list(presets.values()) + [table]:
+        scalar = [two_point_F(model, v) for v in z]
+        assert all(type(v) is float for v in scalar), model.kind
+        arr = two_point_F(model, z)
+        assert arr.shape == z.shape
+        np.testing.assert_allclose(arr, scalar, rtol=0.0, atol=1e-15,
+                                   err_msg=model.kind)
+        assert two_point_F(model, z[:76].reshape(4, 19)).shape == (4, 19)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(coef=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=32),
+       a=st.floats(-2.0, 2.0), length=st.floats(0.01, 3.0))
+def test_panel_rule_exact_on_polynomials(coef, a, length):
+    # the 21-point Kronrod rule integrates degree <= 31 exactly
+    poly = np.polynomial.Polynomial(coef)
+    b = a + length
+    val, _ = _integrate_panels(poly, a, b, 1e-10, 100.0, 1)
+    exact = poly.integ()(b) - poly.integ()(a)
+    scale = sum(abs(c) for c in coef) * max(1.0, abs(a), abs(b)) ** (len(coef) - 1)
+    assert abs(val - exact) <= 1e-12 * max(1.0, scale)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(omega=st.one_of(st.just(0.0), st.floats(1e-3, 30.0)),
+       a=st.floats(-10.0, 10.0),
+       length=st.floats(0.01, 20.0), tol_exp=st.floats(-12.0, -2.0),
+       chunk_len=st.floats(0.5, 25.0), max_panels=st.integers(1, 60))
+def test_panel_error_bounds_cosine(omega, a, length, tol_exp, chunk_len,
+                                   max_panels):
+    b = a + length
+    val, err = _integrate_panels(lambda x: np.cos(omega * x), a, b,
+                                 10.0 ** tol_exp, chunk_len, max_panels)
+    if omega == 0.0:
+        exact = b - a
+    else:
+        exact = 2.0 * math.cos(0.5 * omega * (a + b)) * math.sin(
+            0.5 * omega * (b - a)) / omega
+    # the integrand itself carries rounding of order eps * omega * |x|
+    rounding = 64.0 * np.finfo(float).eps * (1.0 + omega * max(abs(a), abs(b))) * (b - a)
+    assert abs(val - exact) <= err + rounding
+
+
+def test_sinc_sigma_squared_derivs_calls(sinc, monkeypatch):
+    # each panel round is one array F call: one derivs call plus one for
+    # kappa inside one_minus_kappa_sq
+    calls = []
+    derivs = sinc.derivs
+    monkeypatch.setattr(sinc, "derivs",
+                        lambda x, k: calls.append(np.size(x)) or derivs(x, k))
+    sigma_squared(sinc)
+    assert 0 < len(calls) <= 20
+    assert sum(calls) / len(calls) > 1000
+
+
+def test_panel_cap_refuses(bf):
+    with pytest.raises(QuadratureNotConverged):
+        sigma_squared(bf, QuadratureSpec(truncation_radius=40.0,
+                                         abs_tolerance=1e-8, max_nodes=1))
+
+
+def _no_integration(monkeypatch, model):
+    def fail(*args, **kwargs):
+        raise AssertionError("integrand evaluated before the tail check")
+    monkeypatch.setattr(variance, "two_point_F", fail)
+    monkeypatch.setattr(model, "derivs", fail)
+
+
+def test_table_model_refused_before_integrating(table, monkeypatch):
+    _no_integration(monkeypatch, table)
+    with pytest.raises(QuadratureNotConverged):
+        sigma_squared(table)
+    with pytest.raises(QuadratureNotConverged):
+        sigma_lower_bound(table)
+
+
+def test_unreachable_tolerance_refused_before_integrating(sinc, monkeypatch):
+    _no_integration(monkeypatch, sinc)
+    spec = QuadratureSpec(truncation_radius=4000.0, abs_tolerance=1e-12)
+    with pytest.raises(QuadratureNotConverged):
+        sigma_squared(sinc, spec)
+    with pytest.raises(QuadratureNotConverged):
+        sigma_lower_bound(sinc, spec)
+
+
+def test_predicted_covariance_kink_edges(sinc):
+    # the indicator cross-correlation kinks at z = +-R * 0.1 and F(|z|) at 0;
+    # reference: 20-point Gauss-Legendre on panels of 0.01 with edges there
+    phi = TestFunction.indicator(0.0, 0.1)
+    R = 100.0
+    zmax = 2.0 * R * 0.1 + 1.0
+    edges = np.unique(np.r_[np.arange(-zmax, zmax, 0.01), zmax, -10.0, 0.0, 10.0])
+    lo, hi = edges[:-1], edges[1:]
+    x, w = np.polynomial.legendre.leggauss(20)
+    z = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * x
+    g = two_point_F(sinc, z) * phi.cross_correlation(phi, z / R)
+    ref = R * float(np.sum(g @ w * 0.5 * (hi - lo))) + R / math.pi * 0.1
+    assert predicted_covariance(sinc, phi, phi, R) == pytest.approx(ref, abs=1e-8)
+
+
+def test_cross_correlation_arrays():
+    ind = TestFunction.indicator(0.0, 1.0)
+    g = TestFunction.gaussian(0.2, 0.5)
+    tab = TestFunction.table([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
+    u = np.linspace(-2.5, 2.5, 11)
+    for f1, f2 in ((ind, ind), (g, g), (ind, g), (g, ind), (tab, ind)):
+        arr = f1.cross_correlation(f2, u)
+        assert isinstance(f1.cross_correlation(f2, 0.3), float)
+        np.testing.assert_allclose(
+            arr, [f1.cross_correlation(f2, v) for v in u], rtol=0.0, atol=1e-15)
