@@ -36,7 +36,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
-_BF_CUT = 40.0  # exp(-x^2/2) is 0 in double precision beyond |x| ~ 38.6
+_BF_CUT = 40.0  # exp(-x^2/2) is 0 in double precision beyond |x| = 38.6
 
 
 @dataclass(frozen=True)
@@ -145,15 +145,14 @@ class BargmannFockModel(CorrelationModel):
 
     def derivs(self, x, max_order: int) -> np.ndarray:
         xb, scalar = _as_batch(x)
-        # exp(-x^2/2) underflows to 0 before |x| = 40: exact zeros beyond,
-        # where the polynomial factor would overflow to inf * 0
-        live = np.abs(xb) < _BF_CUT
-        xl = xb[live]
-        gauss = np.exp(-0.5 * xl * xl)
-        out = np.zeros((max_order + 1, xb.size))
+        # exp(-x^2/2) is exactly 0 from |x| = 38.6 on; clamping x to +-40
+        # keeps the polynomial factor finite there instead of inf * 0
+        xb = np.minimum(np.maximum(xb, -_BF_CUT), _BF_CUT)
+        gauss = np.exp(-0.5 * xb * xb)
+        out = np.empty((max_order + 1, xb.size))
         for j in range(max_order + 1):
             sign = -1.0 if j % 2 else 1.0
-            out[j, live] = sign * npoly.polyval(xl, self._he[j]) * gauss
+            out[j] = sign * npoly.polyval(xb, self._he[j]) * gauss
         return out[:, 0] if scalar else out
 
     def spectral_density(self, xi):

@@ -202,29 +202,27 @@ def two_point_F(model: CorrelationModel, z):
     correlation length, so the substitution error stays below 1e-4 there.
     """
     z = np.abs(np.asarray(z, dtype=float))
-    out = np.full(z.shape, -_INV_PI2)
-    far = z >= _NEAR_ZERO
-    if far.any():
-        zf = z[far]
-        k0, k1, k2 = model.derivs(zf, 2)
-        om2 = np.asarray(model.one_minus_kappa_sq(zf), dtype=float)
-        if (om2 < 1e-14).any():
-            i = int(np.argmin(om2))
-            raise NearSingular(
-                f"1 - kappa^2 = {om2[i]:.3e} at z = {zf[i]}: model correlation "
-                "reaches 1 away from 0")
-        k1sq = k1 * k1
-        denom = om2 - k1sq
-        a = np.ones_like(denom)
-        np.divide(k0 * k1sq + k2 * om2, denom, out=a, where=denom != 0.0)
-        a = np.minimum(1.0, np.maximum(-1.0, a))
-        # ratio * h - 1 with ratio = denom / om2^1.5, written as
-        # (ratio - 1) h + (h - 1) so that no rounding floor is left where
-        # kappa is tiny: ratio - 1 = (k^2 / (1 + s) - k'^2 / om2) / s, s = om2^1/2
-        s = np.sqrt(om2)
-        ratio_m1 = (k0 * k0 / (1.0 + s) - k1sq / om2) / s
-        h_m1 = a * np.arcsin(a) - a * a / (1.0 + np.sqrt(np.maximum(0.0, 1.0 - a * a)))
-        out[far] = (ratio_m1 * (1.0 + h_m1) + h_m1) * _INV_PI2
+    zc = np.maximum(z, _NEAR_ZERO).ravel()
+    k0, k1, k2 = model.derivs(zc, 2)
+    om2 = np.asarray(model.one_minus_kappa_sq(zc), dtype=float)
+    if (om2 < 1e-14).any():
+        i = int(np.argmin(om2))
+        raise NearSingular(
+            f"1 - kappa^2 = {om2[i]:.3e} at z = {zc[i]}: model correlation "
+            "reaches 1 away from 0")
+    k1sq = k1 * k1
+    denom = om2 - k1sq
+    a = np.ones_like(denom)
+    np.divide(k0 * k1sq + k2 * om2, denom, out=a, where=denom != 0.0)
+    a = np.minimum(1.0, np.maximum(-1.0, a))
+    # ratio * h - 1 with ratio = denom / om2^1.5, written as
+    # (ratio - 1) h + (h - 1) so that no rounding floor is left where
+    # kappa is tiny: ratio - 1 = (k^2 / (1 + s) - k'^2 / om2) / s, s = om2^1/2
+    s = np.sqrt(om2)
+    ratio_m1 = (k0 * k0 / (1.0 + s) - k1sq / om2) / s
+    h_m1 = a * np.arcsin(a) - a * a / (1.0 + np.sqrt(np.maximum(0.0, 1.0 - a * a)))
+    f = (ratio_m1 * (1.0 + h_m1) + h_m1) * _INV_PI2
+    out = np.where(z < _NEAR_ZERO, -_INV_PI2, f.reshape(z.shape))
     return float(out) if out.ndim == 0 else out
 
 
