@@ -202,7 +202,6 @@ def test_step_must_be_positive(capsys, command):
     assert "--step" in err
 
 
-
 @pytest.mark.parametrize("model", ["bargmann-fock", "sinc-sqrt3", "cauchy"])
 def test_rho_far_apart_points(capsys, model):
     code, out, err = run_cli(capsys, "rho", "--model", model,

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,7 +186,6 @@ def test_spectral_density_transforms_to_kappa(presets, table):
 def test_huge_arguments_finite(presets, table):
     # BF: exp(-x^2/2) underflows to exact zeros; cauchy: no x^2 overflow;
     # table models return 0 beyond their integration-by-parts bound
-    import warnings
     for model in list(presets.values()) + [table]:
         for x in (50.0, 1e20, 1e300, -1e300):
             with warnings.catch_warnings():
