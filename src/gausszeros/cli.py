@@ -120,16 +120,20 @@ def cmd_rho(args) -> int:
             "n": res.n_value,
             "partition": str(res.partition_used),
             "vandermonde": res.vandermonde_factor,
+            "stderr": res.n_stderr,
+            "routes": list(res.routes),
         })
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
-        w.writerow(["points", "rho", "d", "n", "partition", "vandermonde"])
+        w.writerow(["points", "rho", "d", "n", "partition", "vandermonde",
+                    "stderr", "routes"])
         for r in records:
             w.writerow([" ".join(f"{v:g}" for v in r["points"]),
                         f"{r['rho']:.17g}", f"{r['d']:.17g}",
                         f"{r['n']:.17g}", r["partition"],
-                        f"{r['vandermonde']:.17g}"])
+                        f"{r['vandermonde']:.17g}", f"{r['stderr']:.17g}",
+                        " ".join(r["routes"])])
         _emit(args, buf.getvalue())
     else:
         _emit(args, "".join(_json_line(r) for r in records))

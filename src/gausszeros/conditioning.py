@@ -5,6 +5,8 @@ the process inside each block form a Gaussian vector X whose conditional
 companion Y collects the next-order differences.  This module assembles
 their joint covariance (theta, xi, omega), the conditional covariance
 lambda, and evaluates E prod |Z_i| for centered Gaussian vectors Z.
+theta, xi and omega are slices of one A K A^T from one `derivs` call (see
+`divdiff`; closed forms for two distinct singletons).
 """
 
 from __future__ import annotations
@@ -56,19 +58,7 @@ class KacRiceContext:
     omega: np.ndarray
     d_value: float
     lam: np.ndarray | None = None
-
-    @property
-    def degenerate(self) -> bool:
-        return self.lam is None
-
-
-def _degeneracy_scale(theta: np.ndarray) -> float:
-    diag = np.clip(np.diag(theta), 0.0, None)
-    return float(np.prod(diag)) if diag.size else 1.0
-
-
-def _block_configs(x: np.ndarray, partition: IndexPartition) -> list[np.ndarray]:
-    return [x[list(b)] for b in partition.blocks]
+    routes: tuple = ()  # per block: "taylor", "newton" or "closed-form"
 
 
 def assemble_context(model, points, partition: IndexPartition) -> KacRiceContext:
@@ -93,39 +83,23 @@ def assemble_context(model, points, partition: IndexPartition) -> KacRiceContext
 
     # all covariances depend on differences only; anchoring at the leftmost
     # node keeps node magnitudes (hence rounding) at the span scale
-    blocks = _block_configs(x - x.min(), partition)
-    sizes = [b.size for b in blocks]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-
-    theta = np.zeros((n, n))
-    xi = np.zeros((n, n))
-    omega = np.zeros((n, n))
-    for bi, xb_i in enumerate(blocks):
-        for bj, xb_j in enumerate(blocks):
-            si, sj = slice(offs[bi], offs[bi + 1]), slice(offs[bj], offs[bj + 1])
-            theta[si, sj] = divdiff.double_divided_diff_matrix(model, xb_i, xb_j)
-            xi_blk = np.empty((sizes[bi], sizes[bj]))
-            omega_blk = np.empty((sizes[bi], sizes[bj]))
-            for a, xa in enumerate(xb_i):
-                ext_i = np.append(xb_i, xa)
-                xi_blk[a, :] = divdiff.double_divided_diff_matrix(
-                    model, ext_i, xb_j)[-1, :]
-                for b, xb in enumerate(xb_j):
-                    omega_blk[a, b] = divdiff.double_divided_diff(
-                        model, ext_i, np.append(xb_j, xb))
-            xi[si, sj] = xi_blk
-            omega[si, sj] = omega_blk
-
-    theta = 0.5 * (theta + theta.T)
-    omega = 0.5 * (omega + omega.T)
-    d_value = float(np.linalg.det(theta))
-    lam = None
-    if d_value > DEGENERACY_RTOL * _degeneracy_scale(theta):
-        sol = np.linalg.solve(theta, xi.T)
-        lam = omega - xi @ sol
-        lam = 0.5 * (lam + lam.T)
+    blocks = [(x - x.min())[list(b)] for b in partition.blocks]
+    cov, routes = divdiff._block_covariance(model, blocks, extend=True)
+    theta, xi, omega = cov[:n, :n], cov[n:, :n], cov[n:, n:]
+    d_value, lam = _schur_complement(theta, xi, omega)
     return KacRiceContext(x=tuple(x), partition=partition, theta=theta, xi=xi,
-                          omega=omega, d_value=d_value, lam=lam)
+                          omega=omega, d_value=d_value, lam=lam, routes=routes)
+
+
+def _schur_complement(theta: np.ndarray, xi: np.ndarray, omega: np.ndarray):
+    """det(theta) and omega - xi theta^-1 xi^T symmetrised, or None for the
+    latter when det(theta) <= DEGENERACY_RTOL x the product of its diagonal."""
+    d_value = float(np.linalg.det(theta))
+    scale = float(np.prod(np.clip(np.diag(theta), 0.0, None)))
+    if d_value <= DEGENERACY_RTOL * scale:
+        return d_value, None
+    lam = omega - xi @ np.linalg.solve(theta, xi.T)
+    return d_value, 0.5 * (lam + lam.T)
 
 
 def _two_point_singleton_context(model, x: np.ndarray,
@@ -139,22 +113,17 @@ def _two_point_singleton_context(model, x: np.ndarray,
     """
     z = x[1] - x[0]
     k0, k1, k2 = model.derivs(z, 2)
-    om2 = float(model.one_minus_kappa_sq(abs(z)))
-    if om2 <= DEGENERACY_RTOL:
-        theta = np.array([[1.0, k0], [k0, 1.0]])
-        xi = np.array([[0.0, -k1], [k1, 0.0]])
-        omega = np.array([[1.0, -k2], [-k2, 1.0]])
-        return KacRiceContext(x=tuple(x), partition=partition, theta=theta,
-                              xi=xi, omega=omega, d_value=float(om2), lam=None)
-    q = k1 * k1 / om2
-    b = 1.0 - q
-    c = -k2 - k0 * q
-    theta = np.array([[1.0, k0], [k0, 1.0]])
-    xi = np.array([[0.0, -k1], [k1, 0.0]])
-    omega = np.array([[1.0, -k2], [-k2, 1.0]])
-    lam = np.array([[b, c], [c, b]])
-    return KacRiceContext(x=tuple(x), partition=partition, theta=theta, xi=xi,
-                          omega=omega, d_value=float(om2), lam=lam)
+    om2 = float(model.one_minus_kappa(abs(z)) * (1.0 + k0))
+    lam = None
+    if om2 > DEGENERACY_RTOL:
+        q = k1 * k1 / om2
+        b, c = 1.0 - q, -k2 - k0 * q
+        lam = np.array([[b, c], [c, b]])
+    return KacRiceContext(x=tuple(x), partition=partition,
+                          theta=np.array([[1.0, k0], [k0, 1.0]]),
+                          xi=np.array([[0.0, -k1], [k1, 0.0]]),
+                          omega=np.array([[1.0, -k2], [-k2, 1.0]]),
+                          d_value=om2, lam=lam, routes=("closed-form",) * 2)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import divdiff
-from .conditioning import (DEGENERACY_RTOL, MonteCarloSpec, assemble_context,
-                           conditional_abs_moment, pi_k, _degeneracy_scale)
+from .conditioning import (MonteCarloSpec, assemble_context,
+                           conditional_abs_moment, pi_k, _schur_complement)
 from .errors import (ConfigError, DegenerateConfiguration, SeparationTooSmall,
                      SizeCap)
 from .partitions import IndexPartition, cluster_partition
@@ -38,7 +38,7 @@ RHO_POINT_CAP = 6
 
 @dataclass(frozen=True)
 class DensityResult:
-    """One intensity evaluation: value, factors, and the partition used."""
+    """One intensity evaluation: value, factors, partition, error, routes."""
 
     rho: float
     d_value: float
@@ -46,6 +46,7 @@ class DensityResult:
     partition_used: IndexPartition
     vandermonde_factor: float
     n_stderr: float = 0.0
+    routes: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,8 @@ def _density_from_context(ctx, mc: MonteCarloSpec | None) -> DensityResult:
     denom = (2.0 * math.pi) ** (n / 2.0) * math.sqrt(ctx.d_value)
     return DensityResult(rho=vf * n_value / denom, d_value=ctx.d_value,
                          n_value=n_value, partition_used=ctx.partition,
-                         vandermonde_factor=vf, n_stderr=n_err / denom * vf)
+                         vandermonde_factor=vf, n_stderr=n_err / denom * vf,
+                         routes=ctx.routes)
 
 
 def rho_k(model, points, mc: MonteCarloSpec | None = None) -> DensityResult:
@@ -134,25 +136,13 @@ def vanishing_constant(model, points, mc: MonteCarloSpec | None = None
         raise SizeCap(
             f"vanishing constant at this diagonal needs kappa^({need})")
 
-    def cov(a, sa, b, sb):
-        # E f^(a)(sa) f^(b)(sb) = (-1)^a kappa^(a+b)(sb - sa)
-        sign = -1.0 if a % 2 else 1.0
-        return sign * model.derivs(sb - sa, a + b)[a + b]
-
-    dim_u = len(orders_u)
-    A = np.array([[cov(a, sa, b, sb) for (b, sb) in orders_u]
-                  for (a, sa) in orders_u])
-    B = np.array([[cov(a, sa, b, sb) for (b, sb) in orders_u]
-                  for (a, sa) in orders_v])
-    C = np.array([[cov(a, sa, b, sb) for (b, sb) in orders_v]
-                  for (a, sa) in orders_v])
-    det_a = float(np.linalg.det(A))
-    if det_a <= DEGENERACY_RTOL * _degeneracy_scale(A):
+    atoms = np.array(orders_u + orders_v)  # rows (order, site)
+    K = divdiff._kernel_matrix(model, atoms[:, 1], atoms[:, 0], need)
+    u = len(orders_u)
+    det_a, lam = _schur_complement(K[:u, :u], K[u:, :u], K[u:, u:])
+    if lam is None:
         raise DegenerateConfiguration(
             "the conditioning Gaussian vector at this diagonal is degenerate")
-    sol = np.linalg.solve(A, B.T)
-    lam = C - B @ sol
-    lam = 0.5 * (lam + lam.T)
 
     powers = np.array([len(b) for b in partition.blocks])
     moment, err = conditional_abs_moment(lam, powers, mc)

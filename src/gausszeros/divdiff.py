@@ -4,6 +4,14 @@ A configuration is an ordered array of real nodes, repetitions allowed.
 Repeated nodes switch the corresponding evaluation entries to derivative
 data (confluent/Hermite interpolation), which keeps every quantity here
 finite and well-conditioned on and near the diagonal.
+
+Covariances of divided differences of f are built one way: each is a row
+of coefficients over atoms f^(n)(t), and a set of them has covariance
+A K A^T, K[i, j] = (-1)^a kappa^(a+b)(t_j - t_i) from one `derivs` call.
+Newton rows (the inverse Newton matrix) divide by node gaps; Taylor rows
+(f expanded at the block centre up to `internal_order_cap`, K truncated
+above it) divide by nothing.  A block of span <= TAYLOR_SPAN takes the
+route with the smaller error estimate (`_dd_matrix_taylor`).
 """
 
 from __future__ import annotations
@@ -11,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial import Polynomial
 from scipy.linalg import solve_triangular
 
 from .errors import ConfigError, OrderUnavailable
@@ -27,6 +34,9 @@ __all__ = [
 ]
 
 SNAP_TOL = 1e-10
+TAYLOR_SPAN = 0.6  # max block span that may take the series route
+_EPS = np.finfo(float).eps
+_INV_FACT = np.array([1.0 / math.factorial(n) for n in range(171)])
 
 
 def snap_configuration(points, tol: float = SNAP_TOL) -> np.ndarray:
@@ -72,15 +82,16 @@ def newton_matrix(points) -> np.ndarray:
     x = snap_configuration(points)
     c = multiplicities(x)
     p = x.size
-    m = np.zeros((p, p))
-    poly = Polynomial([1.0])
+    # t[i, r]: r-th Taylor coefficient at x_i of the current Newton
+    # polynomial; multiplying by (X - x_j) maps t_r to t_{r-1} + (x_i - x_j) t_r
+    t = np.zeros((p, int(c.max()) + 1))
+    t[:, 0] = 1.0
+    m = np.empty((p, p))
     for j in range(p):
-        for i in range(j, p):
-            if c[i] > j:
-                continue
-            m[i, j] = poly.deriv(c[i])(x[i]) / math.factorial(c[i]) if c[i] else poly(x[i])
-        if j + 1 < p:
-            poly = poly * Polynomial([-x[j], 1.0])
+        m[:, j] = t[np.arange(p), c]
+        nxt = (x - x[j])[:, None] * t
+        nxt[:, 1:] += t[:, :-1]
+        t = nxt
     return m
 
 
@@ -98,91 +109,117 @@ def divided_diff_vector(points, evals) -> np.ndarray:
     return solve_triangular(newton_matrix(x), b, lower=True)
 
 
-TAYLOR_SPAN = 0.6  # max config span routed through the series path
-_TAYLOR_EXTRA_ORDERS = 36
-_TAYLOR_TAIL_RTOL = 1e-13
+def _taylor_rows(z: np.ndarray, cap: int, extend: bool):
+    """Series rows of the prefixes of z (then of its one-node extensions).
 
-
-def _prefix_complete_homogeneous(args: np.ndarray, qmax: int) -> np.ndarray:
-    """H[p, q] = complete homogeneous symmetric polynomial h_q(args[:p]).
-
-    Newton's recurrence q h_q = sum_{r=1..q} p_r h_{q-r} over power sums of
-    each prefix; rows p = 1..len(args), row 0 is the empty prefix (h_0 = 1).
+    [f](z_1..z_p) = sum_{n <= cap} f^(n)(m) h_{n-p+1}(z_1 - m..z_p - m) / n!,
+    m the centre and h_q complete homogeneous, so row p has the generating
+    function x^(p-1) prod_{i <= p} 1 / (1 - (z_i - m) x) before the 1/n!.
+    Returns the rows, sites and orders of the atoms f^(n)(m).
     """
-    k = args.size
-    P = np.zeros((k + 1, qmax + 1))
-    for r in range(1, qmax + 1):
-        P[1:, r] = np.cumsum(args ** r)
-    H = np.zeros((k + 1, qmax + 1))
-    H[:, 0] = 1.0
-    for q in range(1, qmax + 1):
-        H[:, q] = (P[:, 1:q + 1] * H[:, q - 1::-1][:, :q]).sum(axis=1) / q
-    return H
+    m = 0.5 * (z.min() + z.max())
+    n = np.arange(cap + 1)
+    rows, shifted = [], (n == 0) * 1.0
+    for t in z - m:
+        rows.append(np.convolve(shifted, t ** n)[:cap + 1])
+        shifted = np.r_[0.0, rows[-1][:-1]]
+    if extend:
+        rows += [np.convolve(shifted, t ** n)[:cap + 1] for t in z - m]
+    return np.array(rows) * _INV_FACT[n], np.full(cap + 1, m), n
 
 
-def _dd_matrix_taylor(model, x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """Series evaluation of the double divided differences for tight nodes.
+def _newton_rows(z: np.ndarray, extend: bool):
+    """Newton rows of the prefixes of z (then of its one-node extensions).
 
-    Expands the kernel around the difference of the configuration centers:
-    the (k, l) entry is (-1)^(k-1) sum over total orders n of
-    kappa^(n)(c) * conv_n, where conv_n is the convolution of the factorial-
-    weighted complete homogeneous polynomials of the centered node offsets.
-    No divisions by node gaps occur, so accuracy is uniform down to (and
-    on) the diagonal.  Returns None when the series cannot be certified to
-    converge within the model's internal derivative orders.
+    Row r is row r of the inverse Newton matrix, each entry divided by the
+    c! of its atom f^(c)(t).  Extension a appends z_a once more, whose
+    entry is the atom f^(mu)(z_a), mu the number of nodes of z equal to z_a.
     """
-    k, l = x.size, y.size
-    base_min = k + l - 2
+    s = z.size
+    orders = np.concatenate([multiplicities(z), (z[:, None] == z[None, :]).sum(axis=1)])
+    rows = np.zeros((2 * s, 2 * s))
+    rows[:s, :s] = solve_triangular(newton_matrix(z), np.eye(s), lower=True)
+    for a in range(s if extend else 0):
+        last = solve_triangular(newton_matrix(np.append(z, z[a])), np.eye(s + 1),
+                                lower=True)[s]
+        rows[s + a, :s], rows[s + a, s + a] = last[:s], last[s]
+    rows = rows * _INV_FACT[orders]
+    if not extend:
+        return rows[:s, :s], z, orders[:s]
+    return rows, np.concatenate([z, z]), orders
+
+
+def _kernel_matrix(model, sites, orders, cap: int) -> np.ndarray:
+    """K[i, j] = E f^(a_i)(s_i) f^(a_j)(s_j), 0 where a_i + a_j > cap.
+
+    One `derivs` call on the distinct |lags|; kappa is even, so
+    kappa^(j)(-x) = (-1)^j kappa^(j)(x).
+    """
+    orders = np.asarray(orders, dtype=int)
+    uniq, at = np.unique(np.asarray(sites, dtype=float), return_inverse=True)
+    lag = (uniq[None, :] - uniq[:, None])[at[:, None], at[None, :]]
+    mags, lag_idx = np.unique(np.abs(lag), return_inverse=True)
+    total = orders[:, None] + orders[None, :]
+    top = min(cap, int(total.max()))
+    vals = model.derivs(mags, top)[np.minimum(total, top), lag_idx.reshape(lag.shape)]
+    odd = (orders[:, None] + np.where(lag < 0, total, 0)) % 2 == 1
+    return np.where(total > cap, 0.0, np.where(odd, -vals, vals))
+
+
+def _dd_matrix_taylor(rows_t: np.ndarray, k_tt: np.ndarray,
+                      rows_n: np.ndarray, k_nn: np.ndarray) -> np.ndarray | None:
+    """Taylor rows of one tight block, or None when it takes the Newton route.
+
+    Judged on the block's own covariance: the series tail (terms of the
+    top three total orders) against the Newton rounding bound
+    eps |A| |K| |A|^T, both scaled by the cancellation-free variances.
+    """
+    n = np.arange(rows_t.shape[1])
+    top = np.add.outer(n, n) > n[-1] - 3
+    at, an = np.abs(rows_t), np.abs(rows_n)
+    magnitude = np.diag(at @ np.abs(k_tt) @ at.T)
+    scale = np.sqrt(np.outer(magnitude, magnitude))
+    tail = at @ np.where(top, np.abs(k_tt), 0.0) @ at.T / scale
+    rounding = _EPS * (an @ np.abs(k_nn) @ an.T) / scale
+    return rows_t if tail.max() <= rounding.max() else None
+
+
+def _block_covariance(model, blocks, extend: bool):
+    """Covariance of the blocks' prefixes [f](z_1..z_p), block by block,
+    then (with `extend`) of their extensions [f](z_1..z_s, z_a); and each
+    block's route, "taylor" or "newton".
+    """
     cap = getattr(model, "internal_order_cap", model.max_derivative_order)
-    m_tot = min(cap, base_min + _TAYLOR_EXTRA_ORDERS)
-    if m_tot < base_min + 6:
-        return None
-    cx = 0.5 * (x.min() + x.max())
-    cy = 0.5 * (y.min() + y.max())
-    u = cx - x
-    v = y - cy
-    kder = model.derivs(cy - cx, m_tot)
-    hx = _prefix_complete_homogeneous(u, m_tot)
-    hy = _prefix_complete_homogeneous(v, m_tot)
-    inv_fact = np.array([1.0 / math.factorial(n) for n in range(m_tot + 1)])
-
-    out = np.empty((k, l))
-    for kk in range(1, k + 1):
-        a = hx[kk, : m_tot - (kk - 1) + 1] * inv_fact[kk - 1:]
-        for ll in range(1, l + 1):
-            b = hy[ll, : m_tot - (ll - 1) + 1] * inv_fact[ll - 1:]
-            conv = np.convolve(a, b)
-            base = kk + ll - 2
-            n_avail = m_tot - base + 1
-            terms = conv[:n_avail] * kder[base: base + n_avail]
-            scale = max(np.abs(terms).max(), 1e-300)
-            if n_avail >= 3 and np.abs(terms[-3:]).max() > _TAYLOR_TAIL_RTOL * scale:
-                return None
-            out[kk - 1, ll - 1] = (-1.0) ** (kk - 1) * terms.sum()
-    return out
-
-
-def _cross_matrix(model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Confluent evaluations of the correlation kernel on a node grid.
-
-    Entry (i, j) is (-1)^{c_i(x)} kappa^{(c_i(x)+c_j(y))}(y_j - x_i)
-    divided by c_i(x)! c_j(y)!.
-    """
-    cx = multiplicities(x)
-    cy = multiplicities(y)
-    max_order = int(cx.max() + cy.max())
-    if max_order > model.max_derivative_order:
+    # candidate rows of each block: Newton, then Taylor for a tight block
+    cands = [[_newton_rows(z, extend)] + ([_taylor_rows(z, cap, extend)]
+                                          if np.ptp(z) <= TAYLOR_SPAN else [])
+             for z in blocks]
+    need = 2 * max(int(c[0][2].max()) for c in cands)
+    if need > model.max_derivative_order:
         raise OrderUnavailable(
-            f"double divided difference needs kappa^({max_order}), model "
-            f"{model.kind} declares {model.max_derivative_order}")
-    lags = y[None, :] - x[:, None]
-    dk = model.derivs(lags.ravel(), max_order).reshape(max_order + 1, *lags.shape)
-    orders = cx[:, None] + cy[None, :]
-    vals = np.take_along_axis(dk, orders[None, :, :], axis=0)[0]
-    signs = np.where(cx[:, None] % 2 == 1, -1.0, 1.0)
-    fact = np.array([math.factorial(v) for v in cx])[:, None] * \
-        np.array([math.factorial(v) for v in cy])[None, :]
-    return signs * vals / fact
+            f"divided differences over these blocks need kappa^({need}), "
+            f"model {model.kind} declares {model.max_derivative_order}")
+    flat = [c for cs in cands for c in cs]
+    K = _kernel_matrix(model, np.concatenate([c[1] for c in flat]),
+                       np.concatenate([c[2] for c in flat]), cap)
+    edges = np.cumsum([0] + [c[1].size for c in flat])
+    cols = iter([slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])])
+    chosen, routes = [], []
+    for cs in cands:
+        rows, col, route = cs[0][0], next(cols), "newton"
+        if len(cs) == 2:
+            t_col = next(cols)
+            rows_t = _dd_matrix_taylor(cs[1][0], K[t_col, t_col], rows, K[col, col])
+            if rows_t is not None:
+                rows, col, route = rows_t, t_col, "taylor"
+        routes.append(route)
+        chosen.append(np.zeros((rows.shape[0], K.shape[0])))
+        chosen[-1][:, col] = rows
+    sizes = [z.size for z in blocks]
+    A = np.vstack([c[:s] for c, s in zip(chosen, sizes)]
+                  + [c[s:] for c, s in zip(chosen, sizes)])
+    cov = A @ K @ A.T
+    return 0.5 * (cov + cov.T), tuple(routes)
 
 
 def double_divided_diff_matrix(model, x_points, y_points) -> np.ndarray:
@@ -191,12 +228,8 @@ def double_divided_diff_matrix(model, x_points, y_points) -> np.ndarray:
     Entry (k-1, l-1) is the divided difference of the correlation kernel
     taken over (x_1..x_k) in its first slot and (y_1..y_l) in the second;
     it equals the covariance of the k-th and l-th divided differences of
-    the process at the two configurations.
-
-    Tight configurations (both spans below TAYLOR_SPAN) go through the
-    series path, which has no gap-induced precision loss; everything else
-    uses forward substitution against the Newton matrices, which is stable
-    once the node gaps are of order one.
+    the process at the two configurations.  Each configuration takes the
+    Taylor or the Newton route as described in the module docstring.
     """
     x = snap_configuration(x_points)
     y = snap_configuration(y_points)
@@ -205,13 +238,8 @@ def double_divided_diff_matrix(model, x_points, y_points) -> np.ndarray:
             f"order ({x.size}, {y.size}) differences need kappa^"
             f"({x.size + y.size - 2}), model {model.kind} declares "
             f"{model.max_derivative_order}")
-    if (x.max() - x.min() <= TAYLOR_SPAN and y.max() - y.min() <= TAYLOR_SPAN):
-        out = _dd_matrix_taylor(model, x, y)
-        if out is not None:
-            return out
-    cross = _cross_matrix(model, x, y)
-    half = solve_triangular(newton_matrix(x), cross, lower=True)
-    return solve_triangular(newton_matrix(y), half.T, lower=True).T
+    cov, _ = _block_covariance(model, [x, y], extend=False)
+    return cov[:x.size, x.size:]
 
 
 def double_divided_diff(model, x_points, y_points) -> float:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConfigError, DegenerateDensity, OrderUnavailable
+from .errors import (ConfigError, DegenerateDensity, OrderUnavailable,
+                     QuadratureNotConverged)
 
 __all__ = [
     "CorrelationModel",
@@ -460,6 +461,7 @@ class SpectralTableModel(CorrelationModel):
     """
 
     kind = "spectral-table"
+    _NODE_BUDGET = 1 << 20  # per point: |x| ~ 8e3 at T ~ 12, ~0.15 s, ~100 MB
 
     def __init__(self, density: SpectralDensity, *, tail_tol: float = 1e-12,
                  label: str = "spectral-table"):
@@ -495,11 +497,17 @@ class SpectralTableModel(CorrelationModel):
         return np.unique(np.asarray(edges))
 
     def _panels_for(self, x: float) -> tuple[np.ndarray, np.ndarray]:
-        """Gauss-Legendre nodes/weights resolving e^{i x xi} on [0, T]."""
+        """Gauss-Legendre nodes/weights resolving e^{i x xi} on [0, T], within budget."""
         max_len = math.pi / (4.0 * (abs(x) + 1.0))
+        counts = [max(1, math.ceil((hi - lo) / max_len))
+                  for lo, hi in zip(self._kinks[:-1], self._kinks[1:])]
+        need = self._gl_nodes.size * sum(counts)
+        if need > self._NODE_BUDGET:
+            raise QuadratureNotConverged(
+                f"kappa at |x| = {abs(x):.3g} needs {need} quadrature nodes, "
+                f"over the budget of {self._NODE_BUDGET}")
         nodes, weights = [], []
-        for lo, hi in zip(self._kinks[:-1], self._kinks[1:]):
-            nsub = max(1, int(math.ceil((hi - lo) / max_len)))
+        for lo, hi, nsub in zip(self._kinks[:-1], self._kinks[1:], counts):
             sub = np.linspace(lo, hi, nsub + 1)
             mid = 0.5 * (sub[:-1] + sub[1:])[:, None]
             half = 0.5 * (sub[1:] - sub[:-1])[:, None]

@@ -10,8 +10,10 @@ import math
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from gausszeros.divdiff import (divided_diff_vector, double_divided_diff,
-                                multiplicities, newton_matrix)
+from gausszeros.divdiff import (_kernel_matrix, _newton_rows, _taylor_rows,
+                                divided_diff_vector, double_divided_diff,
+                                multiplicities, newton_matrix,
+                                snap_configuration)
 
 
 def _random_poly(rng, deg: int) -> Polynomial:
@@ -113,11 +115,35 @@ def worst_diagonal_continuity(rng, n_cases: int) -> float:
     return worst
 
 
+def route_matrices(model, x, y):
+    """Double divided differences of kappa over the prefixes of x and y.
+
+    Returns (taylor, newton, tail, rounding): the matrix from the Taylor
+    rows of both configurations and from their Newton rows, all out of one
+    atom covariance matrix, with the series tail (terms of the top three
+    total orders) and a Newton rounding bound eps |A| M |A|^T.  M holds
+    the global bounds |kappa^(a+b)| <= moment_bound(a + b) in place of
+    |K|: `derivs` is accurate to eps at that scale, not relative to each
+    value (sinc near a zero of its kernel, say).
+    """
+    cap = model.internal_order_cap
+    (tx, mx, n), (ty, my, _) = _taylor_rows(x, cap, False), _taylor_rows(y, cap, False)
+    (nx, sx, ox), (ny, sy, oy) = _newton_rows(x, False), _newton_rows(y, False)
+    kmat = _kernel_matrix(model, np.concatenate([mx, my, sx, sy]),
+                          np.concatenate([n, n, ox, oy]), cap)
+    k_t = kmat[:cap + 1, cap + 1:2 * cap + 2]
+    k_n = kmat[2 * cap + 2:2 * cap + 2 + x.size, 2 * cap + 2 + x.size:]
+    top = np.add.outer(n, n) > cap - 3
+    tail = np.abs(tx) @ np.where(top, np.abs(k_t), 0.0) @ np.abs(ty).T
+    moments = np.array([model.moment_bound(j) for j in range(2 * cap + 1)])
+    rounding = np.finfo(float).eps * (
+        np.abs(nx) @ moments[np.add.outer(ox, oy)] @ np.abs(ny).T)
+    return tx @ k_t @ ty.T, nx @ k_n @ ny.T, tail, rounding
+
+
 def worst_double_diff_symmetry(model, rng, n_cases: int) -> float:
     """Differencing in x first equals differencing in y first."""
     from scipy.linalg import solve_triangular
-
-    from gausszeros.divdiff import _cross_matrix, snap_configuration
 
     worst = 0.0
     for _ in range(n_cases):
@@ -125,7 +151,12 @@ def worst_double_diff_symmetry(model, rng, n_cases: int) -> float:
         l = int(rng.integers(1, 4))
         x = snap_configuration(np.sort(rng.uniform(-2.0, 2.0, k)))
         y = snap_configuration(np.sort(rng.uniform(-2.0, 2.0, l)))
-        cross = _cross_matrix(model, x, y)
+        # confluent evaluations of kappa(y - x), as the Newton matrices expect
+        cx, cy = multiplicities(x), multiplicities(y)
+        fact = np.array([math.factorial(c) for c in np.concatenate([cx, cy])])
+        kmat = _kernel_matrix(model, np.concatenate([x, y]), np.concatenate([cx, cy]),
+                              model.max_derivative_order)
+        cross = (kmat / np.outer(fact, fact))[:k, k:]
         mx, my = newton_matrix(x), newton_matrix(y)
         rows_first = solve_triangular(
             my, solve_triangular(mx, cross, lower=True).T, lower=True).T

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausszeros import variance
 from gausszeros.cli import main
@@ -174,7 +179,8 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
 def test_format_overrides(capsys):
     code, out, _ = run_cli(capsys, "rho", "--points", "0", "--format", "csv")
     assert code == 0
-    assert out.splitlines()[0] == "points,rho,d,n,partition,vandermonde"
+    assert out.splitlines()[0] == \
+        "points,rho,d,n,partition,vandermonde,stderr,routes"
     code, out, _ = run_cli(capsys, "fcurve", "--zmax", "0.05", "--step",
                            "0.01", "--format", "json")
     assert code == 0
@@ -221,3 +227,50 @@ def test_fcurve_one_array_call(capsys, monkeypatch):
     assert len(calls) == 1 and len(calls[0]) == 10
     rec = json.loads(out)
     assert rec["F"] == [two_point_F(get_model("bargmann-fock"), z) for z in rec["z"]]
+
+
+def test_rho_reports_stderr_and_routes(capsys):
+    code, out, _ = run_cli(capsys, "rho", "--points", "0,0.3,5;0,2;0,0.9,1.8")
+    assert code == 0
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert [r["routes"] for r in recs] == [
+        ["taylor", "taylor"], ["closed-form", "closed-form"], ["newton"]]
+    assert recs[0]["stderr"] > 0.0 and recs[1]["stderr"] == 0.0
+
+
+def test_table_far_point_refused(tmp_path, capsys):
+    xi = np.linspace(0.0, 3.0, 13)
+    g = np.exp(-0.5 * xi * xi) * (1.0 + 0.3 * np.cos(2.0 * xi))
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({
+        "xi": xi.tolist(), "g": g.tolist(),
+        "tail": {"kind": "gaussian", "params": [g[-1] * math.exp(4.5), 0.5]}}))
+    code, out, err = run_cli(capsys, "rho", "--model", str(path),
+                             "--points", "0,1e6")
+    assert code == 3
+    assert out == "" and "Traceback" not in err and "budget" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+_FUZZ_POINTS = st.one_of(
+    st.sampled_from([0.0, 1e-11, -1e-11, 1e-9, 0.3, 1.0, 1e8, 1e300, -1e300]),
+    st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["rho", "vanishing"]),
+       model=st.sampled_from(["bargmann-fock", "sinc-sqrt3", "cauchy"]),
+       points=st.lists(_FUZZ_POINTS, min_size=1, max_size=3))
+def test_cli_fuzz(command, model, points):
+    # in process, without capsys: hypothesis runs many examples per test call
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--model", model, "--seed", "5",
+                     "--points=" + ",".join(repr(p) for p in points)])
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    for line in out.getvalue().splitlines():
+        json.loads(line, parse_constant=_reject_constant)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gausszeros.conditioning import (MonteCarloSpec, assemble_context, pi_k)
+from gausszeros.densities import vanishing_constant
 from gausszeros.errors import NotPSD, OrderUnavailable
 from gausszeros.models import tail_norm
 from gausszeros.partitions import IndexPartition, cluster_partition
@@ -153,3 +154,43 @@ def test_schur_psd(bf, rng):
         ctx = assemble_context(bf, x, part)
         w = np.linalg.eigvalsh(ctx.lam)
         assert w.min() >= -1e-10 * np.trace(ctx.omega)
+
+
+def _shape(rng, k, shape):
+    if shape == "tight":
+        gaps = rng.uniform(0.5, 1.5, k - 1)
+        gaps *= 0.5 / max(gaps.sum(), 1e-300)
+    elif shape == "spread":
+        gaps = rng.uniform(0.8, 0.9, k - 1)
+    else:
+        left = k // 2
+        gaps = np.concatenate([np.full(left - 1, 0.3 / max(left - 1, 1)), [8.0],
+                               np.full(k - left - 1, 0.3 / max(k - left - 1, 1))])
+    return rng.uniform(-5.0, 5.0) + np.concatenate([[0.0], np.cumsum(gaps)])
+
+
+def test_one_derivs_call_per_configuration(presets, table, rng, monkeypatch):
+    calls = []
+    for model in list(presets.values()) + [table]:
+        derivs = model.derivs
+        monkeypatch.setattr(model, "derivs",
+                            lambda x, m, d=derivs: calls.append(x) or d(x, m))
+        for k in range(2, 7):
+            for shape in ("tight", "spread", "two-cluster"):
+                x = _shape(rng, k, shape)
+                calls.clear()
+                ctx = assemble_context(model, x, cluster_partition(x, 1.0))
+                assert len(calls) == 1, (model.kind, k, shape)
+                assert len(ctx.routes) == ctx.partition.num_blocks
+        calls.clear()
+        vanishing_constant(model, [0.0, 0.0, 2.0, 2.0],
+                           MonteCarloSpec(samples=1000, seed=1))
+        assert len(calls) == 1, model.kind
+
+
+def test_routes_reported(bf):
+    def routes(x):
+        return assemble_context(bf, x, cluster_partition(x, 1.0)).routes
+    assert routes([0.0, 0.3, 5.0]) == ("taylor", "taylor")
+    assert routes([0.0, 0.9, 1.8]) == ("newton",)
+    assert routes([0.0, 2.0]) == ("closed-form", "closed-form")

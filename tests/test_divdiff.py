@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 import dd_properties
-from gausszeros.divdiff import (_cross_matrix, _dd_matrix_taylor,
+from gausszeros.divdiff import (SNAP_TOL, TAYLOR_SPAN, _block_covariance,
                                 divided_diff_vector, double_divided_diff,
-                                double_divided_diff_matrix, multiplicities,
-                                newton_matrix, snap_configuration)
+                                multiplicities, newton_matrix,
+                                snap_configuration)
 from gausszeros.errors import OrderUnavailable
 
 
@@ -92,7 +94,7 @@ def test_double_diff_rolle_bound(bf, rng):
 
 def test_double_diff_order_cap(bf):
     with pytest.raises(OrderUnavailable):
-        _cross_matrix(bf, np.zeros(8), np.zeros(8))
+        _block_covariance(bf, [np.zeros(8), np.zeros(8)], extend=False)
 
 
 def test_taylor_and_value_paths_agree(presets, rng):
@@ -104,12 +106,9 @@ def test_taylor_and_value_paths_agree(presets, rng):
             x = rng.uniform(0.0, 0.55, k)
             y = rng.uniform(0.0, 0.55, l) + rng.uniform(0.0, 4.0)
             x.sort(); y.sort()
-            taylor = _dd_matrix_taylor(model, x, y)
-            assert taylor is not None
-            from scipy.linalg import solve_triangular
-            cross = _cross_matrix(model, x, y)
-            half = solve_triangular(newton_matrix(x), cross, lower=True)
-            direct = solve_triangular(newton_matrix(y), half.T, lower=True).T
+            taylor, direct, tail, _ = dd_properties.route_matrices(model, x, y)
+            # the series converges within the model's orders
+            assert np.all(tail <= 1e-13 * np.abs(taylor).max())
             gap = np.min(np.abs(np.subtract.outer(x, x)) + np.eye(k))
             if gap > 0.05:  # value route only reliable with open gaps
                 np.testing.assert_allclose(taylor, direct, rtol=1e-7, atol=1e-9)
@@ -122,3 +121,41 @@ def test_property_suite_small(bf):
     assert worst["rolle"] <= 0.0
     assert worst["continuity"] < 0.05  # two eps decades shrink the gap 20x+
     assert worst["double_symmetry"] < 1e-10
+
+
+def _newton_matrix_loop(x):
+    # the former Polynomial-product construction, kept as the reference
+    c = multiplicities(x)
+    m = np.zeros((x.size, x.size))
+    poly = Polynomial([1.0])
+    for j in range(x.size):
+        for i in range(j, x.size):
+            if c[i] <= j:
+                m[i, j] = poly.deriv(c[i])(x[i]) / math.factorial(c[i])
+        poly = poly * Polynomial([-x[j], 1.0])
+    return m
+
+
+def test_newton_matrix_matches_polynomial_products(rng):
+    for _ in range(200):
+        p = int(rng.integers(1, 8))
+        x = snap_configuration(rng.choice(rng.uniform(-2.0, 2.0, 4), p))
+        ref = _newton_matrix_loop(x)
+        np.testing.assert_allclose(newton_matrix(x), ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(["bargmann-fock", "sinc-sqrt3", "cauchy"]),
+       l=st.integers(1, 3),
+       span=st.floats(TAYLOR_SPAN - 0.1, TAYLOR_SPAN + 0.1),
+       gap=st.floats(-2.0, 2.0).map(lambda e: SNAP_TOL * 10.0 ** e),
+       lag=st.floats(0.0, 4.0), inner=st.floats(0.0, 1.0))
+def test_taylor_and_newton_rows_agree(presets, name, l, span, gap, lag, inner):
+    # a near-tie of either side of SNAP_TOL inside a block of either side
+    # of TAYLOR_SPAN: the two routes agree within their own error estimates
+    model = presets[name]
+    x = snap_configuration([0.0, gap, span])
+    y = lag + np.array([0.0, inner * span, span])[:l]
+    taylor, newton, tail, rounding = dd_properties.route_matrices(model, x, y)
+    assert np.abs(taylor - newton).max() <= 16.0 * (tail + rounding).max()

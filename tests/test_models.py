@@ -1,12 +1,14 @@
 import json
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gausszeros.errors import ConfigError, DegenerateDensity, OrderUnavailable
+from gausszeros.errors import (ConfigError, DegenerateDensity, OrderUnavailable,
+                               QuadratureNotConverged)
 from gausszeros.models import (SpectralDensity, eval_kappa_derivs, get_model,
                                load_spectral_table,
                                normalize_from_spectral_density, tail_norm)
@@ -194,3 +196,13 @@ def test_huge_arguments_finite(presets, table):
                 om2 = model.one_minus_kappa_sq(x)
             assert np.all(np.isfinite(d)) and np.isfinite(om2), (model.kind, x)
             assert 0.0 <= om2 <= 1.0 + 1e-12, (model.kind, x)
+
+
+def test_table_node_budget_refuses_far_points(table):
+    # panels grow like |x|: 1e6 would need ~1.3e8 nodes on this table
+    for evaluate in (lambda: table.derivs(1e6, 2),
+                     lambda: table.one_minus_kappa(1e6)):
+        start = time.perf_counter()
+        with pytest.raises(QuadratureNotConverged, match="1e.06.*budget"):
+            evaluate()
+        assert time.perf_counter() - start < 0.2
