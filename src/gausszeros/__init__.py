@@ -17,13 +17,11 @@ from .errors import (ConfigError, DegenerateConfiguration, DegenerateDensity,
                      OrderUnavailable, QuadratureNotConverged,
                      SeparationTooSmall, SizeCap, WindowTooSmall)
 from .models import (CorrelationModel, QuadratureSpec, SpectralDensity,
-                     SpectralTableModel, eval_kappa_derivs, get_model,
-                     load_spectral_table, normalize_from_spectral_density,
-                     tail_norm)
+                     SpectralTableModel, get_model, load_spectral_table,
+                     normalize_from_spectral_density, tail_norm)
 from .partitions import (IndexPartition, adapted_subsets, cluster_partition,
                          enumerate_pair_partitions, enumerate_partitions,
-                         moment_integrand_F, partition_leq,
-                         predicted_central_moment)
+                         partition_leq, predicted_central_moment)
 from .simulation import (MomentEstimate, SimulationSpec, ZeroSample,
                          clt_diagnostic, empirical_k_point, empirical_moments,
                          extract_zeros, linear_statistic, replicate_statistics,

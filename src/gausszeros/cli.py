@@ -252,24 +252,27 @@ def cmd_vanishing(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, phi_default=None):
+def _add_common(sub, *options):
+    """Options every command reads, then the named ones this command reads."""
     sub.add_argument("--model", default="bargmann-fock",
                      help="preset name or spectral-table JSON path")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--threads", type=int,
-                     default=int(os.environ.get("GAUSSZEROS_THREADS",
-                                                os.cpu_count() or 1)))
-    sub.add_argument("--tolerance", type=float, default=None,
-                     help="absolute quadrature tolerance")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=("json", "csv"), default=None,
-                     help="override the command's native output format")
     sub.add_argument("--config", default=None,
                      help="JSON config produced by --dump-config")
     sub.add_argument("--dump-config", action="store_true")
-    if phi_default is not None:
-        sub.add_argument("--phi", default=phi_default,
-                         help="indicator:a,b | gaussian:center,width | table:path")
+    specs = {
+        "seed": dict(type=int, default=None),
+        "threads": dict(type=int, default=int(os.environ.get(
+            "GAUSSZEROS_THREADS", os.cpu_count() or 1))),
+        "tolerance": dict(type=float, default=None,
+                          help="absolute quadrature tolerance"),
+        "format": dict(choices=("json", "csv"), default=None,
+                       help="override the command's native output format"),
+        "phi": dict(default="indicator:0,1",
+                    help="indicator:a,b | gaussian:center,width | table:path"),
+    }
+    for name in options:
+        sub.add_argument(f"--{name}", **specs[name])
 
 
 def _require(args, *names):
@@ -299,19 +302,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--points",
                    help="comma-separated configuration; ';' separates several")
     p.add_argument("--partition", default=None, help='e.g. "{0,1},{2}"')
-    _add_common(p)
+    _add_common(p, "seed", "format")
     p.set_defaults(func=cmd_rho)
 
     p = registry["sigma2"] = subs.add_parser(
         "sigma2", help="variance growth constant and lower bound")
-    _add_common(p)
+    _add_common(p, "tolerance")
     p.set_defaults(func=cmd_sigma2)
 
     p = registry["fcurve"] = subs.add_parser(
         "fcurve", help="two-point excess curve as CSV")
     p.add_argument("--zmax", type=float, default=8.0)
     p.add_argument("--step", type=float, default=0.01)
-    _add_common(p)
+    _add_common(p, "format")
     p.set_defaults(func=cmd_fcurve)
 
     p = registry["simulate"] = subs.add_parser(
@@ -320,7 +323,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--step", type=float, default=None, help="grid step")
     p.add_argument("--emit-zeros", action="store_true")
-    _add_common(p, phi_default="indicator:0,1")
+    _add_common(p, "seed", "threads", "phi")
     p.set_defaults(func=cmd_simulate)
 
     p = registry["moments"] = subs.add_parser(
@@ -329,20 +332,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--R", type=float)
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--step", type=float, default=None)
-    _add_common(p, phi_default="indicator:0,1")
+    _add_common(p, "seed", "threads", "tolerance", "phi")
     p.set_defaults(func=cmd_moments)
 
     p = registry["clustering"] = subs.add_parser(
         "clustering", help="block factorization ratio and bound")
     p.add_argument("--points")
     p.add_argument("--partition")
-    _add_common(p)
+    _add_common(p, "seed")
     p.set_defaults(func=cmd_clustering)
 
     p = registry["vanishing"] = subs.add_parser(
         "vanishing", help="diagonal vanishing-order constant")
     p.add_argument("--points")
-    _add_common(p)
+    _add_common(p, "seed")
     p.set_defaults(func=cmd_vanishing)
 
     return parser, registry

@@ -4,7 +4,7 @@ Given a configuration and an index partition, the divided differences of
 the process inside each block form a Gaussian vector X whose conditional
 companion Y collects the next-order differences.  This module assembles
 their joint covariance (theta, xi, omega), the conditional covariance
-lambda, and evaluates E prod |Z_i| for centered Gaussian vectors Z.
+lambda, and evaluates E prod |Z_i|^p_i for centered Gaussian vectors Z.
 theta, xi and omega are slices of one A K A^T from one `derivs` call (see
 `divdiff`; closed forms for two distinct singletons).
 """
@@ -29,7 +29,8 @@ __all__ = [
 ]
 
 DEGENERACY_RTOL = 1e-12
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_CHUNK = 1 << 16  # samples per counter-based substream
+_BLOCK_THRESHOLD = 0.05  # |correlation| joining two coordinates into a group
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,6 @@ class MonteCarloSpec:
 
     samples: int = 1_000_000
     seed: int = 190406
-    chunk: int = 1 << 16
-    block_threshold: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -81,9 +80,7 @@ def assemble_context(model, points, partition: IndexPartition) -> KacRiceContext
     if n == 2 and partition.num_blocks == 2 and x[0] != x[1]:
         return _two_point_singleton_context(model, x, partition)
 
-    # all covariances depend on differences only; anchoring at the leftmost
-    # node keeps node magnitudes (hence rounding) at the span scale
-    blocks = [(x - x.min())[list(b)] for b in partition.blocks]
+    blocks = [x[list(b)] for b in partition.blocks]
     cov, routes = divdiff._block_covariance(model, blocks, extend=True)
     theta, xi, omega = cov[:n, :n], cov[n:, :n], cov[n:, n:]
     d_value, lam = _schur_complement(theta, xi, omega)
@@ -166,12 +163,12 @@ def _mc_abs_product(L: np.ndarray, mc: MonteCarloSpec,
     products from common normals instead (control-variate correction).
     """
     k = L.shape[0]
-    n_chunks = max(1, math.ceil(mc.samples / mc.chunk))
+    n_chunks = max(1, math.ceil(mc.samples / _CHUNK))
     total = 0.0
     total_sq = 0.0
     count = 0
     for c in range(n_chunks):
-        n = min(mc.chunk, mc.samples - c * mc.chunk)
+        n = min(_CHUNK, mc.samples - c * _CHUNK)
         if n <= 0:
             break
         w = _chunk_rng(mc.seed, c).standard_normal((n, k))
@@ -226,12 +223,15 @@ def _correlation_clusters(u: np.ndarray, threshold: float) -> list[list[int]]:
     return groups
 
 
-def pi_k(variance, mc: MonteCarloSpec | None = None) -> tuple[float, float]:
-    """E prod_i |X_i| for X ~ N(0, variance), with a standard error.
+def pi_k(variance, mc: MonteCarloSpec | None = None, powers=None
+         ) -> tuple[float, float]:
+    """E prod_i |X_i|^p_i for X ~ N(0, variance), with a standard error.
 
-    Sizes 1 and 2 use closed forms (zero error).  Larger sizes split the
-    coordinates into weakly correlated groups: the product of the group
-    values serves as an exact baseline and a common-random-numbers Monte
+    `powers` holds one integer p_i per coordinate (default all 1).  One
+    coordinate, and a pair with powers (1, 1), use closed forms (zero
+    error).  Otherwise the coordinates split into weakly correlated
+    groups: the product of the group values (each group with its own
+    powers) serves as an exact baseline and a common-random-numbers Monte
     Carlo estimates the (small) coupling correction, so nearly
     block-diagonal covariances are resolved far below the raw Monte Carlo
     noise floor.  A single strongly coupled group falls back to plain
@@ -241,14 +241,20 @@ def pi_k(variance, mc: MonteCarloSpec | None = None) -> tuple[float, float]:
     u = np.asarray(variance, dtype=float)
     L = _check_psd_and_factor(u)
     k = u.shape[0]
-    if k == 1:
-        return _SQRT_2_OVER_PI * math.sqrt(max(u[0, 0], 0.0)), 0.0
-    if k == 2:
+    p = np.ones(k, dtype=int) if powers is None else np.asarray(powers, dtype=int)
+    if p.shape != (k,):
+        raise ConfigError("one power per coordinate required")
+    unit = bool(np.all(p == 1))
+    if k == 1:  # E|Z|^q for Z ~ N(0, var)
+        var, q = max(u[0, 0], 0.0), int(p[0])
+        return (2.0 * var) ** (q / 2) * math.gamma((q + 1) / 2) / math.sqrt(math.pi), 0.0
+    if k == 2 and unit:
         return _pi2_closed(u[0, 0], u[1, 1], u[0, 1]), 0.0
+    mc_powers = None if unit else p.astype(float)
 
-    groups = _correlation_clusters(u, mc.block_threshold)
+    groups = _correlation_clusters(u, _BLOCK_THRESHOLD)
     if len(groups) == 1:
-        return _mc_abs_product(L, mc)
+        return _mc_abs_product(L, mc, powers=mc_powers)
 
     base = 1.0
     base_err_sq = 0.0
@@ -256,7 +262,7 @@ def pi_k(variance, mc: MonteCarloSpec | None = None) -> tuple[float, float]:
     for gi, g in enumerate(groups):
         idx = np.ix_(g, g)
         control[idx] = u[idx]
-        val, err = pi_k(u[idx], replace(mc, seed=mc.seed + 1000003 * (gi + 1)))
+        val, err = pi_k(u[idx], replace(mc, seed=mc.seed + 1000003 * (gi + 1)), p[g])
         if val > 0:
             base_err_sq += (err / val) ** 2
         base *= val
@@ -267,30 +273,7 @@ def pi_k(variance, mc: MonteCarloSpec | None = None) -> tuple[float, float]:
     L_full = _cholesky_or_none(u)
     L_control = _cholesky_or_none(control)
     if L_full is None or L_control is None:
-        return _mc_abs_product(L, mc)
-    corr, corr_err = _mc_abs_product(L_full, mc, L_control=L_control)
+        return _mc_abs_product(L, mc, powers=mc_powers)
+    corr, corr_err = _mc_abs_product(L_full, mc, L_control=L_control,
+                                     powers=mc_powers)
     return base + corr, math.hypot(base_err, corr_err)
-
-
-def conditional_abs_moment(variance, powers, mc: MonteCarloSpec | None = None
-                           ) -> tuple[float, float]:
-    """E prod_i |X_i|^{p_i} for X ~ N(0, variance) with integer powers p_i.
-
-    Closed forms: all powers 1 (plain pi_k) and a single coordinate
-    (Gaussian absolute moment); otherwise chunked Monte Carlo.
-    """
-    mc = mc or MonteCarloSpec()
-    u = np.asarray(variance, dtype=float)
-    p = np.asarray(powers, dtype=int)
-    if p.shape != (u.shape[0],):
-        raise ConfigError("one power per coordinate required")
-    if np.all(p == 1):
-        return pi_k(u, mc)
-    if u.shape[0] == 1:
-        var = max(float(u[0, 0]), 0.0)
-        q = int(p[0])
-        # E|Z|^q for Z ~ N(0, var)
-        val = var ** (q / 2) * 2 ** (q / 2) * math.gamma((q + 1) / 2) / math.sqrt(math.pi)
-        return val, 0.0
-    L = _check_psd_and_factor(u)
-    return _mc_abs_product(L, mc, powers=p.astype(float))

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import divdiff
-from .conditioning import (MonteCarloSpec, assemble_context,
-                           conditional_abs_moment, pi_k, _schur_complement)
+from .conditioning import (MonteCarloSpec, assemble_context, pi_k,
+                           _schur_complement)
 from .errors import (ConfigError, DegenerateConfiguration, SeparationTooSmall,
                      SizeCap)
 from .partitions import IndexPartition, cluster_partition
@@ -145,7 +145,7 @@ def vanishing_constant(model, points, mc: MonteCarloSpec | None = None
             "the conditioning Gaussian vector at this diagonal is degenerate")
 
     powers = np.array([len(b) for b in partition.blocks])
-    moment, err = conditional_abs_moment(lam, powers, mc)
+    moment, err = pi_k(lam, mc, powers)
     prefactor = 1.0
     for b in partition.blocks:
         m = len(b)

@@ -149,15 +149,18 @@ def _newton_rows(z: np.ndarray, extend: bool):
     return rows, np.concatenate([z, z]), orders
 
 
-def _kernel_matrix(model, sites, orders, cap: int) -> np.ndarray:
-    """K[i, j] = E f^(a_i)(s_i) f^(a_j)(s_j), 0 where a_i + a_j > cap.
+def _kernel_matrix(model, sites, orders, cap: int, anchors=0.0) -> np.ndarray:
+    """K[i, j] = E f^(a_i)(t_i) f^(a_j)(t_j), 0 where a_i + a_j > cap.
 
-    One `derivs` call on the distinct |lags|; kappa is even, so
+    Atom i sits at t_i = anchors[i] + sites[i]; lags are the anchor
+    difference plus the site difference, so atoms far apart keep their
+    offsets.  One `derivs` call on the distinct |lags|; kappa is even, so
     kappa^(j)(-x) = (-1)^j kappa^(j)(x).
     """
     orders = np.asarray(orders, dtype=int)
-    uniq, at = np.unique(np.asarray(sites, dtype=float), return_inverse=True)
-    lag = (uniq[None, :] - uniq[:, None])[at[:, None], at[None, :]]
+    sites = np.asarray(sites, dtype=float)
+    anchors = np.broadcast_to(np.asarray(anchors, dtype=float), sites.shape)
+    lag = (anchors[None, :] - anchors[:, None]) + (sites[None, :] - sites[:, None])
     mags, lag_idx = np.unique(np.abs(lag), return_inverse=True)
     total = orders[:, None] + orders[None, :]
     top = min(cap, int(total.max()))
@@ -188,21 +191,26 @@ def _block_covariance(model, blocks, extend: bool):
     """Covariance of the blocks' prefixes [f](z_1..z_p), block by block,
     then (with `extend`) of their extensions [f](z_1..z_s, z_a); and each
     block's route, "taylor" or "newton".
+
+    Each block's rows are built on its offsets from its leftmost node, so
+    the rounding of a block stays at its own span whatever its position.
     """
     cap = getattr(model, "internal_order_cap", model.max_derivative_order)
+    anchors = [z.min() for z in blocks]
     # candidate rows of each block: Newton, then Taylor for a tight block
-    cands = [[_newton_rows(z, extend)] + ([_taylor_rows(z, cap, extend)]
-                                          if np.ptp(z) <= TAYLOR_SPAN else [])
-             for z in blocks]
+    cands = [[_newton_rows(z - a, extend)]
+             + ([_taylor_rows(z - a, cap, extend)] if np.ptp(z) <= TAYLOR_SPAN else [])
+             for z, a in zip(blocks, anchors)]
     need = 2 * max(int(c[0][2].max()) for c in cands)
     if need > model.max_derivative_order:
         raise OrderUnavailable(
             f"divided differences over these blocks need kappa^({need}), "
             f"model {model.kind} declares {model.max_derivative_order}")
-    flat = [c for cs in cands for c in cs]
-    K = _kernel_matrix(model, np.concatenate([c[1] for c in flat]),
-                       np.concatenate([c[2] for c in flat]), cap)
-    edges = np.cumsum([0] + [c[1].size for c in flat])
+    flat = [(c, a) for cs, a in zip(cands, anchors) for c in cs]
+    K = _kernel_matrix(model, np.concatenate([c[1] for c, _ in flat]),
+                       np.concatenate([c[2] for c, _ in flat]), cap,
+                       np.concatenate([np.full(c[1].size, a) for c, a in flat]))
+    edges = np.cumsum([0] + [c[1].size for c, _ in flat])
     cols = iter([slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])])
     chosen, routes = [], []
     for cs in cands:

@@ -28,7 +28,6 @@ __all__ = [
     "SpectralTableModel",
     "QuadratureSpec",
     "get_model",
-    "eval_kappa_derivs",
     "tail_norm",
     "normalize_from_spectral_density",
     "load_spectral_table",
@@ -46,7 +45,6 @@ class QuadratureSpec:
 
     truncation_radius: float = 40.0
     abs_tolerance: float = 1e-8
-    max_nodes: int = 200
 
     def __post_init__(self):
         if self.truncation_radius <= 0 or self.abs_tolerance <= 0:
@@ -64,7 +62,6 @@ class CorrelationModel:
     kind: str = "base"
     max_derivative_order: int = 0
     internal_order_cap: int = 0
-    parameters: dict = {}
 
     # -- core evaluation ---------------------------------------------------
     def derivs(self, x, max_order: int) -> np.ndarray:
@@ -114,10 +111,6 @@ class CorrelationModel:
     def default_quadrature(self) -> QuadratureSpec:
         return QuadratureSpec()
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "max_derivative_order": self.max_derivative_order,
-                "parameters": dict(self.parameters)}
-
 
 def _as_batch(x):
     arr = np.asarray(x, dtype=float)
@@ -130,7 +123,6 @@ class BargmannFockModel(CorrelationModel):
     kind = "bargmann-fock"
     max_derivative_order = 12
     internal_order_cap = 48
-    parameters: dict = {}
 
     def __init__(self):
         # coefficient rows of He_j (probabilists' Hermite), ascending powers
@@ -190,7 +182,6 @@ class SincModel(CorrelationModel):
     kind = "sinc-sqrt3"
     max_derivative_order = 12
     internal_order_cap = 40
-    parameters: dict = {}
 
     _SERIES_TERMS = 60
 
@@ -299,7 +290,6 @@ class CauchyModel(CorrelationModel):
     kind = "cauchy"
     max_derivative_order = 12
     internal_order_cap = 48
-    parameters: dict = {}
 
     def derivs(self, x, max_order: int) -> np.ndarray:
         xb, scalar = _as_batch(x)
@@ -469,7 +459,6 @@ class SpectralTableModel(CorrelationModel):
         self.kind = label
         self.max_derivative_order = min(12, density.max_finite_moment())
         self.internal_order_cap = self.max_derivative_order
-        self.parameters = {"tail_kind": density.tail_kind}
         self._T = self._pick_truncation(tail_tol)
         self._kinks = self._panel_edges()
         self._gl_nodes, self._gl_weights = np.polynomial.legendre.leggauss(8)
@@ -596,17 +585,6 @@ def get_model(name: str) -> CorrelationModel:
     if name.endswith(".json"):
         return load_spectral_table(name)
     raise ConfigError(f"unknown model {name!r}; presets: {sorted(PRESETS)}")
-
-
-def eval_kappa_derivs(model: CorrelationModel, x, max_order: int) -> np.ndarray:
-    """kappa(x), kappa'(x), ..., kappa^(max_order)(x)."""
-    if max_order < 0:
-        raise ConfigError("max_order must be >= 0")
-    if max_order > model.max_derivative_order:
-        raise OrderUnavailable(
-            f"order {max_order} exceeds declared smoothness "
-            f"{model.max_derivative_order} of {model.kind}")
-    return model.derivs(x, max_order)
 
 
 def tail_norm(model: CorrelationModel, k: int, eta: float) -> float:

@@ -8,7 +8,6 @@ hashed and compared cheaply.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +21,7 @@ __all__ = [
     "cluster_partition",
     "partition_leq",
     "adapted_subsets",
-    "moment_integrand_F",
     "predicted_central_moment",
-    "bell_number",
-    "pair_partition_count",
 ]
 
 _PARTITION_ENUM_CAP = 8
@@ -81,35 +77,11 @@ class IndexPartition:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, i: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if i in b:
-                return b
-        raise KeyError(i)
-
     def non_singleton_blocks(self) -> tuple[tuple[int, ...], ...]:
         return tuple(b for b in self.blocks if len(b) >= 2)
 
     def __str__(self) -> str:
         return ",".join("{" + ",".join(str(i) for i in b) + "}" for b in self.blocks)
-
-
-def bell_number(n: int) -> int:
-    """Number of set partitions of an n-element set."""
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]
-
-
-def pair_partition_count(n: int) -> int:
-    """Number of partitions of n elements into pairs (0 when n is odd)."""
-    if n % 2 == 1:
-        return 0
-    return math.factorial(n) // (2 ** (n // 2) * math.factorial(n // 2))
 
 
 def enumerate_partitions(n: int) -> list[IndexPartition]:
@@ -205,36 +177,6 @@ def adapted_subsets(n: int, partition: IndexPartition) -> list[tuple[int, ...]]:
         for extra in itertools.combinations(free, r):
             out.append(tuple(sorted(base + list(extra))))
     return sorted(out, key=lambda s: (len(s), s))
-
-
-def moment_integrand_F(model, partition: IndexPartition, x) -> float:
-    """Signed inclusion-exclusion of partition densities over adapted subsets.
-
-    `x` holds one coordinate per block of `partition`, in canonical block
-    order.  The empty subset contributes (-1/pi)^n by the convention that
-    the density of no points is 1.
-    """
-    from .densities import rho_k  # deferred: densities depends on this module
-
-    coords = np.asarray(x, dtype=float)
-    if coords.size != partition.num_blocks:
-        raise ConfigError(
-            f"need {partition.num_blocks} block coordinates, got {coords.size}")
-    n = partition.n
-    block_index = {b: j for j, b in enumerate(partition.blocks)}
-
-    total = 0.0
-    for subset in adapted_subsets(n, partition):
-        inside = set(subset)
-        blocks_in = [b for b in partition.blocks if set(b) <= inside]
-        sign_factor = (-1.0 / math.pi) ** (n - len(subset))
-        if blocks_in:
-            pts = coords[[block_index[b] for b in blocks_in]]
-            rho = rho_k(model, pts).rho
-        else:
-            rho = 1.0
-        total += sign_factor * rho
-    return total
 
 
 def predicted_central_moment(model, test_functions, R: float, quad=None) -> float:

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _NEAR_ZERO = 1e-4
+_MAX_PANELS = 200  # panels per quadrature chunk before a chunk stops refining
 _INV_PI2 = 1.0 / math.pi ** 2
 
 
@@ -350,9 +351,9 @@ def sigma_squared(model: CorrelationModel, quad: QuadratureSpec | None = None
     _check_tail(model, None if tail is None else 2.0 * tail, spec)
     f = lambda z: two_point_F(model, z)
     head, e1 = _integrate_panels(f, 0.0, min(1.0, T), 0.25 * spec.abs_tolerance,
-                                 1.0, spec.max_nodes)
+                                 1.0, _MAX_PANELS)
     body, e2 = _integrate_panels(f, min(1.0, T), T, 0.25 * spec.abs_tolerance,
-                                 25.0, spec.max_nodes)
+                                 25.0, _MAX_PANELS)
     total_err = 2.0 * (e1 + e2 + tail)
     if total_err > spec.abs_tolerance:
         raise QuadratureNotConverged(
@@ -387,7 +388,7 @@ def sigma_lower_bound(model: CorrelationModel, quad: QuadratureSpec | None = Non
         return (d[0] + d[2]) ** 2
 
     val, err = _integrate_panels(integrand, 0.0, T, 0.5 * spec.abs_tolerance,
-                                 25.0, spec.max_nodes)
+                                 25.0, _MAX_PANELS)
     total_err = (err + tail) / math.pi ** 2
     if total_err > spec.abs_tolerance:
         raise QuadratureNotConverged(
@@ -453,7 +454,7 @@ def predicted_covariance(model: CorrelationModel, phi1: TestFunction,
         return two_point_F(model, z) * phi1.cross_correlation(phi2, z / R)
 
     val, e = _integrate_panels(outer, -zmax, zmax, 0.5 * spec.abs_tolerance,
-                               10.0, spec.max_nodes, breaks=_kinks(phi1, phi2, R))
+                               10.0, _MAX_PANELS, breaks=_kinks(phi1, phi2, R))
     err += e
     if err * R > limit:
         raise QuadratureNotConverged(

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausszeros import variance
-from gausszeros.cli import main
+from gausszeros.cli import build_parser, main
+from gausszeros.densities import rho_k
 from gausszeros.models import get_model
+from gausszeros.variance import TestFunction
 
 
 def run_cli(capsys, *args):
@@ -216,6 +219,16 @@ def test_rho_far_apart_points(capsys, model):
     assert json.loads(out)["rho"] == pytest.approx(1.0 / math.pi ** 2, abs=1e-12)
 
 
+@pytest.mark.parametrize("model", ["bargmann-fock", "sinc-sqrt3", "cauchy"])
+def test_rho_far_point_keeps_near_pair(capsys, model):
+    # the far point factors out; the near pair must keep its own gap
+    code, out, err = run_cli(capsys, "rho", "--model", model,
+                             "--points=1.327,-1e300,1e-11")
+    assert code == 0, err
+    pair = rho_k(get_model(model), [1e-11, 1.327]).rho
+    assert json.loads(out)["rho"] == pytest.approx(pair / math.pi, rel=1e-12)
+
+
 def test_fcurve_one_array_call(capsys, monkeypatch):
     calls = []
     two_point_F = variance.two_point_F
@@ -274,3 +287,37 @@ def test_cli_fuzz(command, model, points):
     assert "Traceback" not in err.getvalue()
     for line in out.getvalue().splitlines():
         json.loads(line, parse_constant=_reject_constant)
+
+
+class _ReadRecorder(argparse.Namespace):
+    """Namespace that records the names of the attributes read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "__dict__").setdefault(
+                "_read", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rho", "--points", "0"],
+    ["sigma2"],
+    ["fcurve", "--zmax", "0.05"],
+    ["simulate", "--R", "2", "--n", "2"],
+    ["moments", "--p", "2", "--R", "2", "--n", "4"],
+    ["clustering", "--points", "0,8", "--partition", "{0},{1}"],
+    ["vanishing", "--points", "0,0"],
+])
+def test_every_option_is_read(capsys, argv):
+    parser, _ = build_parser()
+    args = _ReadRecorder(**vars(parser.parse_args(argv)))
+    if "phi" in vars(args):
+        args.phi_obj = TestFunction.from_spec(args.phi)
+    assert args.func(args) == 0
+    capsys.readouterr()
+    read = vars(args)["_read"]
+    if "phi_obj" in read:
+        read.add("phi")
+    unread = set(vars(args)) - read - {"func", "command", "config",
+                                       "dump_config", "phi_obj", "_read"}
+    assert not unread, f"{argv[0]} declares options it never reads: {sorted(unread)}"

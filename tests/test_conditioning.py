@@ -49,6 +49,27 @@ def test_pi_k_closed_forms():
     assert pi_k(np.array([[1.0, 1.0], [1.0, 1.0]]))[0] == pytest.approx(1.0)
 
 
+def test_pi_k_powers_closed_forms():
+    # E|Z|^q for Z ~ N(0, 4): 4, 16 sqrt(2/pi), 48
+    for q, expect in ((2, 4.0), (3, 16.0 * math.sqrt(2.0 / math.pi)), (4, 48.0)):
+        assert pi_k(np.array([[4.0]]), powers=[q]) == (pytest.approx(expect), 0.0)
+
+
+def test_pi_k_powers_group_split():
+    # uncoupled coordinates: the product of one-coordinate moments, exactly,
+    # E X^2 E|Y|^3 E|W| = 1 * 2^1.5 * 2 sqrt(2/pi) * sqrt(3) sqrt(2/pi)
+    u = np.diag([1.0, 2.0, 3.0])
+    val, err = pi_k(u, MonteCarloSpec(samples=1000, seed=4), [2, 3, 1])
+    expect = 2.0 ** 2.5 * math.sqrt(3.0) * 2.0 / math.pi
+    assert err == 0.0
+    assert val == pytest.approx(expect, rel=1e-14)
+    # a coupled pair samples: E X^2 Y^2 = u11 u22 + 2 u12^2
+    pair = np.array([[1.0, 0.4], [0.4, 2.0]])
+    val, err = pi_k(pair, MonteCarloSpec(samples=400_000, seed=4), [2, 2])
+    assert 0.0 < err < 0.02
+    assert abs(val - 2.32) < 4.0 * err
+
+
 def test_pi_k_identity_monte_carlo():
     for k in (3, 4):
         val, err = pi_k(np.eye(k), MonteCarloSpec(samples=400_000, seed=5))

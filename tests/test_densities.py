@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausszeros.conditioning import MonteCarloSpec, assemble_context
 from gausszeros.densities import (clustering_ratio, rho_k, rho_with_partition,
                                   vanishing_constant)
-from gausszeros.errors import (DegenerateConfiguration, SeparationTooSmall,
-                               SizeCap)
-from gausszeros.partitions import IndexPartition, cluster_partition
+from gausszeros.errors import (DegenerateConfiguration, DomainError,
+                               SeparationTooSmall, SizeCap)
+from gausszeros.models import get_model
+from gausszeros.partitions import (IndexPartition, cluster_partition,
+                                   enumerate_partitions)
 
 MC = MonteCarloSpec(samples=300_000, seed=13)
 
@@ -124,6 +128,15 @@ def test_vanishing_constant_distinct_points_is_rho(bf):
     assert abs(res.value - rho.rho) <= tol
 
 
+def test_vanishing_constant_two_far_double_points(bf):
+    # clustering: ell([0, 0, d, d]) -> ell([0, 0])^2 = (1/(4 pi))^2 as d grows;
+    # at d = 10 the coupling is exp(-50), far below double precision
+    res = vanishing_constant(bf, [0.0, 0.0, 10.0, 10.0])
+    exact = (1.0 / (4.0 * math.pi)) ** 2
+    assert res.value == pytest.approx(exact, rel=1e-9)
+    assert res.stderr <= 1e-9 * res.value
+
+
 def test_vanishing_order_convergence(bf):
     ell = vanishing_constant(bf, [0.0, 0.0]).value
     errs = []
@@ -175,3 +188,20 @@ def test_bounded_near_diagonal(bf, rng):
         k = int(rng.integers(2, 4))
         x = np.sort(rng.uniform(0.0, 5.0, k))
         assert ratio(x) <= 3.0 * calib
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(model=st.sampled_from(["bargmann-fock", "sinc-sqrt3", "cauchy"]),
+       points=st.lists(st.floats(0.0, 3.0), min_size=2, max_size=4))
+def test_partitions_agree(model, points):
+    # every partition that keeps distinct blocks apart gives the same rho
+    m = get_model(model)
+    mc = MonteCarloSpec(samples=100_000)
+    ref = rho_k(m, points, mc)
+    for part in enumerate_partitions(len(points)):
+        try:
+            res = rho_with_partition(m, points, part, mc)
+        except DomainError:
+            continue
+        tol = 4.0 * math.hypot(ref.n_stderr, res.n_stderr) + 1e-8 * abs(ref.rho)
+        assert abs(res.rho - ref.rho) <= tol, (str(part), res.rho, ref.rho)

@@ -9,15 +9,14 @@ from scipy.integrate import quad
 
 from gausszeros.errors import (ConfigError, DegenerateDensity, OrderUnavailable,
                                QuadratureNotConverged)
-from gausszeros.models import (SpectralDensity, eval_kappa_derivs, get_model,
-                               load_spectral_table,
+from gausszeros.models import (SpectralDensity, get_model, load_spectral_table,
                                normalize_from_spectral_density, tail_norm)
 
 GRID = np.linspace(-6.0, 6.0, 41)
 
 
 def test_bargmann_fock_at_zero(bf):
-    d = eval_kappa_derivs(bf, 0.0, 2)
+    d = bf.derivs(0.0, 2)
     assert d[0] == 1.0
     assert d[1] == 0.0
     assert d[2] == -1.0
@@ -25,7 +24,7 @@ def test_bargmann_fock_at_zero(bf):
 
 def test_bargmann_fock_at_one(bf):
     # symbolic differentiation of exp(-x^2/2): k' = -x k, k'' = (x^2-1) k
-    d = eval_kappa_derivs(bf, 1.0, 2)
+    d = bf.derivs(1.0, 2)
     assert d[0] == pytest.approx(math.exp(-0.5), rel=1e-15)
     assert d[1] == pytest.approx(-math.exp(-0.5), rel=1e-15)
     assert abs(d[2]) < 1e-16
@@ -33,14 +32,14 @@ def test_bargmann_fock_at_one(bf):
 
 def test_odd_orders_vanish_at_zero(presets):
     for model in presets.values():
-        d = eval_kappa_derivs(model, 0.0, model.max_derivative_order)
+        d = model.derivs(0.0, model.max_derivative_order)
         for j in range(1, model.max_derivative_order + 1, 2):
             assert d[j] == 0.0, (model.kind, j)
 
 
 def test_normalization_invariants(presets):
     for model in presets.values():
-        d = eval_kappa_derivs(model, 0.0, 2)
+        d = model.derivs(0.0, 2)
         assert d[0] == 1.0 and d[2] == -1.0
         vals = model.derivs(GRID, 0)[0]
         assert np.all(np.abs(vals) <= 1.0 + 1e-15), model.kind
@@ -49,8 +48,8 @@ def test_normalization_invariants(presets):
 def test_evenness(presets):
     for model in presets.values():
         for x in (0.3, 1.1, 2.7, 5.5):
-            plus = eval_kappa_derivs(model, x, 8)
-            minus = eval_kappa_derivs(model, -x, 8)
+            plus = model.derivs(x, 8)
+            minus = model.derivs(-x, 8)
             signs = (-1.0) ** np.arange(9)
             np.testing.assert_allclose(minus, signs * plus, rtol=1e-12,
                                        atol=1e-15)
@@ -60,7 +59,7 @@ def test_derivatives_match_finite_differences(presets):
     h = 1e-4
     for model in presets.values():
         for x in np.linspace(-4.0, 4.0, 17):
-            d = eval_kappa_derivs(model, x, 6)
+            d = model.derivs(x, 6)
             for j in range(1, 7):
                 fd = (model.derivs(x + h, j - 1)[j - 1]
                       - model.derivs(x - h, j - 1)[j - 1]) / (2 * h)
@@ -73,8 +72,6 @@ def test_derivatives_match_finite_differences(presets):
 
 
 def test_order_unavailable(bf):
-    with pytest.raises(OrderUnavailable):
-        eval_kappa_derivs(bf, 0.0, bf.max_derivative_order + 1)
     with pytest.raises(OrderUnavailable):
         tail_norm(bf, bf.max_derivative_order + 1, 0.0)
 

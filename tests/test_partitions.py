@@ -1,22 +1,18 @@
-import math
-
 import numpy as np
 import pytest
 
 from gausszeros import variance
 from gausszeros.errors import ConfigError, GroundSetMismatch, SizeCap
 from gausszeros.partitions import (IndexPartition, adapted_subsets,
-                                   bell_number, cluster_partition,
+                                   cluster_partition,
                                    enumerate_pair_partitions,
-                                   enumerate_partitions, moment_integrand_F,
-                                   pair_partition_count, partition_leq,
+                                   enumerate_partitions, partition_leq,
                                    predicted_central_moment)
-from gausszeros.variance import TestFunction, predicted_covariance, two_point_F
+from gausszeros.variance import TestFunction, predicted_covariance
 
 
 def test_partition_counts():
     assert [len(enumerate_partitions(n)) for n in range(1, 6)] == [1, 2, 5, 15, 52]
-    assert [bell_number(n) for n in range(1, 6)] == [1, 2, 5, 15, 52]
 
 
 def test_partition_enumeration_cap():
@@ -26,7 +22,6 @@ def test_partition_enumeration_cap():
 
 def test_pair_partition_counts():
     assert [len(enumerate_pair_partitions(n)) for n in range(2, 7)] == [1, 0, 3, 0, 15]
-    assert [pair_partition_count(n) for n in range(2, 7)] == [1, 0, 3, 0, 15]
     assert enumerate_pair_partitions(3) == []
 
 
@@ -101,21 +96,6 @@ def test_adapted_subsets_count(rng):
         for part in enumerate_partitions(n)[:20]:
             singles = sum(1 for b in part.blocks if len(b) == 1)
             assert len(adapted_subsets(n, part)) == 2 ** singles
-
-
-def test_moment_integrand_two_points(bf):
-    u, v = 0.3, 1.9
-    got = moment_integrand_F(bf, IndexPartition.singletons(2), [u, v])
-    assert got == pytest.approx(two_point_F(bf, v - u), rel=1e-9)
-    const = moment_integrand_F(bf, IndexPartition.one_block(2), [0.7])
-    assert const == pytest.approx(1.0 / math.pi, rel=1e-12)
-
-
-def test_moment_integrand_cancellation(bf):
-    # singleton partitions at wide separation cancel to the clustering error
-    val = moment_integrand_F(bf, IndexPartition.singletons(3),
-                             [0.0, 8.0, 16.0])
-    assert abs(val) < 1e-8
 
 
 def test_predicted_central_moment_structure(bf):

@@ -214,10 +214,11 @@ def test_sinc_sigma_squared_derivs_calls(sinc, monkeypatch):
     assert sum(calls) / len(calls) > 1000
 
 
-def test_panel_cap_refuses(bf):
+def test_panel_cap_refuses(bf, monkeypatch):
+    monkeypatch.setattr(variance, "_MAX_PANELS", 1)
     with pytest.raises(QuadratureNotConverged):
         sigma_squared(bf, QuadratureSpec(truncation_radius=40.0,
-                                         abs_tolerance=1e-8, max_nodes=1))
+                                         abs_tolerance=1e-8))
 
 
 def _no_integration(monkeypatch, model):
