@@ -204,23 +204,13 @@ def _correlation_clusters(u: np.ndarray, threshold: float) -> list[list[int]]:
     denom = np.outer(d, d)
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = np.where(denom > 0, np.abs(u) / denom, 0.0)
-    adj = corr >= threshold
-    seen = [False] * k
-    groups = []
-    for s in range(k):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(k):
-                if not seen[j] and adj[i, j]:
-                    seen[j] = True
-                    stack.append(j)
-        groups.append(sorted(comp))
-    return groups
+    # transitive closure of the adjacency by repeated squaring; groups come
+    # in order of their smallest index, which fixes each group's seed offset
+    reach = (corr >= threshold) | np.eye(k, dtype=bool)
+    for _ in range((k - 1).bit_length()):
+        reach = reach @ reach
+    first = reach.argmax(axis=1)
+    return [np.flatnonzero(first == s).tolist() for s in np.unique(first)]
 
 
 def pi_k(variance, mc: MonteCarloSpec | None = None, powers=None

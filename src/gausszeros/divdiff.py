@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ConfigError, OrderUnavailable
 
@@ -106,7 +105,15 @@ def divided_diff_vector(points, evals) -> np.ndarray:
     b = np.asarray(evals, dtype=float)
     if b.shape != x.shape:
         raise ConfigError("evaluation vector length must match the configuration")
-    return solve_triangular(newton_matrix(x), b, lower=True)
+    return _forward_solve(newton_matrix(x), b)
+
+
+def _forward_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve m y = b for lower-triangular m, one row at a time."""
+    y = np.zeros(b.shape)
+    for i in range(m.shape[0]):
+        y[i] = (b[i] - m[i, :i] @ y[:i]) / m[i, i]
+    return y
 
 
 def _taylor_rows(z: np.ndarray, cap: int, extend: bool):
@@ -133,16 +140,18 @@ def _newton_rows(z: np.ndarray, extend: bool):
 
     Row r is row r of the inverse Newton matrix, each entry divided by the
     c! of its atom f^(c)(t).  Extension a appends z_a once more, whose
-    entry is the atom f^(mu)(z_a), mu the number of nodes of z equal to z_a.
+    entry is the atom f^(mu)(z_a), mu the number of nodes of z equal to z_a:
+    with [r, d] the bordering row of the extended Newton matrix, the last
+    row of [[M, 0], [r, d]]^-1 is [-r M^-1 / d, 1 / d].
     """
     s = z.size
     orders = np.concatenate([multiplicities(z), (z[:, None] == z[None, :]).sum(axis=1)])
     rows = np.zeros((2 * s, 2 * s))
-    rows[:s, :s] = solve_triangular(newton_matrix(z), np.eye(s), lower=True)
+    rows[:s, :s] = _forward_solve(newton_matrix(z), np.eye(s))
     for a in range(s if extend else 0):
-        last = solve_triangular(newton_matrix(np.append(z, z[a])), np.eye(s + 1),
-                                lower=True)[s]
-        rows[s + a, :s], rows[s + a, s + a] = last[:s], last[s]
+        border = newton_matrix(np.append(z, z[a]))[s]
+        rows[s + a, :s] = -(border[:s] @ rows[:s, :s]) / border[s]
+        rows[s + a, s + a] = 1.0 / border[s]
     rows = rows * _INV_FACT[orders]
     if not extend:
         return rows[:s, :s], z, orders[:s]

@@ -68,8 +68,18 @@ class CorrelationModel:
         """kappa and derivatives (order 0..max_order) at scalar or array x.
 
         Returns shape (max_order + 1,) for scalar x, (max_order + 1, len(x))
-        for arrays.
+        for arrays.  Orders above `internal_order_cap` are refused.
         """
+        if max_order > self.internal_order_cap:
+            raise OrderUnavailable(
+                f"model {self.kind} evaluates kappa^(j) up to j = "
+                f"{self.internal_order_cap}, not {max_order}")
+        xb, scalar = _as_batch(x)
+        out = self._derivs(xb, max_order)
+        return out[:, 0] if scalar else out
+
+    def _derivs(self, x: np.ndarray, max_order: int) -> np.ndarray:
+        """Rows 0..max_order of kappa^(j) at the 1-D array x."""
         raise NotImplementedError
 
     def kappa(self, x):
@@ -84,17 +94,14 @@ class CorrelationModel:
         """1 - kappa(x), full relative precision also for small x."""
         return 1.0 - self.kappa(x)
 
-    def one_minus_kappa_sq(self, x):
-        """1 - kappa(x)^2 without cancellation at small x."""
-        return self.one_minus_kappa(x) * (1.0 + self.kappa(x))
-
     # -- tail control ------------------------------------------------------
     def envelope_start(self, order: int):
         """Smallest x from which `tail_envelope(order, .)` is valid, or None."""
         return None
 
-    def tail_envelope(self, order: int, x: float) -> float:
-        """Non-increasing upper bound for sup over |t| >= x of |kappa^(order)(t)|."""
+    def tail_envelope(self, order: int, x):
+        """Non-increasing upper bound for sup over |t| >= x of |kappa^(order)(t)|,
+        at scalar or array x."""
         raise NotImplementedError
 
     def moment_bound(self, order: int) -> float:
@@ -104,9 +111,18 @@ class CorrelationModel:
     def f_tail_integral_bound(self, T: float):
         """Upper bound for the integral of |two-point excess| over [T, inf).
 
-        None when the model cannot certify a decaying tail.
+        Uses |F(z)| <= pi^-2 (kappa^2 + 2 kappa'^2 + 1.3 kappa''^2) once all
+        three envelopes are below 0.1.  None when the model cannot certify a
+        decaying tail (no envelopes, T < 20, or envelopes still too large).
         """
-        return None
+        if T < 20.0 or self.envelope_start(0) is None:
+            return None
+        if any(self.tail_envelope(l, T) > 0.1 for l in range(3)):
+            return None
+        weights = (1.0, 2.0, 1.3)
+        return _envelope_tail(lambda t: sum(
+            w * self.tail_envelope(l, t) ** 2 for l, w in enumerate(weights)),
+            T) / math.pi ** 2
 
     def default_quadrature(self) -> QuadratureSpec:
         return QuadratureSpec()
@@ -115,6 +131,19 @@ class CorrelationModel:
 def _as_batch(x):
     arr = np.asarray(x, dtype=float)
     return arr.reshape(-1), arr.ndim == 0
+
+
+def _envelope_tail(env_sq, T: float) -> float:
+    """Certified upper bound for int_T^inf env_sq, env_sq non-increasing and
+    evaluated on arrays.
+
+    An upper Riemann sum on a geometric grid from T to 50 T (ratio below
+    1 + 1/64), then env_sq(50 T) * 50 T: beyond 50 T every preset envelope
+    is <= c / t, whose square integrates to at most that.
+    """
+    t = np.geomspace(T, 50.0 * T, 254)
+    e = env_sq(t)
+    return float(e[:-1] @ np.diff(t) + e[-1] * t[-1])
 
 
 class BargmannFockModel(CorrelationModel):
@@ -136,8 +165,7 @@ class BargmannFockModel(CorrelationModel):
         self._he = rows
         self._he_abs = [np.abs(r) for r in rows]
 
-    def derivs(self, x, max_order: int) -> np.ndarray:
-        xb, scalar = _as_batch(x)
+    def _derivs(self, xb, max_order: int) -> np.ndarray:
         # exp(-x^2/2) is exactly 0 from |x| = 38.6 on; clamping x to +-40
         # keeps the polynomial factor finite there instead of inf * 0
         xb = np.minimum(np.maximum(xb, -_BF_CUT), _BF_CUT)
@@ -146,7 +174,7 @@ class BargmannFockModel(CorrelationModel):
         for j in range(max_order + 1):
             sign = -1.0 if j % 2 else 1.0
             out[j] = sign * npoly.polyval(xb, self._he[j]) * gauss
-        return out[:, 0] if scalar else out
+        return out
 
     def spectral_density(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -159,21 +187,13 @@ class BargmannFockModel(CorrelationModel):
     def envelope_start(self, order: int):
         return max(math.sqrt(max(order, 1)), 1.0)
 
-    def tail_envelope(self, order: int, x: float) -> float:
-        return float(npoly.polyval(x, self._he_abs[order]) * math.exp(-0.5 * x * x))
+    def tail_envelope(self, order: int, x):
+        return npoly.polyval(x, self._he_abs[order]) * np.exp(-0.5 * x * x)
 
     def moment_bound(self, order: int) -> float:
         # |kappa^(j)| <= E|xi^j| for the standard Gaussian spectral density
         j = order
         return float(2 ** (j / 2) * math.gamma((j + 1) / 2) / math.sqrt(math.pi))
-
-    def f_tail_integral_bound(self, T: float):
-        if T < 20.0:
-            return None
-        return _f_tail_bound_from_envelopes(self, T)
-
-    def default_quadrature(self) -> QuadratureSpec:
-        return QuadratureSpec(truncation_radius=40.0, abs_tolerance=1e-8)
 
 
 class SincModel(CorrelationModel):
@@ -224,8 +244,7 @@ class SincModel(CorrelationModel):
     def _series_cut(j: int) -> float:
         return max(0.5, 0.3 * j)
 
-    def derivs(self, x, max_order: int) -> np.ndarray:
-        xb, scalar = _as_batch(x)
+    def _derivs(self, xb, max_order: int) -> np.ndarray:
         u = _SQRT3 * xb
         out = np.empty((max_order + 1, xb.size))
         for j in range(max_order + 1):
@@ -237,7 +256,7 @@ class SincModel(CorrelationModel):
             if np.any(~small):
                 col[~small] = scale * self._sinc_deriv_closed(u[~small], j)
             out[j] = col
-        return out[:, 0] if scalar else out
+        return out
 
     def spectral_density(self, xi):
         return np.where(np.abs(np.asarray(xi, dtype=float)) < _SQRT3,
@@ -265,18 +284,13 @@ class SincModel(CorrelationModel):
     def envelope_start(self, order: int):
         return 1.0 / _SQRT3
 
-    def tail_envelope(self, order: int, x: float) -> float:
+    def tail_envelope(self, order: int, x):
         u = _SQRT3 * x
-        return float(_SQRT3 ** order * (1.0 / u + self._leibniz_b[order] / (u * u)))
+        return _SQRT3 ** order * (1.0 / u + self._leibniz_b[order] / (u * u))
 
     def moment_bound(self, order: int) -> float:
         # spectral density uniform on [-sqrt3, sqrt3]: E|xi|^j = 3^{j/2}/(j+1)
         return float(3.0 ** (order / 2) / (order + 1))
-
-    def f_tail_integral_bound(self, T: float):
-        if T < 20.0:
-            return None
-        return _f_tail_bound_from_envelopes(self, T)
 
     def default_quadrature(self) -> QuadratureSpec:
         # kappa'' decays only like 1/x here; certifying 1e-8 would need a
@@ -291,8 +305,7 @@ class CauchyModel(CorrelationModel):
     max_derivative_order = 12
     internal_order_cap = 48
 
-    def derivs(self, x, max_order: int) -> np.ndarray:
-        xb, scalar = _as_batch(x)
+    def _derivs(self, xb, max_order: int) -> np.ndarray:
         out = np.empty((max_order + 1, xb.size))
         inv_r = 1.0 / np.hypot(xb, _SQRT2)  # no overflow at huge |x|
         theta = np.arctan2(-_SQRT2, xb)
@@ -309,7 +322,7 @@ class CauchyModel(CorrelationModel):
                 else:
                     m = j // 2
                     out[j, zero] = (-1.0) ** m * math.factorial(j) / 2.0 ** m
-        return out[:, 0] if scalar else out
+        return out
 
     def spectral_density(self, xi):
         return np.exp(-_SQRT2 * np.abs(np.asarray(xi, dtype=float))) / _SQRT2
@@ -322,44 +335,18 @@ class CauchyModel(CorrelationModel):
     def envelope_start(self, order: int):
         return 0.5
 
-    def tail_envelope(self, order: int, x: float) -> float:
+    def tail_envelope(self, order: int, x):
         # |Im (x - i sqrt2)^{-(j+1)}| <= (j+1) sqrt2 / (x (x^2+2)^{(j+1)/2})
-        return float(2.0 * math.factorial(order + 1)
-                     / (x * (x * x + 2.0) ** ((order + 1) / 2)))
+        return (2.0 * math.factorial(order + 1)
+                / (x * (x * x + 2.0) ** ((order + 1) / 2)))
 
     def moment_bound(self, order: int) -> float:
         # density exp(-sqrt2 |xi|)/sqrt2: E|xi|^j = j! 2^{-j/2}
         return float(math.factorial(order) / 2 ** (order / 2))
 
-    def f_tail_integral_bound(self, T: float):
-        if T < 20.0:
-            return None
-        return _f_tail_bound_from_envelopes(self, T)
-
     def default_quadrature(self) -> QuadratureSpec:
         # |F| tail ~ x^-4: truncation 500 certifies well below 1e-8
         return QuadratureSpec(truncation_radius=500.0, abs_tolerance=1e-8)
-
-
-def _f_tail_bound_from_envelopes(model: CorrelationModel, T: float) -> float:
-    """Integral bound on the two-point excess tail from derivative envelopes.
-
-    Uses |F(z)| <= pi^-2 (kappa^2 + 2 kappa'^2 + 1.3 kappa''^2) once all three
-    envelopes are below 0.1, and integrates the squared envelopes on [T, inf)
-    by quadrature plus an explicit power/exponential tail.
-    """
-    from scipy.integrate import quad
-
-    weights = (1.0, 2.0, 1.3)
-    if any(model.tail_envelope(l, T) > 0.1 for l in range(3)):
-        return None
-    total = 0.0
-    hi = 50.0 * T
-    for l, w in enumerate(weights):
-        val, _ = quad(lambda t, l=l: model.tail_envelope(l, t) ** 2, T, hi, limit=400)
-        # beyond hi every preset envelope is <= c/t: integral bounded by env(hi)^2*hi
-        total += w * (val + model.tail_envelope(l, hi) ** 2 * hi)
-    return total / math.pi ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +512,7 @@ class SpectralTableModel(CorrelationModel):
                                   * self._density.density(nodes)))
 
     # -- CorrelationModel interface -------------------------------------
-    def derivs(self, x, max_order: int) -> np.ndarray:
-        xb, scalar = _as_batch(x)
+    def _derivs(self, xb, max_order: int) -> np.ndarray:
         out = np.zeros((max_order + 1, xb.size))
         for col, xv in enumerate(xb):
             if abs(xv) > self._x_far:
@@ -540,7 +526,7 @@ class SpectralTableModel(CorrelationModel):
                 trig = sin_part if odd else cos_part
                 sign = (-1.0) ** (m + odd)
                 out[j, col] = sign * 2.0 * np.sum(dens * nodes ** j * trig)
-        return out[:, 0] if scalar else out
+        return out
 
     def spectral_density(self, xi):
         return self._density.density(xi)

@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
 
 from .errors import ConfigError, IntervalsOverlap, WindowTooSmall
 from .variance import TestFunction, expected_linear_statistic
@@ -84,6 +83,19 @@ def _replicate_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 11-smooth integer >= n: a fast length for a complex FFT."""
+    n = max(n, 1)
+    while True:
+        r = n
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return n
+        n += 1
+
+
 def _correlation_reach(model, target: float = 1e-9, cap: float = 400.0) -> float:
     """Radius beyond which kappa, kappa', kappa'' all fall below `target`."""
     if model.envelope_start(2) is None:
@@ -113,8 +125,8 @@ class _SpectralSampler:
         self.m = spec.grid_size
         h = spec.grid_step
         span = (self.m - 1) * h + _correlation_reach(model)
-        self.n = fft.next_fast_len(int(math.ceil(span / h)))
-        omega = 2.0 * math.pi * fft.fftfreq(self.n, d=h)
+        self.n = _next_fast_len(int(math.ceil(span / h)))
+        omega = 2.0 * math.pi * np.fft.fftfreq(self.n, d=h)
         weight = 2.0 * math.pi / (self.n * h) * model.spectral_density(omega)
         self.amp = np.sqrt(weight).astype(complex)
         self.amp_d = 1j * omega * self.amp
@@ -137,7 +149,7 @@ class _SpectralSampler:
                 self._window(self.amp_d * zeta))
 
     def _window(self, coeffs: np.ndarray) -> np.ndarray:
-        field = fft.ifft(coeffs, axis=1, norm="forward")[:, :self.m]
+        field = np.fft.ifft(coeffs, axis=1, norm="forward")[:, :self.m]
         out = np.empty((2 * field.shape[0], self.m))
         out[0::2] = field.real
         out[1::2] = field.imag

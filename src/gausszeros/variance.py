@@ -19,11 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _quad
-from scipy.special import erf
 
 from .errors import ConfigError, NumericsError, QuadratureNotConverged
-from .models import CorrelationModel, QuadratureSpec
+from .models import CorrelationModel, QuadratureSpec, _envelope_tail
 
 __all__ = [
     "QuadratureSpec",
@@ -38,6 +36,7 @@ __all__ = [
 _NEAR_ZERO = 1e-4
 _MAX_PANELS = 200  # panels per quadrature chunk before a chunk stops refining
 _INV_PI2 = 1.0 / math.pi ** 2
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 class NearSingular(NumericsError):
@@ -172,7 +171,7 @@ class TestFunction:
             c, w = other.params
             lo = (a + u - c) / (w * math.sqrt(2.0))
             hi = (b + u - c) / (w * math.sqrt(2.0))
-            out = w * math.sqrt(math.pi / 2.0) * (erf(hi) - erf(lo))
+            out = w * math.sqrt(math.pi / 2.0) * (_erf(hi) - _erf(lo))
         elif self.kind == "gaussian" and other.kind == "indicator":
             out = np.asarray(other.cross_correlation(self, -u))
         else:
@@ -197,7 +196,7 @@ def two_point_F(model: CorrelationModel, z):
     """Two-point excess intensity rho_2(0, z) - 1/pi^2; even, -1/pi^2 at 0.
 
     Accepts a scalar (returns a float) or an array (returns an array of the
-    same shape, from one `derivs` and one `one_minus_kappa_sq` call).
+    same shape, from one `derivs` and one `one_minus_kappa` call).
     Below |z| = 1e-4 the continuity value is returned: the exact value
     approaches -1/pi^2 linearly with slope bounded by the inverse
     correlation length, so the substitution error stays below 1e-4 there.
@@ -205,7 +204,7 @@ def two_point_F(model: CorrelationModel, z):
     z = np.abs(np.asarray(z, dtype=float))
     zc = np.maximum(z, _NEAR_ZERO).ravel()
     k0, k1, k2 = model.derivs(zc, 2)
-    om2 = np.asarray(model.one_minus_kappa_sq(zc), dtype=float)
+    om2 = np.asarray(model.one_minus_kappa(zc), dtype=float) * (1.0 + k0)
     if (om2 < 1e-14).any():
         i = int(np.argmin(om2))
         raise NearSingular(
@@ -403,10 +402,8 @@ def _squared_sum_tail(model: CorrelationModel, T: float) -> float | None:
         return None
     if max(model.envelope_start(0), model.envelope_start(2)) > T:
         return None
-    val, _ = _quad(lambda t: (model.tail_envelope(0, t) + model.tail_envelope(2, t)) ** 2,
-                   T, 50.0 * T, limit=400)
-    edge = (model.tail_envelope(0, 50.0 * T) + model.tail_envelope(2, 50.0 * T)) ** 2
-    return val + edge * 50.0 * T
+    return _envelope_tail(
+        lambda t: (model.tail_envelope(0, t) + model.tail_envelope(2, t)) ** 2, T)
 
 
 def _kinks(phi1: TestFunction, phi2: TestFunction, R: float) -> list[float]:

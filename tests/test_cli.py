@@ -3,12 +3,17 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gausszeros
 from gausszeros import variance
 from gausszeros.cli import build_parser, main
 from gausszeros.densities import rho_k
@@ -20,6 +25,18 @@ def run_cli(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_import_is_numpy_only():
+    # a fresh interpreter: only clt_diagnostic may load scipy, and lazily
+    code = ("import sys, gausszeros.cli\n"
+            "gausszeros.cli.main(['rho', '--points', '0,0.5'])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(gausszeros.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_rho_single_point(capsys):

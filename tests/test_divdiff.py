@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
+from scipy.linalg import solve_triangular
 
 import dd_properties
-from gausszeros.divdiff import (SNAP_TOL, TAYLOR_SPAN, _block_covariance,
+from gausszeros.divdiff import (_INV_FACT, SNAP_TOL, TAYLOR_SPAN,
+                                _block_covariance, _newton_rows,
                                 divided_diff_vector, double_divided_diff,
                                 multiplicities, newton_matrix,
                                 snap_configuration)
@@ -134,6 +136,23 @@ def _newton_matrix_loop(x):
                 m[i, j] = poly.deriv(c[i])(x[i]) / math.factorial(c[i])
         poly = poly * Polynomial([-x[j], 1.0])
     return m
+
+
+@pytest.mark.parametrize("z", [[0.0, 0.0, 0.2, 0.2, 0.2],
+                               [0.0, 3e-9, 0.3, 1.0],
+                               [0.0, 0.7, 1.9, 3.2, 4.0]],
+                         ids=["confluent", "near-tie", "spread"])
+def test_newton_extension_rows_invert_the_extended_matrix(z):
+    z = np.array(z)
+    s = z.size
+    rows, _, orders = _newton_rows(z, extend=True)
+    for a in range(s):
+        ext = np.append(z, z[a])
+        ref = np.zeros(2 * s)
+        inv = solve_triangular(newton_matrix(ext), np.eye(s + 1), lower=True)[s]
+        ref[:s], ref[s + a] = inv[:s], inv[s]
+        ref *= _INV_FACT[orders]
+        assert np.max(np.abs(rows[s + a] - ref)) <= 1e-13 * np.max(np.abs(ref)), a
 
 
 def test_newton_matrix_matches_polynomial_products(rng):

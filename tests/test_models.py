@@ -76,6 +76,16 @@ def test_order_unavailable(bf):
         tail_norm(bf, bf.max_derivative_order + 1, 0.0)
 
 
+def test_derivs_refuse_orders_above_cap(presets, table):
+    for model in list(presets.values()) + [table]:
+        cap = model.internal_order_cap
+        assert model.derivs(0.5, cap).shape == (cap + 1,)
+        with pytest.raises(OrderUnavailable, match=f"{model.kind}.*not {cap + 1}"):
+            model.derivs(0.5, cap + 1)
+        with pytest.raises(OrderUnavailable):
+            model.derivs(np.array([0.0, 1.0]), cap + 1)
+
+
 def test_tail_norm_examples(bf):
     # |kappa| monotone on [0, inf): sup over |x| >= 2 is e^-2, hit on-grid
     assert tail_norm(bf, 0, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-9)
@@ -190,7 +200,7 @@ def test_huge_arguments_finite(presets, table):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 d = model.derivs(x, 4)
-                om2 = model.one_minus_kappa_sq(x)
+                om2 = model.one_minus_kappa(x) * (1.0 + d[0])
             assert np.all(np.isfinite(d)) and np.isfinite(om2), (model.kind, x)
             assert 0.0 <= om2 <= 1.0 + 1e-12, (model.kind, x)
 

@@ -5,7 +5,8 @@ import pytest
 
 from gausszeros.errors import ConfigError, IntervalsOverlap, WindowTooSmall
 from gausszeros.densities import rho_k
-from gausszeros.simulation import (SimulationSpec, _SpectralSampler,
+from gausszeros.simulation import (SimulationSpec, _next_fast_len,
+                                   _SpectralSampler,
                                    empirical_k_point, empirical_moments,
                                    extract_zeros, linear_statistic,
                                    replicate_statistics, zero_samples)
@@ -64,6 +65,11 @@ def test_sampler_cross_covariance(sampled_fields):
         _assert_covariance(f[:, :-lag], f[:, lag:], k0, (name, "ff"))
         _assert_covariance(f[:, :-lag], fp[:, lag:], k1, (name, "ff'"))
         _assert_covariance(fp[:, :-lag], fp[:, lag:], -k2, (name, "f'f'"))
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+    assert all(_next_fast_len(n) == next_fast_len(n) for n in range(1, 30000))
 
 
 def test_extract_zeros_sine_path():
