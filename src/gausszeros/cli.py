@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -51,16 +52,27 @@ def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
+def _given(**fields) -> dict:
+    """The fields whose option was given; dataclass defaults fill the rest."""
+    return {k: v for k, v in fields.items() if v is not None}
+
+
 def _quad_spec(args, model) -> QuadratureSpec:
-    base = model.default_quadrature()
-    tol = args.tolerance if args.tolerance is not None else base.abs_tolerance
-    return QuadratureSpec(truncation_radius=base.truncation_radius,
-                          abs_tolerance=tol)
+    _require_positive(args, "tolerance")
+    return replace(model.default_quadrature(),
+                   **_given(abs_tolerance=args.tolerance))
 
 
 def _mc_spec(args) -> MonteCarloSpec:
-    seed = args.seed if args.seed is not None else 190406
-    return MonteCarloSpec(seed=seed)
+    return MonteCarloSpec(**_given(seed=args.seed))
+
+
+def _sim_spec(args) -> simulation.SimulationSpec:
+    _require(args, "R")
+    _require_positive(args, "R", "step")
+    return simulation.SimulationSpec(
+        window_length=args.R * args.phi_obj.support_radius(),
+        num_samples=args.n, **_given(grid_step=args.step, master_seed=args.seed))
 
 
 def _dump_config(args) -> int:
@@ -75,11 +87,13 @@ def _preload_config(argv: list, subparsers: dict):
     """Inject a dumped config as subparser defaults; unknown keys exit 4.
 
     Explicit command-line flags still win because defaults only fill in
-    missing options.
+    missing options.  A `--config` without a value exits through argparse.
     """
-    if "--config" not in argv:
+    pre = argparse.ArgumentParser(prog="gausszeros", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
         return
-    path = argv[argv.index("--config") + 1]
     command = next((a for a in argv if a in subparsers), None)
     if command is None:
         raise ConfigError("--config requires a subcommand")
@@ -151,7 +165,7 @@ def cmd_sigma2(args) -> int:
 
 
 def cmd_fcurve(args) -> int:
-    _require_positive(args, "step")
+    _require_positive(args, "zmax", "step")
     model = get_model(args.model)
     n = int(math.floor(args.zmax / args.step + 1e-9))
     zs = [i * args.step for i in range(1, n + 1)]
@@ -169,15 +183,8 @@ def cmd_fcurve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _require(args, "R")
-    _require_positive(args, "R", "step")
+    spec = _sim_spec(args)
     model = get_model(args.model)
-    spec = simulation.SimulationSpec(
-        window_length=args.R * args.phi_obj.support_radius(),
-        grid_step=0.05 if args.step is None else args.step,
-        num_samples=args.n,
-        master_seed=args.seed if args.seed is not None else 0,
-    )
     samples = simulation.zero_samples(model, spec, threads=args.threads)
     lines = []
     stats = []
@@ -205,20 +212,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    _require(args, "p", "R")
-    _require_positive(args, "R", "step")
+    _require(args, "p")
+    spec = _sim_spec(args)
     model = get_model(args.model)
-    spec = simulation.SimulationSpec(
-        window_length=args.R * args.phi_obj.support_radius(),
-        grid_step=0.05 if args.step is None else args.step,
-        num_samples=args.n,
-        master_seed=args.seed if args.seed is not None else 0,
-    )
+    quad = _quad_spec(args, model)
     estimates = simulation.empirical_moments(
         model, spec, args.phi_obj, args.R, [args.p], threads=args.threads)
     est = estimates[0]
     predicted = partitions.predicted_central_moment(
-        model, [args.phi_obj] * args.p, args.R, _quad_spec(args, model))
+        model, [args.phi_obj] * args.p, args.R, quad)
     _emit(args, _json_line({
         "p": args.p, "estimate": est.estimate,
         "ci": [est.ci_low, est.ci_high], "n": est.num_samples,
@@ -354,10 +356,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
+    args = None
     try:
-        _preload_config(argv, registry)
-        args = None
         try:
+            _preload_config(argv, registry)
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return EXIT_CONFIG if exc.code not in (0, None) else 0

@@ -6,7 +6,9 @@ companion Y collects the next-order differences.  This module assembles
 their joint covariance (theta, xi, omega), the conditional covariance
 lambda, and evaluates E prod |Z_i|^p_i for centered Gaussian vectors Z.
 theta, xi and omega are slices of one A K A^T from one `derivs` call (see
-`divdiff`; closed forms for two distinct singletons).
+`divdiff`; closed forms for two distinct singletons).  The same context
+serves every Kac-Rice quotient: the intensities on any partition, and the
+vanishing constant on the partition of coincident points.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def assemble_context(model, points, partition: IndexPartition) -> KacRiceContext
         return _two_point_singleton_context(model, x, partition)
 
     blocks = [x[list(b)] for b in partition.blocks]
-    cov, routes = divdiff._block_covariance(model, blocks, extend=True)
+    cov, routes = divdiff._block_covariance(model, blocks)
     theta, xi, omega = cov[:n, :n], cov[n:, :n], cov[n:, n:]
     d_value, lam = _schur_complement(theta, xi, omega)
     return KacRiceContext(x=tuple(x), partition=partition, theta=theta, xi=xi,
@@ -142,6 +144,7 @@ def _check_psd_and_factor(variance: np.ndarray) -> np.ndarray:
 
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
+    """Counter-based Philox substream keyed by (seed, index)."""
     return np.random.Generator(
         np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, index],
                                       dtype=np.uint64)))

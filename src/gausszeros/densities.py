@@ -6,7 +6,9 @@ the square-rooted Vandermonde factor over blocks times a conditional
 absolute moment over the square root of a block-covariance determinant.
 Any partition whose cross-block points stay distinct gives the same value;
 the cluster partition at scale 1 keeps the matrices well conditioned on
-and near the diagonal.
+and near the diagonal.  The vanishing constant is the same quotient on the
+partition of coincident points, without the Vandermonde factor, with one
+moment coordinate per block raised to the block size.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import divdiff
-from .conditioning import (MonteCarloSpec, assemble_context, pi_k,
-                           _schur_complement)
+from .conditioning import MonteCarloSpec, assemble_context, pi_k
 from .errors import (ConfigError, DegenerateConfiguration, SeparationTooSmall,
                      SizeCap)
 from .partitions import IndexPartition, cluster_partition
@@ -69,19 +70,18 @@ def _vandermonde_factor(x: np.ndarray, partition: IndexPartition) -> float:
     return out
 
 
-def _density_from_context(ctx, mc: MonteCarloSpec | None) -> DensityResult:
+def _kac_rice(ctx, mc: MonteCarloSpec | None, first=None, powers=None):
+    """Conditional moment of lam[first, first], its stderr, and the
+    Gaussian normalizer (2 pi)^(k/2) det(theta)^(1/2) of a context."""
     if ctx.lam is None:
         raise DegenerateConfiguration(
-            "block covariance is numerically singular; coarsen the partition "
-            "or check the model for degeneracy")
-    n = len(ctx.x)
-    n_value, n_err = pi_k(ctx.lam, mc)
-    vf = _vandermonde_factor(np.asarray(ctx.x), ctx.partition)
-    denom = (2.0 * math.pi) ** (n / 2.0) * math.sqrt(ctx.d_value)
-    return DensityResult(rho=vf * n_value / denom, d_value=ctx.d_value,
-                         n_value=n_value, partition_used=ctx.partition,
-                         vandermonde_factor=vf, n_stderr=n_err / denom * vf,
-                         routes=ctx.routes)
+            "block covariance is numerically singular: two points in distinct "
+            "blocks coincide, or the model's finite marginals are singular "
+            "(correlation does not decay)")
+    lam = ctx.lam if first is None else ctx.lam[np.ix_(first, first)]
+    moment, err = pi_k(lam, mc, powers)
+    denom = (2.0 * math.pi) ** (len(ctx.x) / 2.0) * math.sqrt(ctx.d_value)
+    return moment, err, denom
 
 
 def rho_k(model, points, mc: MonteCarloSpec | None = None) -> DensityResult:
@@ -94,13 +94,7 @@ def rho_k(model, points, mc: MonteCarloSpec | None = None) -> DensityResult:
     x = divdiff.snap_configuration(points)
     if x.size > RHO_POINT_CAP:
         raise SizeCap(f"rho_k supports at most {RHO_POINT_CAP} points")
-    partition = cluster_partition(x, 1.0)
-    ctx = assemble_context(model, x, partition)
-    if ctx.lam is None:
-        raise DegenerateConfiguration(
-            "scale-1 cluster partition is degenerate; the model's finite "
-            "marginals are singular (correlation does not decay)")
-    return _density_from_context(ctx, mc)
+    return rho_with_partition(model, x, cluster_partition(x, 1.0), mc)
 
 
 def rho_with_partition(model, points, partition: IndexPartition,
@@ -109,52 +103,33 @@ def rho_with_partition(model, points, partition: IndexPartition,
 
     Degenerates exactly when two points in distinct blocks coincide.
     """
-    x = divdiff.snap_configuration(points)
-    ctx = assemble_context(model, x, partition)
-    return _density_from_context(ctx, mc)
+    ctx = assemble_context(model, points, partition)
+    n_value, n_err, denom = _kac_rice(ctx, mc)
+    vf = _vandermonde_factor(np.asarray(ctx.x), ctx.partition)
+    return DensityResult(rho=vf * n_value / denom, d_value=ctx.d_value,
+                         n_value=n_value, partition_used=ctx.partition,
+                         vandermonde_factor=vf, n_stderr=n_err / denom * vf,
+                         routes=ctx.routes)
 
 
 def vanishing_constant(model, points, mc: MonteCarloSpec | None = None
                        ) -> VanishingConstant:
     """Limit of rho_k divided by its diagonal Vandermonde factor.
 
-    For the partition of exactly-coincident points, conditions the
-    derivative of order |block| at each cluster site on all lower-order
-    derivatives vanishing, and returns the factorial prefactor times the
-    conditional absolute moment over the Gaussian normalizer.
+    The Kac-Rice quotient of rho_with_partition on the partition of
+    exactly-coincident points, without the Vandermonde factor.  On a block
+    of m coincident points every one-node extension is the same atom
+    f^(m)(site) / m!, so the moment keeps the first extension of each
+    block, raised to the power m.
     """
     y = divdiff.snap_configuration(points)
-    k = y.size
     partition = cluster_partition(y, 0.0)
-    sites = [float(y[b[0]]) for b in partition.blocks]
-    orders_u = [(i, s) for b, s in zip(partition.blocks, sites)
-                for i in range(len(b))]
-    orders_v = [(len(b), s) for b, s in zip(partition.blocks, sites)]
-
-    need = max(a for a, _ in orders_u + orders_v) * 2
-    if need > model.max_derivative_order:
-        raise SizeCap(
-            f"vanishing constant at this diagonal needs kappa^({need})")
-
-    atoms = np.array(orders_u + orders_v)  # rows (order, site)
-    K = divdiff._kernel_matrix(model, atoms[:, 1], atoms[:, 0], need)
-    u = len(orders_u)
-    det_a, lam = _schur_complement(K[:u, :u], K[u:, :u], K[u:, u:])
-    if lam is None:
-        raise DegenerateConfiguration(
-            "the conditioning Gaussian vector at this diagonal is degenerate")
-
-    powers = np.array([len(b) for b in partition.blocks])
-    moment, err = pi_k(lam, mc, powers)
-    prefactor = 1.0
-    for b in partition.blocks:
-        m = len(b)
-        for i in range(m):
-            prefactor *= math.factorial(i) / math.factorial(m)
-    denom = (2.0 * math.pi) ** (k / 2.0) * math.sqrt(det_a)
-    scale = prefactor / denom
-    return VanishingConstant(value=scale * moment, partition=partition,
-                             stderr=scale * err)
+    ctx = assemble_context(model, y, partition)
+    sizes = [len(b) for b in partition.blocks]
+    first = np.cumsum([0] + sizes[:-1])
+    moment, err, denom = _kac_rice(ctx, mc, first, sizes)
+    return VanishingConstant(value=moment / denom, partition=partition,
+                             stderr=err / denom)
 
 
 def clustering_ratio(model, points, partition: IndexPartition,

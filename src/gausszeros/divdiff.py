@@ -8,9 +8,12 @@ finite and well-conditioned on and near the diagonal.
 Covariances of divided differences of f are built one way: each is a row
 of coefficients over atoms f^(n)(t), and a set of them has covariance
 A K A^T, K[i, j] = (-1)^a kappa^(a+b)(t_j - t_i) from one `derivs` call.
-Newton rows (the inverse Newton matrix) divide by node gaps; Taylor rows
-(f expanded at the block centre up to `internal_order_cap`, K truncated
-above it) divide by nothing.  A block of span <= TAYLOR_SPAN takes the
+Every block contributes the rows of its prefixes [f](z_1..z_p) and of its
+one-node extensions [f](z_1..z_s, z_a); `double_divided_diff_matrix` reads
+the prefix cross block of that covariance.  Newton rows (the inverse
+Newton matrix) divide by node gaps; Taylor rows (f expanded at the block
+centre up to `internal_order_cap`, K truncated above it) divide by
+nothing.  A block of span <= TAYLOR_SPAN takes the
 route with the smaller error estimate (`_dd_matrix_taylor`).
 """
 
@@ -116,8 +119,8 @@ def _forward_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y
 
 
-def _taylor_rows(z: np.ndarray, cap: int, extend: bool):
-    """Series rows of the prefixes of z (then of its one-node extensions).
+def _taylor_rows(z: np.ndarray, cap: int):
+    """Series rows of the prefixes of z, then of its one-node extensions.
 
     [f](z_1..z_p) = sum_{n <= cap} f^(n)(m) h_{n-p+1}(z_1 - m..z_p - m) / n!,
     m the centre and h_q complete homogeneous, so row p has the generating
@@ -130,13 +133,12 @@ def _taylor_rows(z: np.ndarray, cap: int, extend: bool):
     for t in z - m:
         rows.append(np.convolve(shifted, t ** n)[:cap + 1])
         shifted = np.r_[0.0, rows[-1][:-1]]
-    if extend:
-        rows += [np.convolve(shifted, t ** n)[:cap + 1] for t in z - m]
+    rows += [np.convolve(shifted, t ** n)[:cap + 1] for t in z - m]
     return np.array(rows) * _INV_FACT[n], np.full(cap + 1, m), n
 
 
-def _newton_rows(z: np.ndarray, extend: bool):
-    """Newton rows of the prefixes of z (then of its one-node extensions).
+def _newton_rows(z: np.ndarray):
+    """Newton rows of the prefixes of z, then of its one-node extensions.
 
     Row r is row r of the inverse Newton matrix, each entry divided by the
     c! of its atom f^(c)(t).  Extension a appends z_a once more, whose
@@ -148,14 +150,11 @@ def _newton_rows(z: np.ndarray, extend: bool):
     orders = np.concatenate([multiplicities(z), (z[:, None] == z[None, :]).sum(axis=1)])
     rows = np.zeros((2 * s, 2 * s))
     rows[:s, :s] = _forward_solve(newton_matrix(z), np.eye(s))
-    for a in range(s if extend else 0):
+    for a in range(s):
         border = newton_matrix(np.append(z, z[a]))[s]
         rows[s + a, :s] = -(border[:s] @ rows[:s, :s]) / border[s]
         rows[s + a, s + a] = 1.0 / border[s]
-    rows = rows * _INV_FACT[orders]
-    if not extend:
-        return rows[:s, :s], z, orders[:s]
-    return rows, np.concatenate([z, z]), orders
+    return rows * _INV_FACT[orders], np.concatenate([z, z]), orders
 
 
 def _kernel_matrix(model, sites, orders, cap: int, anchors=0.0) -> np.ndarray:
@@ -196,10 +195,10 @@ def _dd_matrix_taylor(rows_t: np.ndarray, k_tt: np.ndarray,
     return rows_t if tail.max() <= rounding.max() else None
 
 
-def _block_covariance(model, blocks, extend: bool):
+def _block_covariance(model, blocks):
     """Covariance of the blocks' prefixes [f](z_1..z_p), block by block,
-    then (with `extend`) of their extensions [f](z_1..z_s, z_a); and each
-    block's route, "taylor" or "newton".
+    then of their extensions [f](z_1..z_s, z_a); and each block's route,
+    "taylor" or "newton".
 
     Each block's rows are built on its offsets from its leftmost node, so
     the rounding of a block stays at its own span whatever its position.
@@ -207,10 +206,11 @@ def _block_covariance(model, blocks, extend: bool):
     cap = getattr(model, "internal_order_cap", model.max_derivative_order)
     anchors = [z.min() for z in blocks]
     # candidate rows of each block: Newton, then Taylor for a tight block
-    cands = [[_newton_rows(z - a, extend)]
-             + ([_taylor_rows(z - a, cap, extend)] if np.ptp(z) <= TAYLOR_SPAN else [])
+    cands = [[_newton_rows(z - a)]
+             + ([_taylor_rows(z - a, cap)] if np.ptp(z) <= TAYLOR_SPAN else [])
              for z, a in zip(blocks, anchors)]
-    need = 2 * max(int(c[0][2].max()) for c in cands)
+    # prefix orders only: assemble_context bounds the extensions' by its 2n
+    need = 2 * max(int(c[0][2][:z.size].max()) for c, z in zip(cands, blocks))
     if need > model.max_derivative_order:
         raise OrderUnavailable(
             f"divided differences over these blocks need kappa^({need}), "
@@ -246,7 +246,8 @@ def double_divided_diff_matrix(model, x_points, y_points) -> np.ndarray:
     taken over (x_1..x_k) in its first slot and (y_1..y_l) in the second;
     it equals the covariance of the k-th and l-th divided differences of
     the process at the two configurations.  Each configuration takes the
-    Taylor or the Newton route as described in the module docstring.
+    Taylor or the Newton route as described in the module docstring; the
+    matrix is the prefix cross block of their joint covariance.
     """
     x = snap_configuration(x_points)
     y = snap_configuration(y_points)
@@ -255,8 +256,8 @@ def double_divided_diff_matrix(model, x_points, y_points) -> np.ndarray:
             f"order ({x.size}, {y.size}) differences need kappa^"
             f"({x.size + y.size - 2}), model {model.kind} declares "
             f"{model.max_derivative_order}")
-    cov, _ = _block_covariance(model, [x, y], extend=False)
-    return cov[:x.size, x.size:]
+    cov, _ = _block_covariance(model, [x, y])
+    return cov[:x.size, x.size:x.size + y.size]
 
 
 def double_divided_diff(model, x_points, y_points) -> float:

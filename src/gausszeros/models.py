@@ -47,8 +47,10 @@ class QuadratureSpec:
     abs_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.truncation_radius <= 0 or self.abs_tolerance <= 0:
-            raise ConfigError("truncation radius and tolerance must be positive")
+        if not (0 < self.truncation_radius < math.inf
+                and 0 < self.abs_tolerance < math.inf):
+            raise ConfigError("truncation radius and tolerance must be "
+                              "positive and finite")
 
 
 class CorrelationModel:

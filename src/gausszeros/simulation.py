@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conditioning import _chunk_rng
 from .errors import ConfigError, IntervalsOverlap, WindowTooSmall
 from .variance import TestFunction, expected_linear_statistic
 
@@ -76,11 +77,6 @@ class MomentEstimate:
     ci_low: float
     ci_high: float
     num_samples: int
-
-
-def _replicate_rng(master_seed: int, index: int) -> np.random.Generator:
-    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _next_fast_len(n: int) -> int:
@@ -143,7 +139,7 @@ class _SpectralSampler:
         pairs = list(pairs)
         zeta = np.empty((len(pairs), self.n), dtype=complex)
         for row, pair in enumerate(pairs):
-            rng = _replicate_rng(master_seed, pair)
+            rng = _chunk_rng(master_seed, pair)
             zeta[row] = rng.standard_normal(2 * self.n).view(complex)
         return (self._window(self.amp * zeta),
                 self._window(self.amp_d * zeta))
@@ -280,8 +276,7 @@ def empirical_moments(model, spec: SimulationSpec, phi: TestFunction, R: float,
         raise ConfigError("moment orders must lie in 1..6")
     stats = replicate_statistics(model, spec, phi, R, threads=threads)
     centered = stats - expected_linear_statistic(phi, R)
-    rng = _replicate_rng(spec.master_seed, 0xB00757
-                         )
+    rng = _chunk_rng(spec.master_seed, 0xB00757)
     n = centered.size
     idx = rng.integers(0, n, size=(bootstrap, n))
     out = []

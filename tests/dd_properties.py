@@ -127,8 +127,12 @@ def route_matrices(model, x, y):
     value (sinc near a zero of its kernel, say).
     """
     cap = model.internal_order_cap
-    (tx, mx, n), (ty, my, _) = _taylor_rows(x, cap, False), _taylor_rows(y, cap, False)
-    (nx, sx, ox), (ny, sy, oy) = _newton_rows(x, False), _newton_rows(y, False)
+    (tx, mx, n), (ty, my, _) = _taylor_rows(x, cap), _taylor_rows(y, cap)
+    (nx, sx, ox), (ny, sy, oy) = _newton_rows(x), _newton_rows(y)
+    # prefix rows only; a Newton prefix row is zero on the extension atoms
+    tx, ty = tx[:x.size], ty[:y.size]
+    nx, sx, ox = nx[:x.size, :x.size], sx[:x.size], ox[:x.size]
+    ny, sy, oy = ny[:y.size, :y.size], sy[:y.size], oy[:y.size]
     kmat = _kernel_matrix(model, np.concatenate([mx, my, sx, sy]),
                           np.concatenate([n, n, ox, oy]), cap)
     k_t = kmat[:cap + 1, cap + 1:2 * cap + 2]

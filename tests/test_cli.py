@@ -188,6 +188,20 @@ def test_dump_config_roundtrip(tmp_path, capsys):
     assert direct.read_bytes() == refed.read_bytes()
 
 
+def test_config_equals_form(tmp_path, capsys):
+    cfg = tmp_path / "rho.json"
+    cfg.write_text(json.dumps({"points": "0,0.5"}))
+    code, out, _ = run_cli(capsys, "rho", f"--config={cfg}")
+    assert code == 0
+    assert json.loads(out)["points"] == [0.0, 0.5]
+
+
+def test_config_without_value(capsys):
+    code, out, err = run_cli(capsys, "rho", "--points", "0", "--config")
+    assert code == 4
+    assert out == "" and "--config" in err and "Traceback" not in err
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"R": 5.0, "mystery_knob": 1}))
@@ -216,16 +230,22 @@ def test_rho_rejects_non_finite_points(capsys, points):
     assert "--points" in err
 
 
-@pytest.mark.parametrize("command", [
-    ["fcurve", "--zmax", "0.1"],
-    ["simulate", "--R", "5", "--n", "2"],
-    ["moments", "--p", "2", "--R", "5", "--n", "4"],
-])
-def test_step_must_be_positive(capsys, command):
-    code, out, err = run_cli(capsys, *command, "--step", "0")
+@pytest.mark.parametrize("command, option, value", [
+    (["fcurve", "--zmax", "0.1"], "step", "0"),
+    (["simulate", "--R", "5", "--n", "2"], "step", "0"),
+    (["moments", "--p", "2", "--R", "5", "--n", "4"], "step", "0"),
+    (["fcurve"], "zmax", "nan"),
+    (["fcurve"], "zmax", "inf"),
+    (["fcurve"], "zmax", "-1"),
+    (["sigma2"], "tolerance", "nan"),
+    (["moments", "--p", "2", "--R", "5", "--n", "4"], "tolerance", "nan"),
+], ids=["command0", "command1", "command2", "fcurve-zmax-nan", "fcurve-zmax-inf",
+        "fcurve-zmax-neg", "sigma2-tolerance-nan", "moments-tolerance-nan"])
+def test_step_must_be_positive(capsys, command, option, value):
+    code, out, err = run_cli(capsys, *command, f"--{option}={value}")
     assert code == 4
     assert out == ""
-    assert "--step" in err
+    assert f"--{option}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("model", ["bargmann-fock", "sinc-sqrt3", "cauchy"])
@@ -300,6 +320,21 @@ def test_cli_fuzz(command, model, points):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, "--model", model, "--seed", "5",
                      "--points=" + ",".join(repr(p) for p in points)])
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    for line in out.getvalue().splitlines():
+        json.loads(line, parse_constant=_reject_constant)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(argv=st.sampled_from([["fcurve", "--format", "json", "--zmax"],
+                              ["sigma2", "--tolerance"]]),
+       model=st.sampled_from(["bargmann-fock", "sinc-sqrt3", "cauchy"]),
+       value=st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 0.05, 1e-3]))
+def test_cli_fuzz_numeric_options(argv, model, value):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv[:-1], "--model", model, f"{argv[-1]}={value!r}"])
     assert code in (0, 2, 3, 4), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     for line in out.getvalue().splitlines():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gausszeros.cli import main
 from gausszeros.conditioning import MonteCarloSpec, assemble_context
 from gausszeros.densities import (clustering_ratio, rho_k, rho_with_partition,
                                   vanishing_constant)
@@ -121,11 +122,35 @@ def test_vanishing_constant_sinc(sinc):
 
 
 def test_vanishing_constant_distinct_points_is_rho(bf):
+    # gaps >= 1: both take the singleton partition, so one context
     y = [0.0, 1.3, 2.9]
     res = vanishing_constant(bf, y, MC)
     rho = rho_k(bf, y, MC)
-    tol = max(1e-8, 4.0 * (res.stderr + rho.n_stderr))
-    assert abs(res.value - rho.rho) <= tol
+    assert res.value == pytest.approx(rho.rho, rel=1e-12)
+    assert res.stderr == pytest.approx(rho.n_stderr, rel=1e-12)
+
+
+def test_vanishing_constant_unequal_blocks(bf):
+    # powers (3, 1): the limit of rho over its Vandermonde factor 2 e^3 on
+    # a triple that closes up at rate e
+    res = vanishing_constant(bf, [0.0, 0.0, 0.0, 1.5], MC)
+    assert str(res.partition) == "{0,1,2},{3}"
+    e = 1e-3
+    part = IndexPartition.from_blocks([(0, 1, 2), (3,)])
+    near = rho_with_partition(bf, [0.0, e, 2.0 * e, 1.5], part, MC)
+    limit = near.rho / near.vandermonde_factor
+    se = math.hypot(res.stderr, near.n_stderr / near.vandermonde_factor)
+    assert abs(res.value - limit) <= 4.0 * se + 2.0 * e * res.value
+
+
+def test_vanishing_constant_point_cap(bf, capsys):
+    points = np.linspace(0.0, 70.0, 7)
+    for fn in (rho_k, vanishing_constant):
+        with pytest.raises(DomainError):
+            fn(bf, points)
+    for command in ("rho", "vanishing"):
+        code = main([command, "--points", ",".join(map(str, points))])
+        assert code == 2 and "Traceback" not in capsys.readouterr().err
 
 
 def test_vanishing_constant_two_far_double_points(bf):
