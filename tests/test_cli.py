@@ -280,12 +280,16 @@ def test_fcurve_one_array_call(capsys, monkeypatch):
 
 
 def test_rho_reports_stderr_and_routes(capsys):
-    code, out, _ = run_cli(capsys, "rho", "--points", "0,0.3,5;0,2;0,0.9,1.8")
+    code, out, _ = run_cli(capsys, "rho", "--points",
+                           "0,0.3,5;0,2;0,0.9,1.8;0,0.9,1.8,2.7")
     assert code == 0
     recs = [json.loads(line) for line in out.splitlines()]
     assert [r["routes"] for r in recs] == [
-        ["taylor", "taylor"], ["closed-form", "closed-form"], ["newton"]]
-    assert recs[0]["stderr"] > 0.0 and recs[1]["stderr"] == 0.0
+        ["taylor", "taylor"], ["closed-form", "closed-form"], ["newton"],
+        ["newton"]]
+    # three points have a closed-form moment; four sample
+    assert [r["stderr"] == 0.0 for r in recs] == [True, True, True, False]
+    assert recs[3]["stderr"] > 0.0
 
 
 def test_table_far_point_refused(tmp_path, capsys):

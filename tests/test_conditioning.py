@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gausszeros.conditioning import (MonteCarloSpec, assemble_context, pi_k)
+from gausszeros.conditioning import (MonteCarloSpec, _mc_abs_product,
+                                     assemble_context, pi_k)
 from gausszeros.densities import vanishing_constant
-from gausszeros.errors import NotPSD, OrderUnavailable
+from gausszeros.errors import ConfigError, NotPSD, OrderUnavailable
 from gausszeros.models import tail_norm
 from gausszeros.partitions import IndexPartition, cluster_partition
 
@@ -70,6 +71,137 @@ def test_pi_k_powers_group_split():
     assert abs(val - 2.32) < 4.0 * err
 
 
+def _pi3_reference(u) -> float:
+    """E|X1 X2 X3| by a 2-D Gauss-Legendre rule in 20-digit mpmath.
+
+    With C the Cholesky factor of Cov(X1, X2) and (X1, X2) = C z, X3 given
+    z is N(g.z, sigma^2), whose absolute mean sigma h(g.z / sigma) is
+    smooth.  The integral over z runs in polar coordinates, with angular
+    panels cut where X1, X2 or E(X3 | z) vanishes (the kinks of |x1 x2|
+    and the bend of h) and radial panels on [0, 12]; the integrand is
+    even in z, so half the angles suffice.
+    """
+    import mpmath as mp
+    from mpmath.calculus.quadrature import GaussLegendre
+
+    with mp.workdps(20):
+        def nodes(a, b, degree):
+            return GaussLegendre(mp.mp).get_nodes(mp.mpf(a), mp.mpf(b), degree,
+                                                  mp.mp.prec)
+
+        u = [[mp.mpf(float(v)) for v in row] for row in u]
+        c11 = mp.sqrt(u[0][0])
+        c21 = u[1][0] / c11
+        c22 = mp.sqrt(u[1][1] - c21 ** 2)
+        g1 = u[2][0] / c11
+        g2 = (u[2][1] - c21 * g1) / c22
+        sigma = mp.sqrt(u[2][2] - g1 ** 2 - g2 ** 2)
+        radial = [nw for a, b in ((0, 1), (1, 3), (3, 12)) for nw in nodes(a, b, 4)]
+        cuts = sorted([mp.pi / 2, mp.atan(-c21 / c22) % mp.pi,
+                       mp.atan(-g1 / g2) % mp.pi])
+        cuts.append(cuts[0] + mp.pi)
+        total = mp.mpf(0)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            for phi, w_phi in nodes(a, b, 5):
+                c, s = mp.cos(phi), mp.sin(phi)
+                m = (g1 * c + g2 * s) / sigma
+                inner = mp.fsum(
+                    w * rho ** 3 * mp.exp(-rho ** 2 / 2)
+                    * (mp.sqrt(2 / mp.pi) * mp.exp(-(m * rho) ** 2 / 2)
+                       + m * rho * mp.erf(m * rho / mp.sqrt(2)))
+                    for rho, w in radial)
+                total += w_phi * abs(c11 * c * (c21 * c + c22 * s)) * inner
+        return float(sigma * total / mp.pi)
+
+
+def test_pi3_closed_form_matches_quadrature():
+    rng = np.random.default_rng(1)
+    negative = 0
+    for _ in range(3):
+        a = rng.standard_normal((3, 3))
+        scales = rng.uniform(0.2, 3.0, 3)
+        u = a @ a.T * np.outer(scales, scales)
+        negative += int((u < 0).any())
+        val, err = pi_k(u)
+        assert err == 0.0
+        assert val == pytest.approx(_pi3_reference(u), rel=1e-12)
+    assert negative >= 2
+
+
+def test_pi3_closed_form_limits():
+    s = np.array([1.0, 2.0, 0.5])
+    prod = float(s.prod())
+    for r, expect in (
+            # independence
+            (np.eye(3), (2.0 / math.pi) ** 1.5),
+            # X1 = X2: E X1^2 |X3| = sqrt(2/pi) (1 + r13^2)
+            ([[1.0, 1.0, 0.3], [1.0, 1.0, 0.3], [0.3, 0.3, 1.0]],
+             math.sqrt(2.0 / math.pi) * 1.09),
+            ([[1.0, -1.0, 0.3], [-1.0, 1.0, -0.3], [0.3, -0.3, 1.0]],
+             math.sqrt(2.0 / math.pi) * 1.09),
+            # rank one: E|Z|^3
+            (np.ones((3, 3)), 2.0 * math.sqrt(2.0 / math.pi)),
+            ([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]],
+             2.0 * math.sqrt(2.0 / math.pi))):
+        val, err = pi_k(np.asarray(r) * np.outer(s, s))
+        assert err == 0.0
+        assert val == pytest.approx(expect * prod, rel=1e-14)
+    # the limits are continuous: a near-perfect pair lands next to them
+    near = np.array([[1.0, 1.0 - 1e-12, 0.3], [1.0 - 1e-12, 1.0, 0.3],
+                     [0.3, 0.3, 1.0]])
+    assert pi_k(near)[0] == pytest.approx(math.sqrt(2.0 / math.pi) * 1.09,
+                                          rel=1e-5)
+    equal = np.full((3, 3), 1.0 - 1e-12) + 1e-12 * np.eye(3)
+    assert pi_k(equal)[0] == pytest.approx(2.0 * math.sqrt(2.0 / math.pi),
+                                           rel=1e-5)
+    # a zero-variance coordinate vanishes identically
+    u = np.diag([1.0, 0.0, 2.0])
+    u[0, 2] = u[2, 0] = 0.5
+    assert pi_k(u) == (0.0, 0.0)
+
+
+def test_mc_abs_product_radial_estimator():
+    mc = MonteCarloSpec(seed=21)
+    for k in (4, 5, 6):
+        val, err = _mc_abs_product(np.eye(k), mc)
+        assert 0.0 < err < 5e-3 * val
+        assert abs(val - (2.0 / math.pi) ** (k / 2.0)) < 4.0 * err
+    # E X^2 Y^2 = u11 u22 + 2 u12^2
+    L = np.linalg.cholesky(np.array([[1.0, 0.4], [0.4, 2.0]]))
+    val, err = _mc_abs_product(L, mc, powers=np.array([2.0, 2.0]))
+    assert 0.0 < err < 5e-3
+    assert abs(val - 2.32) < 4.0 * err
+
+
+def _plain_stderr(u, samples, seed):
+    """Standard error of plain Monte Carlo, prod |(L w)_i| over normals w."""
+    L = np.linalg.cholesky(u)
+    rng = np.random.default_rng(seed)
+    total = total_sq = 0.0
+    for _ in range(samples // 250_000):
+        vals = np.abs(L @ rng.standard_normal((u.shape[0], 250_000))).prod(axis=0)
+        total += vals.sum()
+        total_sq += vals @ vals
+    mean = total / samples
+    return math.sqrt((total_sq / samples - mean * mean) / samples)
+
+
+def test_default_budget_beats_a_million_plain_samples(bf, sinc):
+    # one coupled group each: a 6-point spread bargmann-fock configuration
+    # and a 4-point sinc one
+    for model, k in ((bf, 6), (sinc, 4)):
+        x = 0.85 * np.arange(k)
+        u = assemble_context(model, x, cluster_partition(x, 1.0)).lam
+        val, err = pi_k(u)
+        assert 0.0 < err <= _plain_stderr(u, 1_000_000, seed=k)
+
+
+@pytest.mark.parametrize("samples", [-5, 0, 1])
+def test_monte_carlo_spec_refuses_tiny_budgets(samples):
+    with pytest.raises(ConfigError):
+        MonteCarloSpec(samples=samples)
+
+
 def test_pi_k_identity_monte_carlo():
     for k in (3, 4):
         val, err = pi_k(np.eye(k), MonteCarloSpec(samples=400_000, seed=5))
@@ -87,6 +219,14 @@ def test_pi_k_block_diagonal_is_exact():
     expect = pi_k(u[:2, :2])[0] * pi_k(u[2:, 2:])[0]
     assert err < 1e-12
     assert val == pytest.approx(expect, rel=1e-12)
+    # a size-3 group is exact too
+    v = np.zeros((5, 5))
+    v[:3, :3] = [[1.0, 0.5, -0.2], [0.5, 2.0, 0.3], [-0.2, 0.3, 0.7]]
+    v[3:, 3:] = u[2:, 2:]
+    val, err = pi_k(v, MonteCarloSpec(samples=100_000, seed=9))
+    assert err < 1e-12
+    assert val == pytest.approx(pi_k(v[:3, :3])[0] * pi_k(v[3:, 3:])[0],
+                                rel=1e-12)
 
 
 def test_pi_k_determinism():
