@@ -13,8 +13,8 @@ from .divdiff import (divided_diff_vector, double_divided_diff,
                       newton_matrix, snap_configuration)
 from .errors import (ConfigError, DegenerateConfiguration, DegenerateDensity,
                      DomainError, GaussZerosError, GroundSetMismatch,
-                     IntervalsOverlap, NotPSD, NumericsError,
-                     OrderUnavailable, QuadratureNotConverged,
+                     IntervalsOverlap, NearSingular, NotPSD,
+                     NumericsError, OrderUnavailable, QuadratureNotConverged,
                      SeparationTooSmall, SizeCap, WindowTooSmall)
 from .models import (CorrelationModel, QuadratureSpec, SpectralDensity,
                      SpectralTableModel, get_model, load_spectral_table,
@@ -26,8 +26,8 @@ from .simulation import (MomentEstimate, SimulationSpec, ZeroSample,
                          clt_diagnostic, empirical_k_point, empirical_moments,
                          extract_zeros, linear_statistic, replicate_statistics,
                          zero_samples)
-from .variance import (NearSingular, TestFunction,
-                       expected_linear_statistic, predicted_covariance,
-                       sigma_lower_bound, sigma_squared, two_point_F)
+from .variance import (TestFunction, expected_linear_statistic,
+                       predicted_covariance, sigma_lower_bound, sigma_squared,
+                       two_point_F)
 
 __version__ = "0.1.0"

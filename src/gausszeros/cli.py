@@ -168,6 +168,8 @@ def cmd_fcurve(args) -> int:
     _require_positive(args, "zmax", "step")
     model = get_model(args.model)
     n = int(math.floor(args.zmax / args.step + 1e-9))
+    if n == 0:
+        raise ConfigError("--zmax must be at least --step")
     zs = [i * args.step for i in range(1, n + 1)]
     fs = variance.two_point_F(model, np.array(zs)).tolist()
     if args.format == "json":

@@ -1,10 +1,10 @@
 """Exception taxonomy shared by all modules.
 
 The CLI maps these onto exit codes: domain errors exit 2, numerical
-failures exit 3, configuration problems exit 4.  The only numerical
-failure is a quadrature that cannot certify its tolerance: path sampling
-has no failure mode, because its spectral weights are non-negative by
-construction.
+failures exit 3, configuration problems exit 4.  Numerical failures are
+an uncertified quadrature and a two-point determinant that vanishes away
+from the diagonal; path sampling has no failure mode, because its
+spectral weights are non-negative by construction.
 """
 
 
@@ -62,3 +62,7 @@ class WindowTooSmall(DomainError):
 
 class QuadratureNotConverged(NumericsError):
     """A quadrature could not certify the requested absolute tolerance."""
+
+
+class NearSingular(NumericsError):
+    """The two-point determinant vanished away from the diagonal."""

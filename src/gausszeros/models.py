@@ -110,22 +110,6 @@ class CorrelationModel:
         """Global bound on |kappa^(order)| (spectral moment of that order)."""
         raise NotImplementedError
 
-    def f_tail_integral_bound(self, T: float):
-        """Upper bound for the integral of |two-point excess| over [T, inf).
-
-        Uses |F(z)| <= pi^-2 (kappa^2 + 2 kappa'^2 + 1.3 kappa''^2) once all
-        three envelopes are below 0.1.  None when the model cannot certify a
-        decaying tail (no envelopes, T < 20, or envelopes still too large).
-        """
-        if T < 20.0 or self.envelope_start(0) is None:
-            return None
-        if any(self.tail_envelope(l, T) > 0.1 for l in range(3)):
-            return None
-        weights = (1.0, 2.0, 1.3)
-        return _envelope_tail(lambda t: sum(
-            w * self.tail_envelope(l, t) ** 2 for l, w in enumerate(weights)),
-            T) / math.pi ** 2
-
     def default_quadrature(self) -> QuadratureSpec:
         return QuadratureSpec()
 
@@ -133,19 +117,6 @@ class CorrelationModel:
 def _as_batch(x):
     arr = np.asarray(x, dtype=float)
     return arr.reshape(-1), arr.ndim == 0
-
-
-def _envelope_tail(env_sq, T: float) -> float:
-    """Certified upper bound for int_T^inf env_sq, env_sq non-increasing and
-    evaluated on arrays.
-
-    An upper Riemann sum on a geometric grid from T to 50 T (ratio below
-    1 + 1/64), then env_sq(50 T) * 50 T: beyond 50 T every preset envelope
-    is <= c / t, whose square integrates to at most that.
-    """
-    t = np.geomspace(T, 50.0 * T, 254)
-    e = env_sq(t)
-    return float(e[:-1] @ np.diff(t) + e[-1] * t[-1])
 
 
 class BargmannFockModel(CorrelationModel):
@@ -376,11 +347,23 @@ class SpectralDensity:
     def __post_init__(self):
         if self.tail_kind not in _TAIL_KINDS:
             raise ConfigError(f"unknown tail kind {self.tail_kind!r}")
+        n, params = (0 if self.tail_kind == "none" else 2), self.tail_params
+        if not (isinstance(params, (list, tuple)) and len(params) == n and all(
+                isinstance(v, (int, float)) and 0 <= v < math.inf
+                for v in params)):
+            raise ConfigError(f"a {self.tail_kind} tail takes {n} finite "
+                              f"non-negative params, got {params!r}")
+        object.__setattr__(self, "tail_params", tuple(map(float, params)))
         if self.xi is not None:
-            xi = np.asarray(self.xi, dtype=float)
-            g = np.asarray(self.g, dtype=float)
-            if xi.ndim != 1 or xi.shape != g.shape or xi.size < 2:
-                raise ConfigError("spectral table needs matching 1-D xi and g arrays")
+            try:
+                xi = np.asarray(self.xi, dtype=float)
+                g = np.asarray(self.g, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"spectral table: {exc}") from exc
+            if xi.ndim != 1 or xi.shape != g.shape or xi.size < 2 or not (
+                    np.isfinite(np.r_[xi, g]).all()):
+                raise ConfigError("spectral table needs matching finite 1-D "
+                                  "xi and g arrays")
             if np.any(np.diff(xi) <= 0):
                 raise ConfigError("spectral grid must be strictly increasing")
             if np.any(g < 0):
@@ -426,9 +409,10 @@ class SpectralDensity:
         return c * T ** (order - m + 1) / (m - order - 1)
 
     def max_finite_moment(self) -> int:
+        """Largest order j of a finite moment: j < m - 1 for a power tail."""
         if self.tail_kind == "power":
             c, m = self.tail_params
-            return max(int(math.floor(m - 1)) - 1, 0)
+            return max(math.ceil(m) - 2, 0)
         return 12
 
 
@@ -456,15 +440,25 @@ class SpectralTableModel(CorrelationModel):
 
     # -- construction helpers ------------------------------------------
     def _pick_truncation(self, tol: float) -> float:
-        T = max(self._density.xi_max, 1.0)
-        if self._density.tail_kind == "none":
-            return self._density.xi_max
+        """First T = max(xi_max, 1) 1.25^n where the top moment's tail is
+        below tol, refused past the node budget of the x = 0 panels: pi / 4
+        long, 8 nodes each, plus one panel per kink."""
+        density = self._density
+        if density.tail_kind == "none":
+            return density.xi_max
         jmax = self.max_derivative_order
-        for _ in range(200):
-            if self._density.tail_moment_bound(jmax, T) < tol:
-                return T
+        kinks = 1 if density.xi is None else density.xi.size
+        t_cap = (self._NODE_BUDGET / 8 - kinks - 1) * math.pi / 4
+        T = max(density.xi_max, 1.0)
+        while not density.tail_moment_bound(jmax, T) < tol:
+            if T > t_cap:
+                raise DegenerateDensity(
+                    f"the {density.tail_kind} tail {density.tail_params} "
+                    f"leaves {density.tail_moment_bound(jmax, T):.3g} of "
+                    f"moment {jmax} beyond T = {T:.3g} (tolerance {tol:g}), "
+                    f"past the {self._NODE_BUDGET}-node budget at x = 0")
             T *= 1.25
-        raise DegenerateDensity("cannot truncate spectral tail to tolerance")
+        return T
 
     def _panel_edges(self) -> np.ndarray:
         edges = [0.0, self._T]
@@ -660,15 +654,11 @@ def load_spectral_table(path: str) -> SpectralTableModel:
     """Load {"xi": [...], "g": [...], "tail": {"kind": ..., "params": [...]}}."""
     with open(path) as fh:
         doc = json.load(fh)
-    try:
-        xi = np.asarray(doc["xi"], dtype=float)
-        g = np.asarray(doc["g"], dtype=float)
-    except KeyError as exc:
-        raise ConfigError(f"spectral table missing key {exc}") from exc
-    tail = doc.get("tail", {"kind": "none", "params": []})
-    kind = tail.get("kind", "none")
-    if kind not in _TAIL_KINDS:
-        raise ConfigError(f"unknown tail kind {kind!r}")
-    dens = SpectralDensity(xi=xi, g=g, tail_kind=kind,
-                           tail_params=tuple(tail.get("params", ())))
+    tail = doc.get("tail", {}) if isinstance(doc, dict) else None
+    if not isinstance(tail, dict) or not {"xi", "g"} <= doc.keys():
+        raise ConfigError(f"spectral table {path} must be a JSON object with "
+                          "xi, g and an optional tail object")
+    dens = SpectralDensity(xi=doc["xi"], g=doc["g"],
+                           tail_kind=tail.get("kind", "none"),
+                           tail_params=tail.get("params", ()))
     return normalize_from_spectral_density(dens, label=f"spectral:{path}")

@@ -58,15 +58,13 @@ class IndexPartition:
     @classmethod
     def parse(cls, text: str) -> "IndexPartition":
         """Parse a partition written as ``{0,1},{2}`` (braces optional)."""
-        stripped = text.replace(" ", "")
-        if not stripped:
-            raise ConfigError("empty partition string")
-        blocks = []
-        for chunk in stripped.replace("},{", "};{").strip("{}").split("};{"):
-            chunk = chunk.strip("{}")
-            if not chunk:
-                raise ConfigError(f"cannot parse partition {text!r}")
-            blocks.append(tuple(int(tok) for tok in chunk.split(",")))
+        chunks = text.replace(" ", "").replace("},{", "};{").strip(
+            "{}").split("};{")
+        try:
+            blocks = [tuple(int(tok) for tok in chunk.strip("{}").split(","))
+                      for chunk in chunks]
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse partition {text!r}") from exc
         return cls.from_blocks(blocks)
 
     @property

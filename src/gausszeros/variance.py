@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError, QuadratureNotConverged
-from .models import CorrelationModel, QuadratureSpec, _envelope_tail
+from .errors import ConfigError, NearSingular, QuadratureNotConverged
+from .models import CorrelationModel, QuadratureSpec
 
 __all__ = [
     "QuadratureSpec",
@@ -37,10 +37,6 @@ _NEAR_ZERO = 1e-4
 _MAX_PANELS = 200  # panels per quadrature chunk before a chunk stops refining
 _INV_PI2 = 1.0 / math.pi ** 2
 _erf = np.vectorize(math.erf, otypes=[float])
-
-
-class NearSingular(NumericsError):
-    """The two-point determinant vanished away from the diagonal."""
 
 
 # ---------------------------------------------------------------------------
@@ -63,40 +59,42 @@ class TestFunction:
 
     @classmethod
     def indicator(cls, a: float, b: float) -> "TestFunction":
-        if not b > a:
-            raise ConfigError("indicator needs a < b")
-        return cls("indicator", (float(a), float(b)))
+        a, b = float(a), float(b)
+        if not (math.isfinite(a) and math.isfinite(b) and b > a):
+            raise ConfigError("indicator needs finite a < b")
+        return cls("indicator", (a, b))
 
     @classmethod
     def gaussian(cls, center: float, width: float) -> "TestFunction":
-        if width <= 0:
-            raise ConfigError("gaussian width must be positive")
-        return cls("gaussian", (float(center), float(width)))
+        center, width = float(center), float(width)
+        if not (math.isfinite(center) and 0 < width < math.inf):
+            raise ConfigError("gaussian needs a finite center and width > 0")
+        return cls("gaussian", (center, width))
 
     @classmethod
     def table(cls, xs, ys) -> "TestFunction":
         xs = tuple(float(v) for v in xs)
         ys = tuple(float(v) for v in ys)
-        if len(xs) != len(ys) or len(xs) < 2 or any(
-                b <= a for a, b in zip(xs[:-1], xs[1:])):
-            raise ConfigError("table needs increasing xs and matching ys")
+        if len(xs) != len(ys) or len(xs) < 2 or any(b <= a for a, b in zip(
+                xs[:-1], xs[1:])) or not np.isfinite(xs + ys).all():
+            raise ConfigError("table needs finite increasing xs, matching ys")
         return cls("table", (xs, ys))
 
     @classmethod
     def from_spec(cls, text: str) -> "TestFunction":
         """Parse CLI syntax: indicator:0,1 | gaussian:0,1 | table:path.json."""
         name, _, arg = text.replace("(", ":").rstrip(")").partition(":")
-        if name == "indicator":
-            a, b = (float(t) for t in arg.split(","))
-            return cls.indicator(a, b)
-        if name == "gaussian":
-            c, w = (float(t) for t in arg.split(","))
-            return cls.gaussian(c, w)
-        if name == "table":
+        if name not in ("indicator", "gaussian", "table"):
+            raise ConfigError(f"unknown test function {text!r}")
+        try:
+            if name != "table":
+                return getattr(cls, name)(*map(float, arg.split(",")))
             with open(arg) as fh:
                 doc = json.load(fh)
             return cls.table(doc["xs"], doc["ys"])
-        raise ConfigError(f"unknown test function {text!r}")
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ConfigError(f"cannot parse test function {text!r}: "
+                              f"{exc!r}") from exc
 
     # -- evaluation -------------------------------------------------------
     def __call__(self, x):
@@ -276,7 +274,8 @@ def _qk21(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _integrate_panels(f, a: float, b: float, abs_tol: float, chunk_len: float,
-                      max_panels: int, breaks=()) -> tuple[float, float]:
+                      max_panels: int | None = None, breaks=()
+                      ) -> tuple[float, float]:
     """Adaptive qk21 quadrature over equal chunks, with summed error bounds.
 
     [a, b] is cut into n chunks of length <= chunk_len.  A chunk is done
@@ -289,6 +288,7 @@ def _integrate_panels(f, a: float, b: float, abs_tol: float, chunk_len: float,
     """
     if b <= a:
         return 0.0, 0.0
+    max_panels = max_panels or _MAX_PANELS
     n_chunks = max(1, int(math.ceil((b - a) / chunk_len)))
     edges = np.linspace(a, b, n_chunks + 1)
     budget = abs_tol / n_chunks
@@ -335,43 +335,85 @@ def _integrate_panels(f, a: float, b: float, abs_tol: float, chunk_len: float,
         val, err = val[keep], err[keep]
 
 
+def _certified_integral(f, pieces, tail: float | None, factor: float,
+                        tol: float, breaks=()) -> float:
+    """Integral of f over pieces (a, b, chunk_len, abs_tol) with kinks
+    `breaks`, refused unless factor x (tail + panel errors) <= tol.
+
+    `tail` bounds what the pieces leave out (None: nothing certifies it),
+    and `factor` turns the integral into the reported quantity.  A missing
+    or too large tail bound is refused before f is called.
+    """
+    end = pieces[-1][1]
+    if tail is None:
+        raise QuadratureNotConverged(
+            f"no certified bound on the integrand beyond truncation {end}")
+    if factor * tail > tol:
+        raise QuadratureNotConverged(
+            f"tail bound {factor * tail:.3e} alone exceeds tolerance "
+            f"{tol:.3e} (truncation {end})")
+    value = err = 0.0
+    for a, b, chunk_len, abs_tol in pieces:
+        v, e = _integrate_panels(f, a, b, abs_tol, chunk_len, breaks=breaks)
+        value += v
+        err += e
+    if factor * (err + tail) > tol:
+        raise QuadratureNotConverged(
+            f"certified error {factor * (err + tail):.3e} exceeds tolerance "
+            f"{tol:.3e} (truncation {end})")
+    return value
+
+
+def _envelope_tail(env_sq, T: float) -> float:
+    """Certified upper bound for int_T^inf env_sq, env_sq non-increasing and
+    evaluated on arrays.
+
+    An upper Riemann sum on a geometric grid from T to 50 T (ratio below
+    1 + 1/64), then env_sq(50 T) * 50 T: beyond 50 T every preset envelope
+    is <= c / t, whose square integrates to at most that.
+    """
+    t = np.geomspace(T, 50.0 * T, 254)
+    e = env_sq(t)
+    return float(e[:-1] @ np.diff(t) + e[-1] * t[-1])
+
+
+def _envelope_bound(model: CorrelationModel, T: float, excess: bool
+                    ) -> float | None:
+    """Bound on int_T^inf of |F| (excess) or of (kappa + kappa'')^2, from the
+    derivative envelopes e_l; None where they certify none.
+
+    |F| <= pi^-2 (e0^2 + 2 e1^2 + 1.3 e2^2) once every e_l is below 0.1,
+    which is asked from T = 20 on.
+    """
+    starts = [model.envelope_start(l) for l in range(3)]
+    if None in starts or max(starts) > T or excess and (T < 20.0 or max(
+            model.tail_envelope(l, T) for l in range(3)) > 0.1):
+        return None
+
+    def env_sq(t):
+        e0, e1, e2 = (model.tail_envelope(l, t) for l in range(3))
+        if excess:
+            return e0 ** 2 + 2.0 * e1 ** 2 + 1.3 * e2 ** 2
+        return (e0 + e2) ** 2
+
+    return _envelope_tail(env_sq, T) / (math.pi ** 2 if excess else 1.0)
+
+
 def sigma_squared(model: CorrelationModel, quad: QuadratureSpec | None = None
                   ) -> float:
     """Linear-growth constant of the zero-count variance: 1/pi + 2 int_0^inf F.
 
-    The integral is truncated at the quadrature spec's radius; the model
-    must certify that the discarded tail is below the tolerance, otherwise
-    the computation refuses to report a value (before integrating when the
-    tail bound alone already fails).
+    The integral is truncated at the quadrature spec's radius, and the F
+    tail beyond it must be certified (see `_certified_integral`).
     """
     spec = quad or model.default_quadrature()
     T = spec.truncation_radius
-    tail = model.f_tail_integral_bound(T)
-    _check_tail(model, None if tail is None else 2.0 * tail, spec)
-    f = lambda z: two_point_F(model, z)
-    head, e1 = _integrate_panels(f, 0.0, min(1.0, T), 0.25 * spec.abs_tolerance,
-                                 1.0, _MAX_PANELS)
-    body, e2 = _integrate_panels(f, min(1.0, T), T, 0.25 * spec.abs_tolerance,
-                                 25.0, _MAX_PANELS)
-    total_err = 2.0 * (e1 + e2 + tail)
-    if total_err > spec.abs_tolerance:
-        raise QuadratureNotConverged(
-            f"certified error {total_err:.3e} exceeds tolerance "
-            f"{spec.abs_tolerance:.3e} (truncation {T})")
-    return 1.0 / math.pi + 2.0 * (head + body)
-
-
-def _check_tail(model: CorrelationModel, tail_err: float | None,
-                spec: QuadratureSpec):
-    """Refuse before integrating: no tail bound, or the bound alone too big."""
-    T = spec.truncation_radius
-    if tail_err is None:
-        raise QuadratureNotConverged(
-            f"model {model.kind} certifies no tail bound at truncation {T}")
-    if tail_err > spec.abs_tolerance:
-        raise QuadratureNotConverged(
-            f"tail bound {tail_err:.3e} alone exceeds tolerance "
-            f"{spec.abs_tolerance:.3e} (truncation {T})")
+    share = 0.25 * spec.abs_tolerance
+    integral = _certified_integral(
+        lambda z: two_point_F(model, z),
+        [(0.0, min(1.0, T), 1.0, share), (min(1.0, T), T, 25.0, share)],
+        _envelope_bound(model, T, True), 2.0, spec.abs_tolerance)
+    return 1.0 / math.pi + 2.0 * integral
 
 
 def sigma_lower_bound(model: CorrelationModel, quad: QuadratureSpec | None = None
@@ -379,44 +421,12 @@ def sigma_lower_bound(model: CorrelationModel, quad: QuadratureSpec | None = Non
     """Positive lower bound pi^-2 int_0^inf (kappa + kappa'')^2 for sigma^2."""
     spec = quad or model.default_quadrature()
     T = spec.truncation_radius
-    tail = _squared_sum_tail(model, T)
-    _check_tail(model, None if tail is None else tail / math.pi ** 2, spec)
-
-    def integrand(z):
-        d = model.derivs(z, 2)
-        return (d[0] + d[2]) ** 2
-
-    val, err = _integrate_panels(integrand, 0.0, T, 0.5 * spec.abs_tolerance,
-                                 25.0, _MAX_PANELS)
-    total_err = (err + tail) / math.pi ** 2
-    if total_err > spec.abs_tolerance:
-        raise QuadratureNotConverged(
-            f"certified error {total_err:.3e} exceeds tolerance "
-            f"{spec.abs_tolerance:.3e}")
-    return val / math.pi ** 2
-
-
-def _squared_sum_tail(model: CorrelationModel, T: float) -> float | None:
-    """Bound on int_T^inf (kappa + kappa'')^2 from the derivative envelopes."""
-    if model.envelope_start(0) is None or model.envelope_start(2) is None:
-        return None
-    if max(model.envelope_start(0), model.envelope_start(2)) > T:
-        return None
-    return _envelope_tail(
-        lambda t: (model.tail_envelope(0, t) + model.tail_envelope(2, t)) ** 2, T)
-
-
-def _kinks(phi1: TestFunction, phi2: TestFunction, R: float) -> list[float]:
-    """Lags z where the covariance integrand F(z) phi1*phi2(z/R) has a kink.
-
-    F(|z|) kinks at 0; an indicator pair's cross-correlation kinks where the
-    shifted ends meet.
-    """
-    z = [0.0]
-    if phi1.kind == "indicator" and phi2.kind == "indicator":
-        (a1, b1), (a2, b2) = phi1.params, phi2.params
-        z += [R * (a2 - b1), R * (a2 - a1), R * (b2 - b1), R * (b2 - a1)]
-    return z
+    integral = _certified_integral(
+        lambda z: model.derivs(z, 2)[::2].sum(axis=0) ** 2,  # kappa + kappa''
+        [(0.0, T, 25.0, 0.5 * spec.abs_tolerance)],
+        _envelope_bound(model, T, False), 1.0 / math.pi ** 2,
+        spec.abs_tolerance)
+    return integral / math.pi ** 2
 
 
 def predicted_covariance(model: CorrelationModel, phi1: TestFunction,
@@ -430,33 +440,23 @@ def predicted_covariance(model: CorrelationModel, phi1: TestFunction,
     if R <= 0:
         raise ConfigError("R must be positive")
     spec = quad or model.default_quadrature()
-    T = spec.truncation_radius
     span = R * (phi1.support_radius() + phi2.support_radius())
-    zmax = min(T, span + 1.0)
-    limit = max(spec.abs_tolerance, 1e-6) * max(R, 1.0)
-    err = 0.0
-    if zmax < span:
-        tail = model.f_tail_integral_bound(zmax)
-        if tail is None:
-            raise QuadratureNotConverged(
-                "cannot certify the discarded excess-intensity tail")
-        cc_sup = min(phi1.integral() * phi2.sup_bound(),
-                     phi2.integral() * phi1.sup_bound())
-        err = 2.0 * tail * abs(cc_sup)
-        if err * R > limit:
-            raise QuadratureNotConverged(
-                f"covariance tail bound {err * R:.3e} alone too large")
-
-    def outer(z):
-        return two_point_F(model, z) * phi1.cross_correlation(phi2, z / R)
-
-    val, e = _integrate_panels(outer, -zmax, zmax, 0.5 * spec.abs_tolerance,
-                               10.0, _MAX_PANELS, breaks=_kinks(phi1, phi2, R))
-    err += e
-    if err * R > limit:
-        raise QuadratureNotConverged(
-            f"covariance quadrature error {err * R:.3e} too large")
-    return R * val + (R / math.pi) * phi1.cross_correlation(phi2, 0.0)
+    zmax = min(spec.truncation_radius, span + 1.0)
+    tail = 0.0 if zmax >= span else _envelope_bound(model, zmax, True)
+    if tail:
+        tail *= 2.0 * abs(min(phi1.integral() * phi2.sup_bound(),
+                              phi2.integral() * phi1.sup_bound()))
+    # the integrand kinks where F(|z|) does, at 0, and where the shifted ends
+    # of an indicator pair meet
+    kinks = [0.0]
+    if phi1.kind == "indicator" and phi2.kind == "indicator":
+        (a1, b1), (a2, b2) = phi1.params, phi2.params
+        kinks += [R * (a2 - b1), R * (a2 - a1), R * (b2 - b1), R * (b2 - a1)]
+    integral = _certified_integral(
+        lambda z: two_point_F(model, z) * phi1.cross_correlation(phi2, z / R),
+        [(-zmax, zmax, 10.0, 0.5 * spec.abs_tolerance)], tail, R,
+        max(spec.abs_tolerance, 1e-6) * max(R, 1.0), breaks=kinks)
+    return R * integral + (R / math.pi) * phi1.cross_correlation(phi2, 0.0)
 
 
 def expected_linear_statistic(phi: TestFunction, R: float) -> float:

@@ -28,9 +28,13 @@ def run_cli(capsys, *args):
 
 
 def test_import_is_numpy_only():
-    # a fresh interpreter: only clt_diagnostic may load scipy, and lazily
+    # a fresh interpreter: no command and not even clt_diagnostic loads scipy
     code = ("import sys, gausszeros.cli\n"
+            "from gausszeros import SimulationSpec, TestFunction, get_model\n"
+            "from gausszeros import clt_diagnostic\n"
             "gausszeros.cli.main(['rho', '--points', '0,0.5'])\n"
+            "clt_diagnostic(get_model('bargmann-fock'), SimulationSpec(5.0, "
+            "num_samples=8), TestFunction.indicator(0, 1), 5.0, 0.4)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=str(Path(gausszeros.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -155,10 +159,70 @@ def test_unknown_model_exit_code(capsys):
     assert code == 4
 
 
-def test_bad_phi_exit_code(capsys):
-    code, _, _ = run_cli(capsys, "simulate", "--R", "5", "--n", "2",
-                         "--phi", "weird:1,2")
+_MOMENTS = ["moments", "--p", "2", "--R", "10", "--n", "20", "--phi"]
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["simulate", "--R", "5", "--n", "2", "--phi", "weird:1,2"], None),
+    (_MOMENTS + ["gaussian:0"], None),
+    (_MOMENTS + ["indicator:0,x"], None),
+    (_MOMENTS + ["indicator:0,1,2"], None),
+    (_MOMENTS + ["indicator:0,inf"], None),
+    (_MOMENTS + ["gaussian:nan,1"], None),
+    (_MOMENTS + ["table:PATH"], [1, 2]),
+    (_MOMENTS + ["table:PATH"], {"xs": [0.0, 1.0]}),
+    (["rho", "--points", "0,1", "--partition", "a"], None),
+    (["fcurve", "--zmax", "1", "--step", "2"], None),
+], ids=["weird", "gaussian-one-value", "indicator-not-a-number",
+        "indicator-three-values", "indicator-inf", "gaussian-nan",
+        "table-list", "table-without-ys", "partition-not-a-number",
+        "zmax-below-step"])
+def test_bad_phi_exit_code(tmp_path, capsys, argv, doc):
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(doc))
+    argv = [a.replace("PATH", str(path)) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
     assert code == 4
+    assert out == "" and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+_GOOD_TABLE = {"xi": [0.0, 0.5, 1.0, 1.5, 2.0], "g": [1.0, 0.9, 0.6, 0.3, 0.1],
+               "tail": {"kind": "gaussian", "params": [0.739, 0.5]}}
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    dict(_GOOD_TABLE, xi=[0.0, "a", 1.0, 1.5, 2.0]),
+    dict(_GOOD_TABLE, xi=[0.0, None, 1.0, 1.5, 2.0]),
+    dict(_GOOD_TABLE, tail="gaussian"),
+    dict(_GOOD_TABLE, tail={"kind": "gaussian", "params": [1.0]}),
+    dict(_GOOD_TABLE, tail={"kind": "gaussian", "params": ["x", 0.5]}),
+], ids=["list", "xi-string", "xi-null", "tail-string", "params-count",
+        "params-string"])
+def test_malformed_spectral_table_exit_code(tmp_path, capsys, doc):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "rho", "--model", str(path),
+                             "--points", "0,0.3")
+    assert code == 4
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("m", [3.5, 5.0, 10.0])
+def test_heavy_power_tail_is_a_domain_error(tmp_path, capsys, m):
+    # the top finite moment of c |xi|^-m decays like a power of the
+    # truncation, so the tolerance needs a truncation past the node budget
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(dict(
+        _GOOD_TABLE, tail={"kind": "power", "params": [0.1, m]})))
+    code, out, err = run_cli(capsys, "rho", "--model", str(path),
+                             "--points", "0,0.3")
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("domain error:") and "power tail" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_help_exits_clean(capsys):

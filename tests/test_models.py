@@ -213,3 +213,55 @@ def test_table_node_budget_refuses_far_points(table):
         with pytest.raises(QuadratureNotConverged, match="1e.06.*budget"):
             evaluate()
         assert time.perf_counter() - start < 0.2
+
+
+@pytest.mark.parametrize("m, top", [(3.5, 2), (4.5, 3), (5.0, 3), (10.0, 8),
+                                    (12.25, 11)])
+def test_max_finite_moment_power_tail(m, top):
+    # int |xi|^j |xi|^-m is finite exactly for j < m - 1
+    dens = SpectralDensity(xi=np.array([0.0, 1.0]), g=np.array([1.0, 0.5]),
+                           tail_kind="power", tail_params=(0.5, m))
+    assert dens.max_finite_moment() == top
+    assert math.isfinite(dens.tail_moment_bound(top, 1.0))
+    assert dens.tail_moment_bound(top + 1, 1.0) == math.inf
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("gaussian", (1.0,)), ("gaussian", (1.0, 0.5, 2.0)), ("power", ("x", 4.0)),
+    ("power", (None, 4.0)), ("gaussian", (math.nan, 0.5)),
+    ("gaussian", (-1.0, 0.5)), ("none", (1.0,)), ("gaussian", "c a"),
+])
+def test_spectral_density_refuses_bad_tail_params(kind, params):
+    with pytest.raises(ConfigError):
+        SpectralDensity(xi=np.array([0.0, 1.0]), g=np.array([1.0, 0.5]),
+                        tail_kind=kind, tail_params=params)
+
+
+@pytest.mark.parametrize("xi, g", [
+    ([0.0, "a"], [1.0, 0.5]), ([0.0, None], [1.0, 0.5]),
+    ([0.0, 1.0], [1.0, math.inf]), ([0.0, [1.0]], [1.0, 0.5]),
+])
+def test_spectral_density_refuses_bad_tables(xi, g):
+    with pytest.raises(ConfigError):
+        SpectralDensity(xi=xi, g=g)
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2], {"xi": [0.0, 1.0]}, {"xi": [0.0, 1.0], "g": [1.0, 0.5], "tail": 3},
+])
+def test_load_spectral_table_refuses_malformed_documents(tmp_path, doc):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError):
+        load_spectral_table(str(path))
+
+
+@pytest.mark.parametrize("m", [3.5, 5.0, 10.0])
+def test_heavy_power_tail_refused_by_its_truncation(m):
+    dens = SpectralDensity(xi=np.linspace(0.0, 2.0, 5),
+                           g=np.array([1.0, 0.9, 0.6, 0.3, 0.1]),
+                           tail_kind="power", tail_params=(0.1, m))
+    start = time.perf_counter()
+    with pytest.raises(DegenerateDensity, match="power tail.*beyond T = "):
+        normalize_from_spectral_density(dens)
+    assert time.perf_counter() - start < 0.2

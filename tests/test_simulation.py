@@ -5,7 +5,8 @@ import pytest
 
 from gausszeros.errors import ConfigError, IntervalsOverlap, WindowTooSmall
 from gausszeros.densities import rho_k
-from gausszeros.simulation import (SimulationSpec, _next_fast_len,
+from gausszeros.simulation import (SimulationSpec, _ks_distance,
+                                   _next_fast_len,
                                    _SpectralSampler,
                                    empirical_k_point, empirical_moments,
                                    extract_zeros, linear_statistic,
@@ -210,3 +211,14 @@ def test_lln_trend(bf):
         stats = replicate_statistics(bf, spec, TestFunction.indicator(0, 1), r)
         devs.append(np.mean(np.abs(stats / r - 1.0 / math.pi)))
     assert devs[0] > devs[1] > devs[2] > devs[3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 500, 4000])
+def test_ks_distance_matches_scipy(n):
+    from scipy.stats import kstest
+
+    rng = np.random.default_rng(n)
+    for scale in (0.3, 1.0, 2.5):
+        t = rng.normal(0.05, 1.1 * scale, n)
+        assert _ks_distance(t, scale) == pytest.approx(
+            kstest(t, "norm", args=(0.0, scale)).statistic, abs=1e-12)

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from gausszeros import variance
 from gausszeros.densities import rho_k
 from gausszeros.errors import QuadratureNotConverged
-from gausszeros.models import QuadratureSpec, _envelope_tail
+from gausszeros.models import QuadratureSpec
 from gausszeros.simulation import SimulationSpec, replicate_statistics
-from gausszeros.variance import (TestFunction, _integrate_panels,
-                                 expected_linear_statistic,
+from gausszeros.variance import (TestFunction, _envelope_tail,
+                                 _integrate_panels, expected_linear_statistic,
                                  predicted_covariance, sigma_lower_bound,
                                  sigma_squared, two_point_F)
 
@@ -255,6 +255,15 @@ def test_table_model_refused_before_integrating(table, monkeypatch):
         sigma_lower_bound(table)
 
 
+def test_table_covariance_tail_refused_before_integrating(table, monkeypatch):
+    # span 200 reaches past the table's truncation 60, and a table model
+    # certifies no F tail beyond it
+    _no_integration(monkeypatch, table)
+    phi = TestFunction.indicator(0.0, 1.0)
+    with pytest.raises(QuadratureNotConverged):
+        predicted_covariance(table, phi, phi, 100.0)
+
+
 def test_unreachable_tolerance_refused_before_integrating(sinc, monkeypatch):
     _no_integration(monkeypatch, sinc)
     spec = QuadratureSpec(truncation_radius=4000.0, abs_tolerance=1e-12)
@@ -289,3 +298,4 @@ def test_cross_correlation_arrays():
         assert isinstance(f1.cross_correlation(f2, 0.3), float)
         np.testing.assert_allclose(
             arr, [f1.cross_correlation(f2, v) for v in u], rtol=0.0, atol=1e-15)
+
