@@ -24,8 +24,7 @@ from .partitions import (IndexPartition, adapted_subsets, cluster_partition,
                          partition_leq, predicted_central_moment)
 from .simulation import (MomentEstimate, SimulationSpec, ZeroSample,
                          clt_diagnostic, empirical_k_point, empirical_moments,
-                         extract_zeros, linear_statistic, replicate_statistics,
-                         zero_samples)
+                         linear_statistic, replicate_statistics, zero_samples)
 from .variance import (TestFunction, expected_linear_statistic,
                        predicted_covariance, sigma_lower_bound, sigma_squared,
                        two_point_F)

@@ -69,7 +69,9 @@ def _mc_spec(args) -> MonteCarloSpec:
 
 def _sim_spec(args) -> simulation.SimulationSpec:
     _require(args, "R")
-    _require_positive(args, "R", "step")
+    _require_positive(args, "R", "step", "threads")
+    if args.n < 2:
+        raise ConfigError(f"--n must be at least 2 replicates, got {args.n}")
     return simulation.SimulationSpec(
         window_length=args.R * args.phi_obj.support_radius(),
         num_samples=args.n, **_given(grid_step=args.step, master_seed=args.seed))
@@ -201,7 +203,7 @@ def cmd_simulate(args) -> int:
     _emit(args, "".join(lines))
 
     arr = np.asarray(stats)
-    stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+    stderr = float(arr.std(ddof=1) / math.sqrt(arr.size))
     summary = io.StringIO()
     w = csv.writer(summary)
     w.writerow(["quantity", "estimate", "stderr", "ci_lo", "ci_hi", "n"])
@@ -266,8 +268,7 @@ def _add_common(sub, *options):
     sub.add_argument("--dump-config", action="store_true")
     specs = {
         "seed": dict(type=int, default=None),
-        "threads": dict(type=int, default=int(os.environ.get(
-            "GAUSSZEROS_THREADS", os.cpu_count() or 1))),
+        "threads": dict(type=int, default=os.cpu_count() or 1),
         "tolerance": dict(type=float, default=None,
                           help="absolute quadrature tolerance"),
         "format": dict(choices=("json", "csv"), default=None,

@@ -22,6 +22,7 @@ from . import divdiff
 from .conditioning import MonteCarloSpec, assemble_context, pi_k
 from .errors import (ConfigError, DegenerateConfiguration, SeparationTooSmall,
                      SizeCap)
+from .models import tail_norm
 from .partitions import IndexPartition, cluster_partition
 
 __all__ = [
@@ -140,8 +141,6 @@ def clustering_ratio(model, points, partition: IndexPartition,
     tail-norm^(1/2) at the observed separation), the second entry being the
     scale of the expected deviation from 1.
     """
-    from .models import tail_norm  # local import: models is a leaf dependency
-
     x = divdiff.snap_configuration(points)
     k = x.size
     if partition.n != k:

@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, OrderUnavailable
+from .partitions import cluster_partition
 
 __all__ = [
     "snap_configuration",
@@ -36,32 +37,24 @@ __all__ = [
 ]
 
 SNAP_TOL = 1e-10
+_SNAP_ETA = math.nextafter(SNAP_TOL, 0.0)  # cluster scale: gaps < SNAP_TOL join
 TAYLOR_SPAN = 0.6  # max block span that may take the series route
 _EPS = np.finfo(float).eps
 _INV_FACT = np.array([1.0 / math.factorial(n) for n in range(171)])
 
 
-def snap_configuration(points, tol: float = SNAP_TOL) -> np.ndarray:
-    """Merge nodes closer than `tol` onto the earliest node of their chain.
+def snap_configuration(points) -> np.ndarray:
+    """Merge nodes closer than SNAP_TOL onto the earliest node of their chain.
 
     The confluent branch is exact for coincident nodes while the
-    distinct-node branch is catastrophically ill-conditioned below `tol`,
+    distinct-node branch is catastrophically ill-conditioned below SNAP_TOL,
     so near-ties are resolved to exact ties before any matrix is built.
-    Chaining is transitive along the sorted order; input order is kept.
+    The chains are the blocks of the cluster partition at the float just
+    below SNAP_TOL (gaps < SNAP_TOL join); input order is kept.
     """
-    x = np.asarray(points, dtype=float).copy()
-    if x.ndim != 1 or x.size == 0:
-        raise ConfigError("configuration must be a non-empty 1-D sequence")
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    starts = np.empty(xs.size, dtype=bool)
-    starts[0] = True
-    starts[1:] = np.diff(xs) >= tol
-    cluster_id = np.cumsum(starts) - 1
-    for c in range(int(cluster_id[-1]) + 1):
-        members = order[cluster_id == c]
-        if members.size > 1:
-            x[members] = x[members.min()]
+    x = np.array(points, dtype=float)
+    for block in cluster_partition(x, _SNAP_ETA).blocks:
+        x[list(block)] = x[block[0]]
     return x
 
 
@@ -203,7 +196,7 @@ def _block_covariance(model, blocks):
     Each block's rows are built on its offsets from its leftmost node, so
     the rounding of a block stays at its own span whatever its position.
     """
-    cap = getattr(model, "internal_order_cap", model.max_derivative_order)
+    cap = model.internal_order_cap
     anchors = [z.min() for z in blocks]
     # candidate rows of each block: Newton, then Taylor for a tight block
     cands = [[_newton_rows(z - a)]

@@ -37,6 +37,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
 _BF_CUT = 40.0  # exp(-x^2/2) is 0 in double precision beyond |x| = 38.6
+_TAIL_TOL = 1e-12  # table models: spectral mass cut at T, kappa cut at x_far
 
 
 @dataclass(frozen=True)
@@ -197,8 +198,7 @@ class SincModel(CorrelationModel):
         u2 = u * u
         for k in range(k0, k0 + self._SERIES_TERMS):
             fact = math.factorial(2 * k - j)
-            coeff = 0.0 if fact > 1e300 else \
-                (-1.0) ** k * scale / ((2 * k + 1) * fact)
+            coeff = (-1.0) ** k * scale / ((2 * k + 1) * fact)
             acc = acc + coeff * upow
             upow = upow * u2
         return acc
@@ -426,23 +426,22 @@ class SpectralTableModel(CorrelationModel):
     kind = "spectral-table"
     _NODE_BUDGET = 1 << 20  # per point: |x| ~ 8e3 at T ~ 12, ~0.15 s, ~100 MB
 
-    def __init__(self, density: SpectralDensity, *, tail_tol: float = 1e-12,
-                 label: str = "spectral-table"):
+    def __init__(self, density: SpectralDensity, *, label: str = "spectral-table"):
         self._density = density
         self.kind = label
         self.max_derivative_order = min(12, density.max_finite_moment())
         self.internal_order_cap = self.max_derivative_order
-        self._T = self._pick_truncation(tail_tol)
+        self._T = self._pick_truncation()
         self._kinks = self._panel_edges()
         self._gl_nodes, self._gl_weights = np.polynomial.legendre.leggauss(8)
         self._moments = [self._moment(j) for j in range(self.max_derivative_order + 1)]
-        self._x_far = self._far_field(tail_tol)
+        self._x_far = self._far_field()
 
     # -- construction helpers ------------------------------------------
-    def _pick_truncation(self, tol: float) -> float:
+    def _pick_truncation(self) -> float:
         """First T = max(xi_max, 1) 1.25^n where the top moment's tail is
-        below tol, refused past the node budget of the x = 0 panels: pi / 4
-        long, 8 nodes each, plus one panel per kink."""
+        below _TAIL_TOL, refused past the node budget of the x = 0 panels:
+        pi / 4 long, 8 nodes each, plus one panel per kink."""
         density = self._density
         if density.tail_kind == "none":
             return density.xi_max
@@ -450,12 +449,13 @@ class SpectralTableModel(CorrelationModel):
         kinks = 1 if density.xi is None else density.xi.size
         t_cap = (self._NODE_BUDGET / 8 - kinks - 1) * math.pi / 4
         T = max(density.xi_max, 1.0)
-        while not density.tail_moment_bound(jmax, T) < tol:
+        while not density.tail_moment_bound(jmax, T) < _TAIL_TOL:
             if T > t_cap:
                 raise DegenerateDensity(
                     f"the {density.tail_kind} tail {density.tail_params} "
                     f"leaves {density.tail_moment_bound(jmax, T):.3g} of "
-                    f"moment {jmax} beyond T = {T:.3g} (tolerance {tol:g}), "
+                    f"moment {jmax} beyond T = {T:.3g} "
+                    f"(tolerance {_TAIL_TOL:g}), "
                     f"past the {self._NODE_BUDGET}-node budget at x = 0")
             T *= 1.25
         return T
@@ -487,8 +487,8 @@ class SpectralTableModel(CorrelationModel):
             weights.append((half * self._gl_weights[None, :]).ravel())
         return np.concatenate(nodes), np.concatenate(weights)
 
-    def _far_field(self, tol: float) -> float:
-        """|x| beyond which every kappa^(j) is below `tol`, so 0 is returned.
+    def _far_field(self) -> float:
+        """|x| beyond which every kappa^(j) is below _TAIL_TOL, so 0 is returned.
 
         One integration by parts gives |kappa^(j)(x)| <= 2 (|q(0)| + |q(T)|
         + TV(q)) / |x| for q(xi) = xi^j g(xi) on [0, T]; TV is taken on the
@@ -499,7 +499,7 @@ class SpectralTableModel(CorrelationModel):
         for j in range(self.max_derivative_order + 1):
             q = xi ** j * self._density.density(xi)
             bound = max(bound, abs(q[0]) + abs(q[-1]) + float(np.sum(np.abs(np.diff(q)))))
-        return 4.0 * bound / tol
+        return 4.0 * bound / _TAIL_TOL
 
     def _moment(self, j: int) -> float:
         # full-line absolute moment of the even density
@@ -573,28 +573,23 @@ def tail_norm(model: CorrelationModel, k: int, eta: float) -> float:
     """sup over orders l <= k and |x| >= eta of |kappa^(l)(x)|.
 
     Dense grid search on [eta, R] with the grid step of eta/1000 clamped to
-    [1e-3, 1e-1], closed by the model's monotone tail envelope at R (models
-    without an envelope fall back to their global moment bound, which is a
-    valid but non-decaying sup bound).
+    [1e-3, 1e-1], closed by the model's monotone tail envelope at R.  Models
+    without an envelope return their largest spectral moment bound, a valid
+    but non-decaying sup bound: |kappa^(l)(x)| <= int |xi|^l g(xi) dxi.
     """
     if k > model.max_derivative_order:
         raise OrderUnavailable(
             f"order {k} exceeds declared smoothness of {model.kind}")
     if eta < 0:
         raise ConfigError("eta must be >= 0")
-    step = min(max(eta / 1000.0, 1e-3), 1e-1)
-
     starts = [model.envelope_start(l) for l in range(k + 1)]
     if any(s is None for s in starts):
-        # no certified envelope: bounded sup via spectral moments
-        R = max(eta + 60.0, 80.0)
-        grid = _grid(eta, R, step, cap=4000)
-        sup_grid = float(np.max(np.abs(model.derivs(grid, k)))) if grid.size else 0.0
-        return max(sup_grid, max(model.moment_bound(l) for l in range(k + 1)))
+        return max(model.moment_bound(l) for l in range(k + 1))
 
+    step = min(max(eta / 1000.0, 1e-3), 1e-1)
     R = max([eta + step] + [s for s in starts])
     while True:
-        grid = _grid(eta, R, step, cap=400_000)
+        grid = _grid(eta, R, step)
         sup_grid = float(np.max(np.abs(model.derivs(grid, k))))
         env = max(model.tail_envelope(l, R) for l in range(k + 1))
         if env <= sup_grid or R > 1e5:
@@ -602,11 +597,12 @@ def tail_norm(model: CorrelationModel, k: int, eta: float) -> float:
         R *= 1.7
 
 
-def _grid(lo: float, hi: float, step: float, cap: int) -> np.ndarray:
+def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """Nodes lo, lo + step, ... <= hi, then hi; at most 400 000 steps."""
     n = int((hi - lo) / step) + 1
-    if n > cap:
-        step = (hi - lo) / cap
-        n = cap + 1
+    if n > 400_000:
+        step = (hi - lo) / 400_000
+        n = 400_001
     g = lo + step * np.arange(n)
     return np.append(g[g <= hi], hi)
 

@@ -185,7 +185,8 @@ def predicted_central_moment(model, test_functions, R: float, quad=None) -> floa
     cached by the unordered pair of test-function values, so equal test
     functions share one computation.
     """
-    from .variance import predicted_covariance  # deferred import, see above
+    # imported per call, so a patched variance.predicted_covariance is used
+    from .variance import predicted_covariance
 
     phis = list(test_functions)
     p = len(phis)

@@ -27,7 +27,6 @@ __all__ = [
     "SimulationSpec",
     "ZeroSample",
     "MomentEstimate",
-    "extract_zeros",
     "linear_statistic",
     "empirical_moments",
     "empirical_k_point",
@@ -35,6 +34,10 @@ __all__ = [
     "replicate_statistics",
     "zero_samples",
 ]
+
+_REACH_TARGET = 1e-9  # periodization: |kappa^(l)| below this beyond the reach
+_REACH_CAP = 400.0
+_BOOTSTRAP = 1000  # resamples behind each moment's confidence interval
 
 
 @dataclass(frozen=True)
@@ -92,16 +95,17 @@ def _next_fast_len(n: int) -> int:
         n += 1
 
 
-def _correlation_reach(model, target: float = 1e-9, cap: float = 400.0) -> float:
-    """Radius beyond which kappa, kappa', kappa'' all fall below `target`."""
+def _correlation_reach(model) -> float:
+    """Radius beyond which kappa, kappa', kappa'' fall below _REACH_TARGET;
+    the search stops at _REACH_CAP, met or not."""
     if model.envelope_start(2) is None:
         return 60.0
     x = max(model.envelope_start(l) for l in range(3))
-    while x < cap:
-        if max(model.tail_envelope(l, x) for l in range(3)) <= target:
+    while x < _REACH_CAP:
+        if max(model.tail_envelope(l, x) for l in range(3)) <= _REACH_TARGET:
             return x
         x *= 1.3
-    return cap
+    return _REACH_CAP
 
 
 class _SpectralSampler:
@@ -203,24 +207,15 @@ def _zeros_from_batch(f: np.ndarray, fp: np.ndarray, spec: SimulationSpec
     return out
 
 
-def extract_zeros(path_f, path_fp, spec: SimulationSpec,
-                  replicate_seed: int = 0) -> ZeroSample:
-    """Zeros of one sampled path via sign changes + cubic Hermite polish."""
-    f = np.atleast_2d(np.asarray(path_f, dtype=float))
-    fp = np.atleast_2d(np.asarray(path_fp, dtype=float))
-    if f.shape != fp.shape or f.shape[0] != 1:
-        raise ConfigError("need matching 1-D value/derivative arrays")
-    zeros = _zeros_from_batch(f, fp, spec)[0]
-    return ZeroSample(zeros=zeros, replicate_seed=replicate_seed)
-
-
 def zero_samples(model, spec: SimulationSpec, threads: int = 1
                  ) -> list[ZeroSample]:
-    """Zero sets of all replicates, batched and optionally threaded.
+    """Zero sets of all replicates, batched over a pool of `threads` threads.
 
     Batches start at even replicates, so each holds whole pairs; with an
     odd `num_samples` the last pair gives only its real part.
     """
+    if threads < 1:
+        raise ConfigError(f"need at least one thread, got {threads}")
     sampler = _SpectralSampler(model, spec)
     batch = 2 * max(1, min(256, (1 << 18) // sampler.n))
     batches = [range(s, min(s + batch, spec.num_samples))
@@ -231,11 +226,8 @@ def zero_samples(model, spec: SimulationSpec, threads: int = 1
                                range(reps.start // 2, (reps.stop + 1) // 2))
         return _zeros_from_batch(f[:len(reps)], fp[:len(reps)], spec)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(work, batches))
-    else:
-        chunks = [work(b) for b in batches]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        chunks = list(pool.map(work, batches))
     out = []
     for reps, zero_lists in zip(batches, chunks):
         for rep, z in zip(reps, zero_lists):
@@ -263,22 +255,23 @@ def replicate_statistics(model, spec: SimulationSpec, phi: TestFunction,
 
 
 def empirical_moments(model, spec: SimulationSpec, phi: TestFunction, R: float,
-                      orders, threads: int = 1, bootstrap: int = 1000
-                      ) -> list[MomentEstimate]:
+                      orders, threads: int = 1) -> list[MomentEstimate]:
     """Central moments of the linear statistic, centered at the exact mean.
 
     Centering uses the analytic mean (R/pi) int phi rather than the sample
     mean, which removes O(N^-1/2) centering noise from the higher moments.
-    Confidence intervals are seeded percentile bootstraps (level 0.95).
+    Confidence intervals are seeded percentile bootstraps (level 0.95,
+    _BOOTSTRAP resamples); they need at least two replicates.
     """
     orders = [int(p) for p in orders]
     if any(p < 1 or p > 6 for p in orders):
         raise ConfigError("moment orders must lie in 1..6")
+    _require_replicates(spec)
     stats = replicate_statistics(model, spec, phi, R, threads=threads)
     centered = stats - expected_linear_statistic(phi, R)
     rng = _chunk_rng(spec.master_seed, 0xB00757)
     n = centered.size
-    idx = rng.integers(0, n, size=(bootstrap, n))
+    idx = rng.integers(0, n, size=(_BOOTSTRAP, n))
     out = []
     for p in orders:
         powers = centered ** p
@@ -296,8 +289,9 @@ def empirical_k_point(model, spec: SimulationSpec, points, epsilon: float,
 
     Averages prod_i card(Z in [x_i - eps, x_i + eps]) over replicates and
     rescales by (2 eps)^-k; the intervals must be disjoint and inside the
-    window.
+    window, and the standard error needs at least two replicates.
     """
+    _require_replicates(spec)
     x = np.sort(np.asarray(points, dtype=float))
     if epsilon <= 0:
         raise ConfigError("epsilon must be positive")
@@ -314,9 +308,15 @@ def empirical_k_point(model, spec: SimulationSpec, points, epsilon: float,
         hi = np.searchsorted(zeros, x + epsilon, side="right")
         products[i] = float(np.prod(hi - lo))
     mean = float(products.mean())
-    stderr = float(products.std(ddof=1) / math.sqrt(products.size)) \
-        if products.size > 1 else 0.0
+    stderr = float(products.std(ddof=1) / math.sqrt(products.size))
     return mean * scale, stderr * scale
+
+
+def _require_replicates(spec: SimulationSpec):
+    """Refuse a single replicate, whose spread states no error."""
+    if spec.num_samples < 2:
+        raise ConfigError("need at least two replicates to state an error, "
+                          f"got {spec.num_samples}")
 
 
 def clt_diagnostic(model, spec: SimulationSpec, phi: TestFunction, R: float,

@@ -312,6 +312,28 @@ def test_step_must_be_positive(capsys, command, option, value):
     assert f"--{option}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--R", "5", "--n", "4", "--threads", "0"],
+    ["simulate", "--R", "5", "--n", "4", "--threads", "-1"],
+    ["moments", "--p", "2", "--R", "5", "--n", "4", "--threads", "0"],
+    ["simulate", "--R", "5", "--n", "1"],
+    ["moments", "--p", "2", "--R", "10", "--n", "1"],
+], ids=["simulate-threads-0", "simulate-threads-neg", "moments-threads-0",
+        "simulate-n-1", "moments-n-1"])
+def test_threads_and_replicates_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert out == "" and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert argv[-2] in err
+
+
+def test_threads_environment_is_ignored(capsys, monkeypatch):
+    monkeypatch.setenv("GAUSSZEROS_THREADS", "abc")
+    code, out, _ = run_cli(capsys, "rho", "--points", "0,1")
+    assert code == 0 and json.loads(out)["rho"] > 0
+
+
 @pytest.mark.parametrize("model", ["bargmann-fock", "sinc-sqrt3", "cauchy"])
 def test_rho_far_apart_points(capsys, model):
     code, out, err = run_cli(capsys, "rho", "--model", model,

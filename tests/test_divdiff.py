@@ -28,6 +28,45 @@ def test_snap_merges_near_ties():
     np.testing.assert_array_equal(multiplicities([0.0, 1.0, 1e-12]), [0, 0, 1])
 
 
+def test_snap_boundary_examples():
+    # a gap of exactly SNAP_TOL stays, the float just below it merges
+    below = math.nextafter(SNAP_TOL, 0.0)
+    np.testing.assert_array_equal(snap_configuration([0.0, SNAP_TOL]),
+                                  [0.0, SNAP_TOL])
+    np.testing.assert_array_equal(snap_configuration([0.0, below]), [0.0, 0.0])
+    # chains are transitive: three nodes spanning more than SNAP_TOL merge
+    np.testing.assert_array_equal(
+        snap_configuration([1.2e-10, 0.0, 0.6e-10]), [1.2e-10] * 3)
+    # the earliest index wins, not the smallest value
+    np.testing.assert_array_equal(snap_configuration([1e-11, 0.0, 5.0]),
+                                  [1e-11, 1e-11, 5.0])
+
+
+_SNAP_GAPS = st.sampled_from([0.0, 0.3 * SNAP_TOL, math.nextafter(SNAP_TOL, 0.0),
+                              SNAP_TOL, math.nextafter(SNAP_TOL, 1.0),
+                              2.0 * SNAP_TOL, 0.4])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(base=st.sampled_from([0.0, 1e-3, -1.0, 7.25]),
+       gaps=st.lists(_SNAP_GAPS, min_size=0, max_size=7), data=st.data())
+def test_snap_chains_gaps_below_tol(base, gaps, data):
+    xs = base + np.cumsum([0.0] + gaps)
+    perm = data.draw(st.permutations(range(xs.size)))
+    x = xs[list(perm)]
+    out = snap_configuration(x)
+    # chains: runs of the sorted nodes whose computed gaps are < SNAP_TOL
+    order = np.argsort(x, kind="stable")
+    chain = np.cumsum(np.r_[0, np.diff(x[order]) >= SNAP_TOL])
+    owner = np.empty(x.size, dtype=int)
+    owner[order] = chain
+    for i in range(x.size):
+        earliest = np.flatnonzero(owner == owner[i])[0]
+        assert out[i] == x[earliest]
+    # the input is left alone
+    np.testing.assert_array_equal(x, xs[list(perm)])
+
+
 def test_newton_matrix_two_points():
     x1, x2 = 0.3, 1.7
     np.testing.assert_allclose(newton_matrix([x1, x2]),

@@ -106,6 +106,20 @@ def test_tail_norm_monotonicity(presets):
             assert b >= a - 1e-12, model.kind
 
 
+def test_tail_norm_without_envelope_is_the_moment_bound(table):
+    # no tail envelope: the largest spectral moment bound, with no grid search
+    assert table.envelope_start(0) is None
+    for k in range(5):
+        for eta in (0.0, 1.0, 3.0):
+            t0 = time.perf_counter()
+            value = tail_norm(table, k, eta)
+            assert time.perf_counter() - t0 < 0.05
+            assert value == max(table.moment_bound(l) for l in range(k + 1))
+    # the bound holds: |kappa^(l)| on a grid stays below it
+    grid = np.linspace(0.0, 20.0, 401)
+    assert np.abs(table.derivs(grid, 4)).max() <= tail_norm(table, 4, 0.0)
+
+
 def _gaussian_density():
     return SpectralDensity(
         func=lambda t: np.exp(-0.5 * t * t) / math.sqrt(2 * math.pi),

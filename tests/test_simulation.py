@@ -7,10 +7,10 @@ from gausszeros.errors import ConfigError, IntervalsOverlap, WindowTooSmall
 from gausszeros.densities import rho_k
 from gausszeros.simulation import (SimulationSpec, _ks_distance,
                                    _next_fast_len,
-                                   _SpectralSampler,
+                                   _SpectralSampler, _zeros_from_batch,
                                    empirical_k_point, empirical_moments,
-                                   extract_zeros, linear_statistic,
-                                   replicate_statistics, zero_samples)
+                                   linear_statistic, replicate_statistics,
+                                   zero_samples)
 from gausszeros.variance import (TestFunction, predicted_covariance,
                                  two_point_F)
 
@@ -76,9 +76,9 @@ def test_next_fast_len_matches_scipy():
 def test_extract_zeros_sine_path():
     spec = SimulationSpec(window_length=10.0, grid_step=0.05, num_samples=1)
     grid = np.arange(spec.grid_size) * spec.grid_step
-    zs = extract_zeros(np.sin(grid), np.cos(grid), spec)
+    zs = _zeros_from_batch(np.sin(grid)[None], np.cos(grid)[None], spec)[0]
     expect = np.array([0.0, math.pi, 2 * math.pi, 3 * math.pi])
-    np.testing.assert_allclose(zs.zeros, expect, atol=1e-8)
+    np.testing.assert_allclose(zs, expect, atol=1e-8)
 
 
 def test_zero_refinement_grid_consistency():
@@ -91,8 +91,8 @@ def test_zero_refinement_grid_consistency():
     spec_h2 = SimulationSpec(window_length=20.0, grid_step=h / 2, num_samples=1)
     gh = np.arange(spec_h.grid_size) * h
     gh2 = np.arange(spec_h2.grid_size) * (h / 2)
-    z1 = extract_zeros(f(gh), fp(gh), spec_h).zeros
-    z2 = extract_zeros(f(gh2), fp(gh2), spec_h2).zeros
+    z1 = _zeros_from_batch(f(gh)[None], fp(gh)[None], spec_h)[0]
+    z2 = _zeros_from_batch(f(gh2)[None], fp(gh2)[None], spec_h2)[0]
     assert z1.size == z2.size
     assert np.max(np.abs(z1 - z2)) < 10 * h * h
 
@@ -157,6 +157,24 @@ def test_determinism_across_threads_and_batches(bf):
     tail = sampler.sample(123, range(2, 4))
     for w, t in zip(whole, tail):
         assert np.array_equal(w[4:], t)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_zero_samples_refuses_no_threads(bf, threads):
+    spec = SimulationSpec(window_length=5.0, num_samples=4)
+    with pytest.raises(ConfigError, match="thread"):
+        zero_samples(bf, spec, threads=threads)
+
+
+def test_single_replicate_states_no_error(bf):
+    # one replicate has no spread: no bootstrap interval, no stderr
+    spec = SimulationSpec(window_length=10.0, num_samples=1, master_seed=5)
+    phi = TestFunction.indicator(0.0, 1.0)
+    with pytest.raises(ConfigError, match="two replicates"):
+        empirical_moments(bf, spec, phi, 10.0, [2])
+    with pytest.raises(ConfigError, match="two replicates"):
+        empirical_k_point(bf, spec, [2.0, 5.0], 0.1)
+    assert len(zero_samples(bf, spec)) == 1
 
 
 def test_sinc_long_window_mean_count(sinc):
