@@ -20,8 +20,7 @@ import numpy as np
 
 from . import divdiff
 from .conditioning import MonteCarloSpec, assemble_context, pi_k
-from .errors import (ConfigError, DegenerateConfiguration, SeparationTooSmall,
-                     SizeCap)
+from .errors import ConfigError, DegenerateConfiguration, SeparationTooSmall
 from .models import tail_norm
 from .partitions import IndexPartition, cluster_partition
 
@@ -32,10 +31,7 @@ __all__ = [
     "rho_with_partition",
     "vanishing_constant",
     "clustering_ratio",
-    "RHO_POINT_CAP",
 ]
-
-RHO_POINT_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -93,8 +89,6 @@ def rho_k(model, points, mc: MonteCarloSpec | None = None) -> DensityResult:
     non-degenerate; the value does not depend on that choice.
     """
     x = divdiff.snap_configuration(points)
-    if x.size > RHO_POINT_CAP:
-        raise SizeCap(f"rho_k supports at most {RHO_POINT_CAP} points")
     return rho_with_partition(model, x, cluster_partition(x, 1.0), mc)
 
 

@@ -49,7 +49,7 @@ class GroundSetMismatch(DomainError):
 
 
 class SizeCap(DomainError):
-    """A combinatorial size limit was exceeded."""
+    """A combinatorial or memory size limit was exceeded."""
 
 
 class IntervalsOverlap(DomainError):

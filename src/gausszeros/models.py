@@ -331,16 +331,14 @@ _TAIL_KINDS = ("gaussian", "power", "none")
 
 @dataclass(frozen=True)
 class SpectralDensity:
-    """An even non-negative density, given as a table or a callable.
+    """An even non-negative density, given as a table on a grid from xi = 0.
 
     The tail declares how the density decays beyond `xi_max`:
     gaussian -> c * exp(-a xi^2), power -> c * |xi|^(-m), none -> 0.
     """
 
-    xi: np.ndarray | None = None
-    g: np.ndarray | None = None
-    func: object = None
-    xi_max: float = 0.0
+    xi: np.ndarray
+    g: np.ndarray
     tail_kind: str = "none"
     tail_params: tuple = ()
 
@@ -354,34 +352,34 @@ class SpectralDensity:
             raise ConfigError(f"a {self.tail_kind} tail takes {n} finite "
                               f"non-negative params, got {params!r}")
         object.__setattr__(self, "tail_params", tuple(map(float, params)))
-        if self.xi is not None:
-            try:
-                xi = np.asarray(self.xi, dtype=float)
-                g = np.asarray(self.g, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"spectral table: {exc}") from exc
-            if xi.ndim != 1 or xi.shape != g.shape or xi.size < 2 or not (
-                    np.isfinite(np.r_[xi, g]).all()):
-                raise ConfigError("spectral table needs matching finite 1-D "
-                                  "xi and g arrays")
-            if np.any(np.diff(xi) <= 0):
-                raise ConfigError("spectral grid must be strictly increasing")
-            if np.any(g < 0):
-                raise ConfigError("spectral density must be non-negative")
-            object.__setattr__(self, "xi", xi)
-            object.__setattr__(self, "g", g)
-            object.__setattr__(self, "xi_max", float(xi[-1]))
-        elif self.func is None:
-            raise ConfigError("need either a table or a callable density")
+        try:
+            xi = np.asarray(self.xi, dtype=float)
+            g = np.asarray(self.g, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"spectral table: {exc}") from exc
+        if xi.ndim != 1 or xi.shape != g.shape or xi.size < 2 or not (
+                np.isfinite(np.r_[xi, g]).all()):
+            raise ConfigError("spectral table needs matching finite 1-D "
+                              "xi and g arrays")
+        if xi[0] != 0.0:
+            # np.interp would extend g[0] flat down to 0
+            raise ConfigError(f"spectral grid must start at xi = 0, not {xi[0]:g}")
+        if np.any(np.diff(xi) <= 0):
+            raise ConfigError("spectral grid must be strictly increasing")
+        if np.any(g < 0):
+            raise ConfigError("spectral density must be non-negative")
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "g", g)
+
+    @property
+    def xi_max(self) -> float:
+        """The last grid node, where the declared tail takes over."""
+        return float(self.xi[-1])
 
     def density(self, xi):
-        """Evaluate the density at |xi| (tables are linearly interpolated)."""
+        """Evaluate the density at |xi|, linearly interpolating the table."""
         a = np.abs(np.asarray(xi, dtype=float))
-        if self.func is not None:
-            core = np.asarray(self.func(a), dtype=float)
-        else:
-            core = np.interp(a, self.xi, self.g, right=0.0)
-        out = np.where(a <= self.xi_max, core, 0.0)
+        out = np.interp(a, self.xi, self.g, right=0.0)
         if self.tail_kind == "gaussian":
             c, alpha = self.tail_params
             out = np.where(a > self.xi_max, c * np.exp(-alpha * a * a), out)
@@ -434,8 +432,12 @@ class SpectralTableModel(CorrelationModel):
         self._T = self._pick_truncation()
         self._kinks = self._panel_edges()
         self._gl_nodes, self._gl_weights = np.polynomial.legendre.leggauss(8)
-        self._moments = [self._moment(j) for j in range(self.max_derivative_order + 1)]
-        self._x_far = self._far_field()
+        nodes, weights = self._panels_for(0.0)
+        dens = self._density.density(nodes)
+        # full-line absolute moments of the even density
+        self._moments = [2.0 * float(np.sum(weights * nodes ** j * dens))
+                         for j in range(self.max_derivative_order + 1)]
+        self._x_far = self._far_field(nodes)
 
     # -- construction helpers ------------------------------------------
     def _pick_truncation(self) -> float:
@@ -446,8 +448,7 @@ class SpectralTableModel(CorrelationModel):
         if density.tail_kind == "none":
             return density.xi_max
         jmax = self.max_derivative_order
-        kinks = 1 if density.xi is None else density.xi.size
-        t_cap = (self._NODE_BUDGET / 8 - kinks - 1) * math.pi / 4
+        t_cap = (self._NODE_BUDGET / 8 - density.xi.size - 1) * math.pi / 4
         T = max(density.xi_max, 1.0)
         while not density.tail_moment_bound(jmax, T) < _TAIL_TOL:
             if T > t_cap:
@@ -462,10 +463,7 @@ class SpectralTableModel(CorrelationModel):
 
     def _panel_edges(self) -> np.ndarray:
         edges = [0.0, self._T]
-        if self._density.xi is not None:
-            edges.extend(float(t) for t in self._density.xi if 0.0 < t < self._T)
-        elif 0.0 < self._density.xi_max < self._T:
-            edges.append(self._density.xi_max)
+        edges.extend(float(t) for t in self._density.xi if 0.0 < t < self._T)
         return np.unique(np.asarray(edges))
 
     def _panels_for(self, x: float) -> tuple[np.ndarray, np.ndarray]:
@@ -487,25 +485,19 @@ class SpectralTableModel(CorrelationModel):
             weights.append((half * self._gl_weights[None, :]).ravel())
         return np.concatenate(nodes), np.concatenate(weights)
 
-    def _far_field(self) -> float:
+    def _far_field(self, nodes: np.ndarray) -> float:
         """|x| beyond which every kappa^(j) is below _TAIL_TOL, so 0 is returned.
 
         One integration by parts gives |kappa^(j)(x)| <= 2 (|q(0)| + |q(T)|
         + TV(q)) / |x| for q(xi) = xi^j g(xi) on [0, T]; TV is taken on the
         x = 0 quadrature nodes and the kinks, with a factor 2 of margin.
         """
-        xi = np.union1d(self._panels_for(0.0)[0], self._kinks)
+        xi = np.union1d(nodes, self._kinks)
         bound = 0.0
         for j in range(self.max_derivative_order + 1):
             q = xi ** j * self._density.density(xi)
             bound = max(bound, abs(q[0]) + abs(q[-1]) + float(np.sum(np.abs(np.diff(q)))))
         return 4.0 * bound / _TAIL_TOL
-
-    def _moment(self, j: int) -> float:
-        # full-line absolute moment of the even density
-        nodes, weights = self._panels_for(0.0)
-        return 2.0 * float(np.sum(weights * nodes ** j
-                                  * self._density.density(nodes)))
 
     # -- CorrelationModel interface -------------------------------------
     def _derivs(self, xb, max_order: int) -> np.ndarray:
@@ -623,16 +615,8 @@ def normalize_from_spectral_density(raw: SpectralDensity, *,
     s = math.sqrt(B / A)
     c = math.sqrt(B / A ** 3)
 
-    if raw.xi is not None:
-        scaled = SpectralDensity(
-            xi=raw.xi / s, g=c * raw.g, xi_max=raw.xi_max / s,
-            tail_kind=raw.tail_kind, tail_params=_scale_tail(raw, c, s))
-    else:
-        fn = raw.func
-        scaled = SpectralDensity(
-            func=lambda t, fn=fn, c=c, s=s: c * np.asarray(fn(s * t), dtype=float),
-            xi_max=raw.xi_max / s,
-            tail_kind=raw.tail_kind, tail_params=_scale_tail(raw, c, s))
+    scaled = SpectralDensity(xi=raw.xi / s, g=c * raw.g, tail_kind=raw.tail_kind,
+                             tail_params=_scale_tail(raw, c, s))
     return SpectralTableModel(scaled, label=label)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditioning import _chunk_rng
-from .errors import ConfigError, IntervalsOverlap, WindowTooSmall
+from .errors import ConfigError, IntervalsOverlap, SizeCap, WindowTooSmall
 from .variance import TestFunction, _erf, expected_linear_statistic
 
 __all__ = [
@@ -38,6 +38,10 @@ __all__ = [
 _REACH_TARGET = 1e-9  # periodization: |kappa^(l)| below this beyond the reach
 _REACH_CAP = 400.0
 _BOOTSTRAP = 1000  # resamples behind each moment's confidence interval
+# FFT length cap: 300x the largest benchmark length (28000, cauchy at
+# R = 1000).  At the cap, cauchy with 4 replicates on 2 threads peaked at
+# 1.7 GB RSS (numpy 2.4, 2-core 8 GB host); memory grows with threads.
+_NODE_BUDGET = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -125,7 +129,12 @@ class _SpectralSampler:
         self.m = spec.grid_size
         h = spec.grid_step
         span = (self.m - 1) * h + _correlation_reach(model)
-        self.n = _next_fast_len(int(math.ceil(span / h)))
+        n = int(math.ceil(span / h))
+        if n > _NODE_BUDGET:
+            raise SizeCap(
+                f"window {spec.window_length:g} at step {h:g} needs an FFT of "
+                f"{n} nodes, over the budget of {_NODE_BUDGET}")
+        self.n = _next_fast_len(n)
         omega = 2.0 * math.pi * np.fft.fftfreq(self.n, d=h)
         weight = 2.0 * math.pi / (self.n * h) * model.spectral_density(omega)
         self.amp = np.sqrt(weight).astype(complex)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -198,8 +199,9 @@ _GOOD_TABLE = {"xi": [0.0, 0.5, 1.0, 1.5, 2.0], "g": [1.0, 0.9, 0.6, 0.3, 0.1],
     dict(_GOOD_TABLE, tail="gaussian"),
     dict(_GOOD_TABLE, tail={"kind": "gaussian", "params": [1.0]}),
     dict(_GOOD_TABLE, tail={"kind": "gaussian", "params": ["x", 0.5]}),
+    dict(_GOOD_TABLE, xi=[0.5, 1.0, 1.5, 2.0, 2.5]),
 ], ids=["list", "xi-string", "xi-null", "tail-string", "params-count",
-        "params-string"])
+        "params-string", "xi-from-half"])
 def test_malformed_spectral_table_exit_code(tmp_path, capsys, doc):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(doc))
@@ -326,6 +328,21 @@ def test_threads_and_replicates_refused(capsys, argv):
     assert out == "" and "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert argv[-2] in err
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["rho", "--points", "0,1,2,3,4,5,6"], "order 14"),
+    (["rho", "--points", "0,1,2,3,4,5,6", "--partition",
+      "{0,1,2,3,4,5,6}"], "order 14"),
+    (["simulate", "--R", "1e9", "--n", "2"], "budget"),
+], ids=["rho-7-points", "rho-7-points-partition", "simulate-huge-window"])
+def test_oversized_requests_are_domain_errors(capsys, argv, cause):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and cause in err
 
 
 def test_threads_environment_is_ignored(capsys, monkeypatch):

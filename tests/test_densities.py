@@ -10,7 +10,7 @@ from gausszeros.conditioning import MonteCarloSpec, assemble_context
 from gausszeros.densities import (clustering_ratio, rho_k, rho_with_partition,
                                   vanishing_constant)
 from gausszeros.errors import (DegenerateConfiguration, DomainError,
-                               SeparationTooSmall, SizeCap)
+                               OrderUnavailable, SeparationTooSmall)
 from gausszeros.models import get_model
 from gausszeros.partitions import (IndexPartition, cluster_partition,
                                    enumerate_partitions)
@@ -35,7 +35,7 @@ def test_rho2_vanishes_on_diagonal(bf):
 
 
 def test_rho_point_cap(bf):
-    with pytest.raises(SizeCap):
+    with pytest.raises(OrderUnavailable, match="order 14"):
         rho_k(bf, np.linspace(0, 70, 7))
 
 

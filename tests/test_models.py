@@ -9,7 +9,8 @@ from scipy.integrate import quad
 
 from gausszeros.errors import (ConfigError, DegenerateDensity, OrderUnavailable,
                                QuadratureNotConverged)
-from gausszeros.models import (SpectralDensity, get_model, load_spectral_table,
+from gausszeros.models import (SpectralDensity, SpectralTableModel, get_model,
+                               load_spectral_table,
                                normalize_from_spectral_density, tail_norm)
 
 GRID = np.linspace(-6.0, 6.0, 41)
@@ -121,10 +122,11 @@ def test_tail_norm_without_envelope_is_the_moment_bound(table):
 
 
 def _gaussian_density():
-    return SpectralDensity(
-        func=lambda t: np.exp(-0.5 * t * t) / math.sqrt(2 * math.pi),
-        xi_max=12.0, tail_kind="gaussian",
-        tail_params=(1.0 / math.sqrt(2 * math.pi), 0.5))
+    # the declared tail carries the standard gaussian from the second node on
+    xi = np.array([0.0, 1e-6])
+    c = 1.0 / math.sqrt(2 * math.pi)
+    return SpectralDensity(xi=xi, g=c * np.exp(-0.5 * xi * xi),
+                           tail_kind="gaussian", tail_params=(c, 0.5))
 
 
 def test_spectral_gaussian_recovers_bargmann_fock(bf):
@@ -154,8 +156,8 @@ def test_spectral_identity_rescale():
 
 def test_spectral_normalized_invariants():
     # an arbitrary un-normalized density gets rescaled to kappa(0)=1, kappa''(0)=-1
-    dens = SpectralDensity(func=lambda t: np.exp(-np.abs(t)) * (1 + t * t),
-                           xi_max=40.0, tail_kind="none")
+    xi = np.linspace(0.0, 40.0, 4001)
+    dens = SpectralDensity(xi=xi, g=np.exp(-xi) * (1 + xi * xi), tail_kind="none")
     model = normalize_from_spectral_density(dens)
     d = model.derivs(0.0, 2)
     assert d[0] == pytest.approx(1.0, abs=1e-8)
@@ -163,8 +165,8 @@ def test_spectral_normalized_invariants():
 
 
 def test_degenerate_density_rejected():
-    dens = SpectralDensity(func=lambda t: np.zeros_like(np.asarray(t)),
-                           xi_max=1.0, tail_kind="none")
+    dens = SpectralDensity(xi=np.array([0.0, 1.0]), g=np.zeros(2),
+                           tail_kind="none")
     with pytest.raises(DegenerateDensity):
         normalize_from_spectral_density(dens)
 
@@ -254,10 +256,28 @@ def test_spectral_density_refuses_bad_tail_params(kind, params):
 @pytest.mark.parametrize("xi, g", [
     ([0.0, "a"], [1.0, 0.5]), ([0.0, None], [1.0, 0.5]),
     ([0.0, 1.0], [1.0, math.inf]), ([0.0, [1.0]], [1.0, 0.5]),
+    ([1.0, 2.0], [1.0, 1.0]), ([-1.0, 0.0, 1.0], [1.0, 1.0, 1.0]),
 ])
 def test_spectral_density_refuses_bad_tables(xi, g):
     with pytest.raises(ConfigError):
         SpectralDensity(xi=xi, g=g)
+
+
+def test_table_model_builds_its_zero_quadrature_once(monkeypatch):
+    # the moments and the far-field bound share one set of x = 0 nodes
+    calls = []
+    panels_for = SpectralTableModel._panels_for
+
+    def spy(self, x):
+        calls.append(x)
+        return panels_for(self, x)
+
+    monkeypatch.setattr(SpectralTableModel, "_panels_for", spy)
+    xi = np.linspace(0.0, 3.0, 13)
+    SpectralTableModel(SpectralDensity(xi=xi, g=np.exp(-0.5 * xi * xi),
+                                       tail_kind="gaussian",
+                                       tail_params=(math.exp(4.5), 0.5)))
+    assert calls == [0.0]
 
 
 @pytest.mark.parametrize("doc", [

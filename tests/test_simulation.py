@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from gausszeros.errors import ConfigError, IntervalsOverlap, WindowTooSmall
+from gausszeros.errors import (ConfigError, IntervalsOverlap, SizeCap,
+                               WindowTooSmall)
 from gausszeros.densities import rho_k
 from gausszeros.simulation import (SimulationSpec, _ks_distance,
                                    _next_fast_len,
@@ -20,6 +22,14 @@ def test_spec_validation():
         SimulationSpec(window_length=10.0, grid_step=0.2)
     with pytest.raises(ConfigError):
         SimulationSpec(window_length=-1.0)
+
+
+def test_oversized_grid_refused_before_allocating(bf):
+    # L = 1e9 at step 0.05 would need an FFT of 2e10 nodes
+    start = time.perf_counter()
+    with pytest.raises(SizeCap, match="20000.* nodes"):
+        zero_samples(bf, SimulationSpec(1e9, num_samples=2))
+    assert time.perf_counter() - start < 1.0
 
 
 SAMPLED_MODELS = ("bf", "sinc", "cauchy", "table")
