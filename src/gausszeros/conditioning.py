@@ -151,11 +151,25 @@ def _check_psd_and_factor(variance: np.ndarray) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based Philox substream keyed by (seed, index)."""
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, index],
-                                      dtype=np.uint64)))
+def _chunk_rng(seed: int, index: int,
+               rng: np.random.Generator | None = None) -> np.random.Generator:
+    """Counter-based Philox substream keyed by (seed mod 2^64, index).
+
+    Rekeys `rng` in place when one is given, which costs a fraction of
+    building a generator, else builds one; either way the stream starts at
+    counter 0 with no buffered words, whatever was drawn before.
+    """
+    if rng is None:
+        # a fixed seed skips the OS entropy draw; the state is replaced below
+        rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([seed & 0xFFFFFFFFFFFFFFFF, index],
+                                  dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def _cholesky_or_none(u: np.ndarray) -> np.ndarray | None:

@@ -120,9 +120,10 @@ class _SpectralSampler:
     normal zeta_j and a_j^2 = (2 pi / (n h)) g(omega_j): its covariance is
     the Riemann sum of int g(xi) e^{i xi x} dxi, i.e. kappa periodized with
     period P, up to the mass of g beyond the Nyquist frequency pi / h
-    (below 1e-30 for the presets at the allowed steps).  Every lag inside [0, L] stays at least P - L >= reach from
-    its nearest alias.  The spectral weights are non-negative by
-    construction, so no embedding can fail.
+    (below 1e-30 for the presets at the allowed steps).  Every lag inside
+    [0, L] stays at least P - L >= reach from its nearest alias.  The
+    spectral weights are non-negative by construction, so no embedding can
+    fail.
     """
 
     def __init__(self, model, spec: SimulationSpec):
@@ -151,9 +152,11 @@ class _SpectralSampler:
         """
         pairs = list(pairs)
         zeta = np.empty((len(pairs), self.n), dtype=complex)
+        normals = zeta.view(float)
+        rng = None
         for row, pair in enumerate(pairs):
-            rng = _chunk_rng(master_seed, pair)
-            zeta[row] = rng.standard_normal(2 * self.n).view(complex)
+            rng = _chunk_rng(master_seed, pair, rng)
+            rng.standard_normal(out=normals[row])
         return (self._window(self.amp * zeta),
                 self._window(self.amp_d * zeta))
 
@@ -169,23 +172,30 @@ def _hermite_roots_batch(f0, d0, f1, d1, h: float) -> np.ndarray:
     """Roots in (0, 1) of the cubic Hermite interpolants, one per bracket.
 
     All brackets have a sign change, so bisection on the cubic converges
-    unconditionally; 60 halvings reach full double precision.
+    unconditionally; 60 halvings reach full double precision.  The cubic
+    is scaled by sign(f0), which flips signs exactly, so "same sign as at
+    t = 0" is "positive"; Horner's rule runs in place in one buffer.
     """
-    a = f0
-    b = h * d0
-    c = 3.0 * (f1 - f0) - h * (2.0 * d0 + d1)
-    d = -2.0 * (f1 - f0) + h * (d0 + d1)
-
-    def val(t):
-        return a + t * (b + t * (c + t * d))
-
+    s = np.sign(f0)
+    a = s * f0
+    b = s * (h * d0)
+    c = s * (3.0 * (f1 - f0) - h * (2.0 * d0 + d1))
+    d = s * (-2.0 * (f1 - f0) + h * (d0 + d1))
     lo = np.zeros_like(f0)
     hi = np.ones_like(f0)
-    sign_lo = np.sign(val(lo))
+    mid = np.empty_like(f0)
+    val = np.empty_like(f0)
+    same = np.empty(f0.shape, dtype=bool)
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        vm = val(mid)
-        same = np.sign(vm) == sign_lo
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        np.multiply(mid, d, out=val)  # a + t (b + t (c + t d)) at t = mid
+        val += c
+        val *= mid
+        val += b
+        val *= mid
+        val += a
+        np.greater(val, 0.0, out=same)
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
     return 0.5 * (lo + hi)
@@ -193,27 +203,28 @@ def _hermite_roots_batch(f0, d0, f1, d1, h: float) -> np.ndarray:
 
 def _zeros_from_batch(f: np.ndarray, fp: np.ndarray, spec: SimulationSpec
                       ) -> list[np.ndarray]:
-    """Vectorized zero extraction for a batch of paths."""
+    """Sorted zeros in [0, L] of every path of a batch, with no per-path loop.
+
+    Bracket roots come out of the row-major `np.nonzero` sorted within each
+    row.  Nodes where f is exactly 0 are merged in by one sort; they never
+    coincide with a root, since a bracket needs non-zero ends.
+    """
     h = spec.grid_step
-    L = spec.window_length
     sign_change = (f[:, :-1] * f[:, 1:]) < 0.0
     rows, cols = np.nonzero(sign_change)
-    roots = np.empty(0)
-    if rows.size:
-        t = _hermite_roots_batch(f[rows, cols], fp[rows, cols],
-                                 f[rows, cols + 1], fp[rows, cols + 1], h)
-        roots = (cols + t) * h
-    out = []
-    node_hits = np.abs(f) == 0.0
-    for r in range(f.shape[0]):
-        zr = roots[rows == r]
-        hit_cols = np.nonzero(node_hits[r])[0]
-        if hit_cols.size:
-            zr = np.unique(np.concatenate([zr, hit_cols * h]))
-        else:
-            zr = np.sort(zr)
-        out.append(zr[(zr >= 0.0) & (zr <= L)])
-    return out
+    t = _hermite_roots_batch(f[rows, cols], fp[rows, cols],
+                             f[rows, cols + 1], fp[rows, cols + 1], h)
+    zeros = (cols + t) * h
+    hit_rows, hit_cols = np.nonzero(f == 0.0)
+    if hit_rows.size:
+        rows = np.concatenate([rows, hit_rows])
+        zeros = np.concatenate([zeros, hit_cols * h])
+        order = np.lexsort((zeros, rows))
+        rows, zeros = rows[order], zeros[order]
+    inside = (zeros >= 0.0) & (zeros <= spec.window_length)
+    rows, zeros = rows[inside], zeros[inside]
+    ends = np.cumsum(np.bincount(rows, minlength=f.shape[0]))
+    return np.split(zeros, ends[:-1])
 
 
 def zero_samples(model, spec: SimulationSpec, threads: int = 1
@@ -252,15 +263,30 @@ def linear_statistic(sample: ZeroSample, phi: TestFunction, R: float) -> float:
     return float(np.sum(phi(zeros / R))) if zeros.size else 0.0
 
 
+def _pooled(samples: list[ZeroSample]) -> tuple[np.ndarray, np.ndarray]:
+    """The zeros of all replicates in one array, with each zero's replicate."""
+    sizes = [s.zeros.size for s in samples]
+    return (np.repeat(np.arange(len(samples)), sizes),
+            np.concatenate([s.zeros for s in samples]))
+
+
 def replicate_statistics(model, spec: SimulationSpec, phi: TestFunction,
                          R: float, threads: int = 1) -> np.ndarray:
-    """Array of linear statistics over all replicates of the spec."""
+    """Array of linear statistics over all replicates of the spec.
+
+    One `np.bincount` over the pooled zeros sums phi(z / R) per replicate.
+    It adds in zero order, where `linear_statistic` uses `np.sum`'s
+    pairwise order, so non-integer sums can differ in the last bits.
+    """
+    if R <= 0:
+        raise ConfigError("R must be positive")
     if spec.window_length < R * phi.support_radius() - 1e-12:
         raise WindowTooSmall(
             f"window {spec.window_length} shorter than R * support radius "
             f"{R * phi.support_radius():.3g}")
-    samples = zero_samples(model, spec, threads=threads)
-    return np.array([linear_statistic(s, phi, R) for s in samples])
+    rows, zeros = _pooled(zero_samples(model, spec, threads=threads))
+    return np.bincount(rows, weights=phi(zeros / R),
+                       minlength=spec.num_samples)
 
 
 def empirical_moments(model, spec: SimulationSpec, phi: TestFunction, R: float,
@@ -310,12 +336,12 @@ def empirical_k_point(model, spec: SimulationSpec, points, epsilon: float,
         raise IntervalsOverlap("counting intervals overlap")
     k = x.size
     scale = (2.0 * epsilon) ** (-k)
-    products = np.empty(spec.num_samples)
-    for i, sample in enumerate(zero_samples(model, spec, threads=threads)):
-        zeros = sample.zeros
-        lo = np.searchsorted(zeros, x - epsilon, side="left")
-        hi = np.searchsorted(zeros, x + epsilon, side="right")
-        products[i] = float(np.prod(hi - lo))
+    rows, zeros = _pooled(zero_samples(model, spec, threads=threads))
+    products = np.ones(spec.num_samples, dtype=np.int64)
+    for lo, hi in zip(x - epsilon, x + epsilon):
+        products *= np.bincount(rows[(zeros >= lo) & (zeros <= hi)],
+                                minlength=spec.num_samples)
+    products = products.astype(float)
     mean = float(products.mean())
     stderr = float(products.std(ddof=1) / math.sqrt(products.size))
     return mean * scale, stderr * scale

@@ -4,11 +4,13 @@ import time
 import numpy as np
 import pytest
 
+from gausszeros.conditioning import _chunk_rng
 from gausszeros.errors import (ConfigError, IntervalsOverlap, SizeCap,
                                WindowTooSmall)
 from gausszeros.densities import rho_k
-from gausszeros.simulation import (SimulationSpec, _ks_distance,
-                                   _next_fast_len,
+from gausszeros import simulation
+from gausszeros.simulation import (SimulationSpec, _hermite_roots_batch,
+                                   _ks_distance, _next_fast_len,
                                    _SpectralSampler, _zeros_from_batch,
                                    empirical_k_point, empirical_moments,
                                    linear_statistic, replicate_statistics,
@@ -105,6 +107,150 @@ def test_zero_refinement_grid_consistency():
     z2 = _zeros_from_batch(f(gh2)[None], fp(gh2)[None], spec_h2)[0]
     assert z1.size == z2.size
     assert np.max(np.abs(z1 - z2)) < 10 * h * h
+
+
+def _philox_stream(seed, index):
+    # the substream contract: a fresh Philox keyed by (seed mod 2^64, index)
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 123, 2 ** 63 + 5, 2 ** 64 - 1])
+def test_rekeyed_stream_matches_fresh_substream(bf, seed):
+    n = 101
+    rng = _chunk_rng(seed, 7)
+    # odd-length and 32-bit draws leave buffered words that the rekey drops
+    rng.standard_normal(3)
+    rng.random(dtype=np.float32)
+    for pair in (9, 2, 0, 2, 40_000):  # out of order, one repeated
+        expect = _philox_stream(seed, pair).standard_normal(2 * n)
+        assert _same_bits(_chunk_rng(seed, pair).standard_normal(2 * n),
+                          expect)
+        assert _same_bits(_chunk_rng(seed, pair, rng).standard_normal(2 * n),
+                          expect)
+        rng.standard_normal(pair % 5 + 1)
+        rng.integers(0, 7, dtype=np.uint32)
+    # the sampler's batch of out-of-order pairs, against fresh streams
+    spec = SimulationSpec(window_length=2.0, num_samples=2, master_seed=seed)
+    sampler = _SpectralSampler(bf, spec)
+    pairs = [5, 1, 3, 1]
+    zeta = np.stack([_philox_stream(seed, p).standard_normal(2 * sampler.n)
+                     .view(complex) for p in pairs])
+    got = sampler.sample(seed, pairs)
+    expect = (sampler._window(sampler.amp * zeta),
+              sampler._window(sampler.amp_d * zeta))
+    for g, e in zip(got, expect):
+        assert _same_bits(g, e)
+
+
+def _zeros_per_row(f, fp, spec, cell_roots=_hermite_roots_batch):
+    """Zero extraction one path at a time: the reference for the batch."""
+    h = spec.grid_step
+    sign_change = (f[:, :-1] * f[:, 1:]) < 0.0
+    rows, cols = np.nonzero(sign_change)
+    roots = np.empty(0)
+    if rows.size:
+        t = cell_roots(f[rows, cols], fp[rows, cols],
+                       f[rows, cols + 1], fp[rows, cols + 1], h)
+        roots = (cols + t) * h
+    out = []
+    node_hits = np.abs(f) == 0.0
+    for r in range(f.shape[0]):
+        zr = roots[rows == r]
+        hit_cols = np.nonzero(node_hits[r])[0]
+        if hit_cols.size:
+            zr = np.unique(np.concatenate([zr, hit_cols * h]))
+        else:
+            zr = np.sort(zr)
+        out.append(zr[(zr >= 0.0) & (zr <= spec.window_length)])
+    return out
+
+
+def test_zeros_from_batch_matches_per_row_reference(cauchy, monkeypatch):
+    # L = 1.02 at step 0.05: 22 nodes, the last one (1.05) past the window
+    spec = SimulationSpec(window_length=1.02, grid_step=0.05, num_samples=1)
+    m = spec.grid_size
+    assert (m - 1) * spec.grid_step > spec.window_length
+    gen = np.random.default_rng(3)
+    f = gen.normal(size=(14, m))
+    fp = gen.normal(size=(14, m))
+    f[0] = np.abs(f[0]) + 0.1                  # no zeros
+    f[1] = -np.abs(f[1]) - 0.1                 # no zeros
+    f[2, [0, 7]] = [0.0, -0.0]                 # hits at node 0, and -0.0
+    f[3, m - 1] = 0.0                          # hit past L only
+    f[4, [m - 2, m - 1]] = [0.0, -0.0]         # hits at L - 0.02 and past L
+    f[5] = np.abs(f[5]) + 0.1
+    f[5, [3, 10, 11]] = [0.0, 0.0, -0.0]       # hits only, adjacent ones
+    f[6, 3:8] = [1.0, 1.0, -1e-3, 1.0, 1.0]    # roots next to node 5
+    f[7, 3:8] = [1.0, 1.0, -1e-3, 1.0, 1.0]    # ... in a row with a hit
+    f[7, 12] = 0.0
+    f[8] = 0.0                                 # every node a hit
+    f[9, ::3] = -0.0                           # hits between brackets
+    out = _zeros_from_batch(f, fp, spec)
+    ref = _zeros_per_row(f, fp, spec)
+    assert len(out) == len(ref) == f.shape[0]
+    for r, (a, b) in enumerate(zip(out, ref)):
+        assert _same_bits(a, b), r
+    assert out[0].size == out[1].size == 0
+    assert out[2][0] == 0.0
+    assert out[4][-1] == (m - 2) * spec.grid_step
+    # cell roots snapped to 0 or 1 tie across nodes, as when both lie
+    # within rounding of node 5: two sign changes give two zeros in every
+    # row, where the per-row `np.unique` merged them in rows with a hit
+    snapped = lambda *cell: np.round(_hermite_roots_batch(*cell))
+    monkeypatch.setattr(simulation, "_hermite_roots_batch", snapped)
+    out = _zeros_from_batch(f, fp, spec)
+    ref = _zeros_per_row(f, fp, spec, snapped)
+    has_hit = np.any(f == 0.0, axis=1)
+    for r, (a, b) in enumerate(zip(out, ref)):
+        assert _same_bits(np.unique(a) if has_hit[r] else a, b), r
+    tie = 5 * spec.grid_step
+    assert [np.count_nonzero(out[r] == tie) for r in (6, 7)] == [2, 2]
+    monkeypatch.undo()
+    # whole sampled batches, where exact node hits do not occur
+    gen_spec = SimulationSpec(window_length=7.3, num_samples=64,
+                              master_seed=9)
+    f, fp = _SpectralSampler(cauchy, gen_spec).sample(9, range(32))
+    for a, b in zip(_zeros_from_batch(f, fp, gen_spec),
+                    _zeros_per_row(f, fp, gen_spec)):
+        assert _same_bits(a, b)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_statistics_match_per_replicate_reference(bf, threads):
+    spec = SimulationSpec(window_length=4.0, num_samples=3001, master_seed=21)
+    samples = zero_samples(bf, spec, threads=threads)
+    # k-point: per-replicate interval counts by binary search
+    x, eps = np.array([0.7, 2.9]), 0.1
+    products = np.array([
+        float(np.prod(np.searchsorted(s.zeros, x + eps, side="right")
+                      - np.searchsorted(s.zeros, x - eps, side="left")))
+        for s in samples])
+    scale = (2.0 * eps) ** -2
+    expect = (float(products.mean()) * scale,
+              float(products.std(ddof=1) / math.sqrt(products.size)) * scale)
+    assert empirical_k_point(bf, spec, x, eps, threads=threads) == expect
+    # linear statistics: indicator sums are exact, so bit for bit
+    ind = TestFunction.indicator(0.0, 1.0)
+    stats = replicate_statistics(bf, spec, ind, 4.0, threads=threads)
+    assert _same_bits(stats, np.array([linear_statistic(s, ind, 4.0)
+                                       for s in samples]))
+    # a smooth phi over ~10 zeros per replicate: np.sum adds pairwise,
+    # np.bincount in order, so the sums agree to rounding only (a third
+    # of them differ, by up to 3.8e-16 relative)
+    spec = SimulationSpec(window_length=30.0, num_samples=300, master_seed=22)
+    gauss = TestFunction.gaussian(0.5, 0.05)
+    stats = replicate_statistics(bf, spec, gauss, 30.0, threads=threads)
+    ref = np.array([linear_statistic(s, gauss, 30.0)
+                    for s in zero_samples(bf, spec, threads=threads)])
+    np.testing.assert_allclose(stats, ref, rtol=1e-15, atol=0.0)
+    with pytest.raises(ConfigError, match="R must be positive"):
+        replicate_statistics(bf, spec, ind, 0.0)
 
 
 def test_mean_zero_count(presets):
