@@ -20,7 +20,7 @@ import numpy as np
 
 from . import densities, partitions, simulation, variance
 from .conditioning import MonteCarloSpec
-from .errors import ConfigError, DomainError, NumericsError
+from .errors import ConfigError, DomainError, NumericsError, SizeCap
 from .models import QuadratureSpec, get_model
 from .partitions import IndexPartition
 from .variance import TestFunction
@@ -28,6 +28,8 @@ from .variance import TestFunction
 EXIT_DOMAIN = 2
 EXIT_NUMERICS = 3
 EXIT_CONFIG = 4
+# fcurve grid cap: two_point_F at 2^20 points peaks near 170 MB
+_FCURVE_BUDGET = 1 << 20
 
 
 def _parse_points(text: str) -> np.ndarray:
@@ -168,8 +170,13 @@ def cmd_sigma2(args) -> int:
 
 def cmd_fcurve(args) -> int:
     _require_positive(args, "zmax", "step")
+    points = args.zmax / args.step
+    if points > _FCURVE_BUDGET:  # inf included
+        raise SizeCap(f"--zmax {args.zmax:g} at --step {args.step:g} asks "
+                      f"for {points:.4g} points, over the budget of "
+                      f"{_FCURVE_BUDGET}")
     model = get_model(args.model)
-    n = int(math.floor(args.zmax / args.step + 1e-9))
+    n = int(math.floor(points + 1e-9))
     if n == 0:
         raise ConfigError("--zmax must be at least --step")
     zs = [i * args.step for i in range(1, n + 1)]
@@ -190,19 +197,15 @@ def cmd_simulate(args) -> int:
     spec = _sim_spec(args)
     model = get_model(args.model)
     samples = simulation.zero_samples(model, spec, threads=args.threads)
+    arr = simulation.linear_statistic(samples, args.phi_obj, args.R)
     lines = []
-    stats = []
-    for s in samples:
-        stat = simulation.linear_statistic(s, args.phi_obj, args.R)
-        stats.append(stat)
-        rec = {"seed": s.replicate_seed, "count": int(s.zeros.size),
-               "stat": stat}
+    for rep, (s, stat) in enumerate(zip(samples, arr.tolist())):
+        rec = {"seed": rep, "count": int(s.zeros.size), "stat": stat}
         if args.emit_zeros:
             rec["zeros"] = [round(float(z), 12) for z in s.zeros]
         lines.append(_json_line(rec))
     _emit(args, "".join(lines))
 
-    arr = np.asarray(stats)
     stderr = float(arr.std(ddof=1) / math.sqrt(arr.size))
     summary = io.StringIO()
     w = csv.writer(summary)

@@ -8,6 +8,7 @@ hashed and compared cheaply.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +143,10 @@ def cluster_partition(points, eta: float) -> IndexPartition:
         raise ConfigError("configuration must be a non-empty 1-D sequence")
     if eta < 0:
         raise ConfigError("cluster scale eta must be >= 0")
+    if not math.isfinite(float(x.max()) - float(x.min())):
+        raise ConfigError("configuration must be finite with a span below "
+                          "the largest double, got "
+                          f"{x.min():g} .. {x.max():g}")
     order = np.argsort(x, kind="stable")
     blocks: list[list[int]] = [[int(order[0])]]
     for prev, cur in zip(order[:-1], order[1:]):

@@ -21,7 +21,8 @@ import numpy as np
 
 from .conditioning import _chunk_rng
 from .errors import ConfigError, IntervalsOverlap, SizeCap, WindowTooSmall
-from .variance import TestFunction, _erf, expected_linear_statistic
+from .variance import (TestFunction, _erf, _require_scale,
+                       expected_linear_statistic)
 
 __all__ = [
     "SimulationSpec",
@@ -54,8 +55,7 @@ class SimulationSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.window_length <= 0:
-            raise ConfigError("window length must be positive")
+        _require_scale("window length", self.window_length)
         if not 0 < self.grid_step <= 0.05:
             raise ConfigError("grid step must lie in (0, 0.05] "
                               "(well below the unit correlation length)")
@@ -72,7 +72,6 @@ class ZeroSample:
     """Sorted zero locations of one replicate inside [0, L]."""
 
     zeros: np.ndarray
-    replicate_seed: int
 
 
 @dataclass(frozen=True)
@@ -248,45 +247,32 @@ def zero_samples(model, spec: SimulationSpec, threads: int = 1
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         chunks = list(pool.map(work, batches))
-    out = []
-    for reps, zero_lists in zip(batches, chunks):
-        for rep, z in zip(reps, zero_lists):
-            out.append(ZeroSample(zeros=z, replicate_seed=rep))
-    return out
+    return [ZeroSample(zeros=z) for zero_lists in chunks for z in zero_lists]
 
 
-def linear_statistic(sample: ZeroSample, phi: TestFunction, R: float) -> float:
-    """Sum of phi(z / R) over the zeros of one replicate."""
-    if R <= 0:
-        raise ConfigError("R must be positive")
-    zeros = sample.zeros
-    return float(np.sum(phi(zeros / R))) if zeros.size else 0.0
+def linear_statistic(samples: list[ZeroSample], phi: TestFunction, R: float
+                     ) -> np.ndarray:
+    """Sum of phi(z / R) over the zeros of each replicate: one value each.
 
-
-def _pooled(samples: list[ZeroSample]) -> tuple[np.ndarray, np.ndarray]:
-    """The zeros of all replicates in one array, with each zero's replicate."""
-    sizes = [s.zeros.size for s in samples]
-    return (np.repeat(np.arange(len(samples)), sizes),
-            np.concatenate([s.zeros for s in samples]))
+    The package's one sum over zeros: a single `np.bincount` over the
+    pooled zeros of all replicates, adding each replicate's terms in zero
+    order.
+    """
+    _require_scale("R", R)
+    rows = np.repeat(np.arange(len(samples)), [s.zeros.size for s in samples])
+    zeros = np.concatenate([np.empty(0)] + [s.zeros for s in samples])
+    return np.bincount(rows, weights=phi(zeros / R), minlength=len(samples))
 
 
 def replicate_statistics(model, spec: SimulationSpec, phi: TestFunction,
                          R: float, threads: int = 1) -> np.ndarray:
-    """Array of linear statistics over all replicates of the spec.
-
-    One `np.bincount` over the pooled zeros sums phi(z / R) per replicate.
-    It adds in zero order, where `linear_statistic` uses `np.sum`'s
-    pairwise order, so non-integer sums can differ in the last bits.
-    """
-    if R <= 0:
-        raise ConfigError("R must be positive")
+    """Array of linear statistics over all replicates of the spec."""
+    _require_scale("R", R)
     if spec.window_length < R * phi.support_radius() - 1e-12:
         raise WindowTooSmall(
             f"window {spec.window_length} shorter than R * support radius "
             f"{R * phi.support_radius():.3g}")
-    rows, zeros = _pooled(zero_samples(model, spec, threads=threads))
-    return np.bincount(rows, weights=phi(zeros / R),
-                       minlength=spec.num_samples)
+    return linear_statistic(zero_samples(model, spec, threads=threads), phi, R)
 
 
 def empirical_moments(model, spec: SimulationSpec, phi: TestFunction, R: float,
@@ -327,21 +313,25 @@ def empirical_k_point(model, spec: SimulationSpec, points, epsilon: float,
     window, and the standard error needs at least two replicates.
     """
     _require_replicates(spec)
-    x = np.sort(np.asarray(points, dtype=float))
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
+    x = np.asarray(points, dtype=float)
+    _require_scale("epsilon", epsilon)
+    if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)):
+        raise ConfigError("points must be a non-empty list of finite numbers, "
+                          f"got {points!r}")
+    x = np.sort(x)
     if x[0] - epsilon < 0 or x[-1] + epsilon > spec.window_length:
         raise IntervalsOverlap("counting intervals leave the window")
     if np.any(np.diff(x) < 2 * epsilon):
         raise IntervalsOverlap("counting intervals overlap")
     k = x.size
     scale = (2.0 * epsilon) ** (-k)
-    rows, zeros = _pooled(zero_samples(model, spec, threads=threads))
-    products = np.ones(spec.num_samples, dtype=np.int64)
-    for lo, hi in zip(x - epsilon, x + epsilon):
-        products *= np.bincount(rows[(zeros >= lo) & (zeros <= hi)],
-                                minlength=spec.num_samples)
-    products = products.astype(float)
+    intervals = [TestFunction.indicator(xi - epsilon, xi + epsilon)
+                 for xi in x]
+    samples = zero_samples(model, spec, threads=threads)
+    # counts are small integers, so their float products are exact
+    products = np.ones(spec.num_samples)
+    for interval in intervals:
+        products *= linear_statistic(samples, interval, 1.0)
     mean = float(products.mean())
     stderr = float(products.std(ddof=1) / math.sqrt(products.size))
     return mean * scale, stderr * scale
@@ -364,8 +354,7 @@ def clt_diagnostic(model, spec: SimulationSpec, phi: TestFunction, R: float,
     first four standardized sample moments (mean, variance, skewness,
     kurtosis; the Gaussian limit gives 0, ||phi||^2, 0, 3).
     """
-    if sigma <= 0:
-        raise ConfigError("sigma must be positive (from sigma_squared)")
+    _require_scale("sigma", sigma)
     stats = replicate_statistics(model, spec, phi, R, threads=threads)
     t = (stats - expected_linear_statistic(phi, R)) / (math.sqrt(R) * sigma)
     ks = _ks_distance(t, math.sqrt(phi.l2_norm_sq()))

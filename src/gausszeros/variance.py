@@ -39,6 +39,12 @@ _INV_PI2 = 1.0 / math.pi ** 2
 _erf = np.vectorize(math.erf, otypes=[float])
 
 
+def _require_scale(name: str, value: float):
+    """Refuse a scale (R, epsilon, sigma) that is not finite and positive."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Test functions
 # ---------------------------------------------------------------------------
@@ -437,8 +443,7 @@ def predicted_covariance(model: CorrelationModel, phi1: TestFunction,
     R int phi1(x) phi2(x + z/R) F(z) dx dz  +  (R/pi) int phi1 phi2,
     with the inner cross-correlation in closed form per test-function pair.
     """
-    if R <= 0:
-        raise ConfigError("R must be positive")
+    _require_scale("R", R)
     spec = quad or model.default_quadrature()
     span = R * (phi1.support_radius() + phi2.support_radius())
     zmax = min(spec.truncation_radius, span + 1.0)
@@ -461,6 +466,5 @@ def predicted_covariance(model: CorrelationModel, phi1: TestFunction,
 
 def expected_linear_statistic(phi: TestFunction, R: float) -> float:
     """Mean of the linear statistic of the rescaled zero measure: (R/pi) int phi."""
-    if R <= 0:
-        raise ConfigError("R must be positive")
+    _require_scale("R", R)
     return (R / math.pi) * phi.integral()

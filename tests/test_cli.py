@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from gausszeros import variance
 from gausszeros.cli import build_parser, main
 from gausszeros.densities import rho_k
 from gausszeros.models import get_model
+from gausszeros.simulation import SimulationSpec, replicate_statistics
 from gausszeros.variance import TestFunction
 
 
@@ -335,7 +337,12 @@ def test_threads_and_replicates_refused(capsys, argv):
     (["rho", "--points", "0,1,2,3,4,5,6", "--partition",
       "{0,1,2,3,4,5,6}"], "order 14"),
     (["simulate", "--R", "1e9", "--n", "2"], "budget"),
-], ids=["rho-7-points", "rho-7-points-partition", "simulate-huge-window"])
+    (["fcurve", "--zmax", "1e300", "--step", "1e-300"],
+     "inf points, over the budget of 1048576"),
+    (["fcurve", "--zmax", "1e9", "--step", "1e-3"],
+     "1e+12 points, over the budget of 1048576"),
+], ids=["rho-7-points", "rho-7-points-partition", "simulate-huge-window",
+        "fcurve-overflowing-grid", "fcurve-huge-grid"])
 def test_oversized_requests_are_domain_errors(capsys, argv, cause):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
@@ -343,6 +350,30 @@ def test_oversized_requests_are_domain_errors(capsys, argv, cause):
     assert code == 2
     assert out == "" and "Traceback" not in err
     assert len(err.splitlines()) == 1 and cause in err
+
+
+@pytest.mark.parametrize("command", ["rho", "vanishing"])
+def test_overflowing_span_is_a_config_error(capsys, command):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, command, "--points", "1e308,-1e308")
+    assert code == 4 and out == "" and caught == []
+    assert len(err.splitlines()) == 1 and "span" in err
+
+
+def test_simulate_stat_is_replicate_statistics(capsys):
+    # a smooth phi: both commands sum each replicate in the same order
+    code, out, _ = run_cli(capsys, "simulate", "--R", "30", "--n", "300",
+                           "--seed", "22", "--phi", "gaussian:0.5,0.05",
+                           "--threads", "1")
+    assert code == 0
+    recs = [json.loads(line) for line in out.splitlines()]
+    phi = TestFunction.gaussian(0.5, 0.05)
+    spec = SimulationSpec(30.0 * phi.support_radius(), num_samples=300,
+                          master_seed=22)
+    ref = replicate_statistics(get_model("bargmann-fock"), spec, phi, 30.0)
+    assert [r["seed"] for r in recs] == list(range(300))
+    assert [r["stat"].hex() for r in recs] == [v.hex() for v in ref.tolist()]
 
 
 def test_threads_environment_is_ignored(capsys, monkeypatch):

@@ -12,9 +12,9 @@ from gausszeros import simulation
 from gausszeros.simulation import (SimulationSpec, _hermite_roots_batch,
                                    _ks_distance, _next_fast_len,
                                    _SpectralSampler, _zeros_from_batch,
-                                   empirical_k_point, empirical_moments,
-                                   linear_statistic, replicate_statistics,
-                                   zero_samples)
+                                   clt_diagnostic, empirical_k_point,
+                                   empirical_moments, linear_statistic,
+                                   replicate_statistics, zero_samples)
 from gausszeros.variance import (TestFunction, predicted_covariance,
                                  two_point_F)
 
@@ -24,6 +24,9 @@ def test_spec_validation():
         SimulationSpec(window_length=10.0, grid_step=0.2)
     with pytest.raises(ConfigError):
         SimulationSpec(window_length=-1.0)
+    for length in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="window length"):
+            SimulationSpec(window_length=length)
 
 
 def test_oversized_grid_refused_before_allocating(bf):
@@ -221,6 +224,12 @@ def test_zeros_from_batch_matches_per_row_reference(cauchy, monkeypatch):
         assert _same_bits(a, b)
 
 
+def _per_replicate_sums(samples, phi, R):
+    """Reference: each replicate's sum by its own np.sum (pairwise order)."""
+    return np.array([float(np.sum(phi(s.zeros / R))) if s.zeros.size else 0.0
+                     for s in samples])
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_statistics_match_per_replicate_reference(bf, threads):
     spec = SimulationSpec(window_length=4.0, num_samples=3001, master_seed=21)
@@ -238,17 +247,18 @@ def test_statistics_match_per_replicate_reference(bf, threads):
     # linear statistics: indicator sums are exact, so bit for bit
     ind = TestFunction.indicator(0.0, 1.0)
     stats = replicate_statistics(bf, spec, ind, 4.0, threads=threads)
-    assert _same_bits(stats, np.array([linear_statistic(s, ind, 4.0)
-                                       for s in samples]))
+    assert _same_bits(stats, _per_replicate_sums(samples, ind, 4.0))
+    assert _same_bits(stats, linear_statistic(samples, ind, 4.0))
     # a smooth phi over ~10 zeros per replicate: np.sum adds pairwise,
     # np.bincount in order, so the sums agree to rounding only (a third
     # of them differ, by up to 3.8e-16 relative)
     spec = SimulationSpec(window_length=30.0, num_samples=300, master_seed=22)
     gauss = TestFunction.gaussian(0.5, 0.05)
     stats = replicate_statistics(bf, spec, gauss, 30.0, threads=threads)
-    ref = np.array([linear_statistic(s, gauss, 30.0)
-                    for s in zero_samples(bf, spec, threads=threads)])
+    samples = zero_samples(bf, spec, threads=threads)
+    ref = _per_replicate_sums(samples, gauss, 30.0)
     np.testing.assert_allclose(stats, ref, rtol=1e-15, atol=0.0)
+    assert _same_bits(stats, linear_statistic(samples, gauss, 30.0))
     with pytest.raises(ConfigError, match="R must be positive"):
         replicate_statistics(bf, spec, ind, 0.0)
 
@@ -270,18 +280,56 @@ def test_mean_zero_count(presets):
 def test_linear_statistic_examples(bf):
     spec = SimulationSpec(window_length=30.0, grid_step=0.05, num_samples=1,
                           master_seed=4)
-    sample = zero_samples(bf, spec)[0]
+    samples = zero_samples(bf, spec)
     full = TestFunction.indicator(0.0, 1.0)
     left = TestFunction.indicator(0.0, 0.5)
     right = TestFunction.indicator(0.5, 1.0)
-    total = linear_statistic(sample, full, 30.0)
-    assert total == sample.zeros.size  # window length == R
-    halves = (linear_statistic(sample, left, 30.0)
-              + linear_statistic(sample, right, 30.0))
+    (total,) = linear_statistic(samples, full, 30.0)
+    assert total == samples[0].zeros.size  # window length == R
+    assert total == _per_replicate_sums(samples, full, 30.0)[0]
+    (halves,) = (linear_statistic(samples, left, 30.0)
+                 + linear_statistic(samples, right, 30.0))
     # splitting the indicator is additive up to the shared boundary point
     assert abs(halves - total) <= 1.0
     zero_phi = TestFunction.table([-1.0, 1.0], [0.0, 0.0])
-    assert linear_statistic(sample, zero_phi, 30.0) == 0.0
+    assert linear_statistic(samples, zero_phi, 30.0).tolist() == [0.0]
+    # no replicates, and replicates without zeros, sum to nothing
+    assert linear_statistic([], full, 30.0).size == 0
+    empty = [simulation.ZeroSample(zeros=np.empty(0))] * 2
+    assert linear_statistic(empty, full, 30.0).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_scales_refused_before_sampling(bf, monkeypatch, bad):
+    # R, epsilon and sigma must be finite and positive; NaN used to pass
+    # every `<= 0` check and come back as zeros or NaN
+    monkeypatch.setattr(simulation, "zero_samples",
+                        lambda *a, **k: pytest.fail("sampled"))
+    spec = SimulationSpec(window_length=10.0, num_samples=4, master_seed=1)
+    phi = TestFunction.indicator(0.0, 1.0)
+    with pytest.raises(ConfigError, match="R must be positive and finite"):
+        replicate_statistics(bf, spec, phi, bad)
+    with pytest.raises(ConfigError, match="R must be positive and finite"):
+        empirical_moments(bf, spec, phi, bad, [2])
+    with pytest.raises(ConfigError, match="R must be positive and finite"):
+        clt_diagnostic(bf, spec, phi, bad, 0.5)
+    with pytest.raises(ConfigError, match="sigma must be positive and finite"):
+        clt_diagnostic(bf, spec, phi, 10.0, bad)
+    with pytest.raises(ConfigError,
+                       match="epsilon must be positive and finite"):
+        empirical_k_point(bf, spec, [2.0, 5.0], bad)
+    with pytest.raises(ConfigError, match="R must be positive and finite"):
+        linear_statistic([], phi, bad)
+
+
+@pytest.mark.parametrize("points", [[2.0, math.nan], [math.inf, 2.0],
+                                    [-math.inf], []])
+def test_k_point_refuses_non_finite_points(bf, monkeypatch, points):
+    monkeypatch.setattr(simulation, "zero_samples",
+                        lambda *a, **k: pytest.fail("sampled"))
+    spec = SimulationSpec(window_length=10.0, num_samples=4, master_seed=1)
+    with pytest.raises(ConfigError, match="finite numbers"):
+        empirical_k_point(bf, spec, points, 0.1)
 
 
 def test_window_guard(bf):

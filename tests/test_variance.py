@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gausszeros import variance
 from gausszeros.densities import rho_k
-from gausszeros.errors import QuadratureNotConverged
+from gausszeros.errors import ConfigError, QuadratureNotConverged
 from gausszeros.models import QuadratureSpec
 from gausszeros.simulation import SimulationSpec, replicate_statistics
 from gausszeros.variance import (TestFunction, _envelope_tail,
@@ -145,6 +145,15 @@ def test_predicted_covariance_vs_monte_carlo(bf):
     var = float(np.mean(centered ** 2))
     stderr = float(np.std(centered ** 2, ddof=1) / math.sqrt(counts.size))
     assert abs(var - m2) <= 3.0 * stderr
+
+
+@pytest.mark.parametrize("bad", [0.0, -2.0, math.nan, math.inf])
+def test_variance_layer_refuses_bad_R(bf, bad):
+    phi = TestFunction.indicator(0.0, 1.0)
+    with pytest.raises(ConfigError, match="R must be positive and finite"):
+        predicted_covariance(bf, phi, phi, bad)
+    with pytest.raises(ConfigError, match="R must be positive and finite"):
+        expected_linear_statistic(phi, bad)
 
 
 def test_expected_linear_statistic():
