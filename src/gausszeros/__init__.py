@@ -21,9 +21,9 @@ from .models import (CorrelationModel, QuadratureSpec, SpectralDensity,
                      normalize_from_spectral_density, tail_norm)
 from .partitions import (IndexPartition, adapted_subsets, cluster_partition,
                          enumerate_pair_partitions, enumerate_partitions,
-                         partition_leq, predicted_central_moment)
+                         predicted_central_moment)
 from .simulation import (MomentEstimate, SimulationSpec, ZeroSample,
-                         clt_diagnostic, empirical_k_point, empirical_moments,
+                         ZeroSets, clt_diagnostic, empirical_k_point, empirical_moments,
                          linear_statistic, replicate_statistics, zero_samples)
 from .variance import (TestFunction, expected_linear_statistic,
                        predicted_covariance, sigma_lower_bound, sigma_squared,

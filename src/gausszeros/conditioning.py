@@ -151,25 +151,31 @@ def _check_psd_and_factor(variance: np.ndarray) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _chunk_rng(seed: int, index: int,
-               rng: np.random.Generator | None = None) -> np.random.Generator:
-    """Counter-based Philox substream keyed by (seed mod 2^64, index).
+def _substreams(seed: int, indices):
+    """Counter-based Philox substreams keyed by (seed mod 2^64, index).
 
-    Rekeys `rng` in place when one is given, which costs a fraction of
-    building a generator, else builds one; either way the stream starts at
-    counter 0 with no buffered words, whatever was drawn before.
+    Yields one generator per index: the same generator, rekeyed in place
+    from one state dict that this call owns, which costs a fraction of
+    building a generator.  Each stream starts at counter 0 with no buffered
+    words, whatever was drawn from the one before.  The dict is mutated
+    between yields, so an iterator must stay in the thread that made it.
     """
-    if rng is None:
-        # a fixed seed skips the OS entropy draw; the state is replaced below
-        rng = np.random.Generator(np.random.Philox(0))
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([seed & 0xFFFFFFFFFFFFFFFF, index],
-                                  dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return rng
+    key = [seed & 0xFFFFFFFFFFFFFFFF, 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
+             "uinteger": 0}
+    # a fixed seed skips the OS entropy draw; the state is replaced below
+    rng = np.random.Generator(np.random.Philox(0))
+    for index in indices:
+        key[1] = index
+        rng.bit_generator.state = state
+        yield rng
+
+
+def _chunk_rng(seed: int, index: int) -> np.random.Generator:
+    """The substream (seed mod 2^64, index) of `_substreams`, on its own."""
+    return next(_substreams(seed, (index,)))
 
 
 def _cholesky_or_none(u: np.ndarray) -> np.ndarray | None:

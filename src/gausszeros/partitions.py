@@ -20,7 +20,6 @@ __all__ = [
     "enumerate_partitions",
     "enumerate_pair_partitions",
     "cluster_partition",
-    "partition_leq",
     "adapted_subsets",
     "predicted_central_moment",
 ]
@@ -155,18 +154,6 @@ def cluster_partition(points, eta: float) -> IndexPartition:
         else:
             blocks.append([int(cur)])
     return IndexPartition.from_blocks(blocks)
-
-
-def partition_leq(fine: IndexPartition, coarse: IndexPartition) -> bool:
-    """True iff every block of `fine` is contained in a block of `coarse`."""
-    if fine.n != coarse.n:
-        raise GroundSetMismatch(
-            f"partitions over different ground sets: {fine.n} vs {coarse.n}")
-    owner = {}
-    for b in coarse.blocks:
-        for i in b:
-            owner[i] = b
-    return all(all(owner[i] == owner[blk[0]] for i in blk) for blk in fine.blocks)
 
 
 def adapted_subsets(n: int, partition: IndexPartition) -> list[tuple[int, ...]]:

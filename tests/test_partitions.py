@@ -6,7 +6,7 @@ from gausszeros.errors import ConfigError, GroundSetMismatch, SizeCap
 from gausszeros.partitions import (IndexPartition, adapted_subsets,
                                    cluster_partition,
                                    enumerate_pair_partitions,
-                                   enumerate_partitions, partition_leq,
+                                   enumerate_partitions,
                                    predicted_central_moment)
 from gausszeros.variance import TestFunction, predicted_covariance
 
@@ -47,13 +47,22 @@ def test_cluster_partition_degenerate_scales():
     assert cluster_partition(x, 10.0) == IndexPartition.one_block(3)
 
 
+def _refines(fine, coarse):
+    # every block of `fine` lies inside one block of `coarse`
+    owner = {i: b for b in coarse.blocks for i in b}
+    return fine.n == coarse.n and all(
+        len({owner[i] for i in blk}) == 1 for blk in fine.blocks)
+
+
 def test_cluster_partition_monotone(rng):
     for _ in range(50):
         x = rng.uniform(0, 10, int(rng.integers(2, 8)))
         etas = np.sort(rng.uniform(0, 5, 3))
         parts = [cluster_partition(x, e) for e in etas]
-        assert partition_leq(parts[0], parts[1])
-        assert partition_leq(parts[1], parts[2])
+        assert _refines(parts[0], parts[1])
+        assert _refines(parts[1], parts[2])
+    # the helper itself: a coarser partition is not finer
+    assert not _refines(IndexPartition.one_block(3), IndexPartition.singletons(3))
 
 
 def test_cluster_blocks_not_interlaced(rng):
@@ -69,19 +78,6 @@ def test_cluster_blocks_not_interlaced(rng):
                 assert (xb.min() > xa.max() + eta) or (xb.max() < xa.min() - eta)
 
 
-def test_partition_leq():
-    n3 = IndexPartition.singletons(3)
-    top = IndexPartition.one_block(3)
-    mid1 = IndexPartition.from_blocks([(0, 1), (2,)])
-    mid2 = IndexPartition.from_blocks([(0, 2), (1,)])
-    assert partition_leq(n3, mid1) and partition_leq(n3, top)
-    assert partition_leq(mid1, top) and partition_leq(mid2, top)
-    assert not partition_leq(mid1, mid2)
-    assert not partition_leq(mid2, mid1)
-    with pytest.raises(GroundSetMismatch):
-        partition_leq(n3, IndexPartition.singletons(4))
-
-
 def test_adapted_subsets_examples():
     all_singletons = IndexPartition.singletons(2)
     assert adapted_subsets(2, all_singletons) == [(), (0,), (1,), (0, 1)]
@@ -89,6 +85,8 @@ def test_adapted_subsets_examples():
     assert adapted_subsets(2, one_block) == [(0, 1)]
     mixed = IndexPartition.from_blocks([(0, 1), (2,)])
     assert adapted_subsets(3, mixed) == [(0, 1), (0, 1, 2)]
+    with pytest.raises(GroundSetMismatch):
+        adapted_subsets(4, mixed)
 
 
 def test_adapted_subsets_count(rng):

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gausszeros.conditioning import _chunk_rng
+from gausszeros.conditioning import _chunk_rng, _substreams
 from gausszeros.errors import (ConfigError, IntervalsOverlap, SizeCap,
                                WindowTooSmall)
 from gausszeros.densities import rho_k
@@ -15,8 +19,8 @@ from gausszeros.simulation import (SimulationSpec, _hermite_roots_batch,
                                    clt_diagnostic, empirical_k_point,
                                    empirical_moments, linear_statistic,
                                    replicate_statistics, zero_samples)
-from gausszeros.variance import (TestFunction, predicted_covariance,
-                                 two_point_F)
+from gausszeros.variance import (TestFunction, expected_linear_statistic,
+                                 predicted_covariance, two_point_F)
 
 
 def test_spec_validation():
@@ -91,7 +95,8 @@ def test_next_fast_len_matches_scipy():
 def test_extract_zeros_sine_path():
     spec = SimulationSpec(window_length=10.0, grid_step=0.05, num_samples=1)
     grid = np.arange(spec.grid_size) * spec.grid_step
-    zs = _zeros_from_batch(np.sin(grid)[None], np.cos(grid)[None], spec)[0]
+    zs = _zeros_from_batch(np.sin(grid)[None], np.cos(grid)[None],
+                           spec)[0].zeros
     expect = np.array([0.0, math.pi, 2 * math.pi, 3 * math.pi])
     np.testing.assert_allclose(zs, expect, atol=1e-8)
 
@@ -106,8 +111,8 @@ def test_zero_refinement_grid_consistency():
     spec_h2 = SimulationSpec(window_length=20.0, grid_step=h / 2, num_samples=1)
     gh = np.arange(spec_h.grid_size) * h
     gh2 = np.arange(spec_h2.grid_size) * (h / 2)
-    z1 = _zeros_from_batch(f(gh)[None], fp(gh)[None], spec_h)[0]
-    z2 = _zeros_from_batch(f(gh2)[None], fp(gh2)[None], spec_h2)[0]
+    z1 = _zeros_from_batch(f(gh)[None], fp(gh)[None], spec_h)[0].zeros
+    z2 = _zeros_from_batch(f(gh2)[None], fp(gh2)[None], spec_h2)[0].zeros
     assert z1.size == z2.size
     assert np.max(np.abs(z1 - z2)) < 10 * h * h
 
@@ -126,18 +131,17 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("seed", [0, 123, 2 ** 63 + 5, 2 ** 64 - 1])
 def test_rekeyed_stream_matches_fresh_substream(bf, seed):
     n = 101
-    rng = _chunk_rng(seed, 7)
-    # odd-length and 32-bit draws leave buffered words that the rekey drops
-    rng.standard_normal(3)
-    rng.random(dtype=np.float32)
-    for pair in (9, 2, 0, 2, 40_000):  # out of order, one repeated
+    pairs = (9, 2, 0, 2, 40_000)  # out of order, one repeated
+    for pair, rng in zip(pairs, _substreams(seed, pairs)):
         expect = _philox_stream(seed, pair).standard_normal(2 * n)
         assert _same_bits(_chunk_rng(seed, pair).standard_normal(2 * n),
                           expect)
-        assert _same_bits(_chunk_rng(seed, pair, rng).standard_normal(2 * n),
-                          expect)
+        assert _same_bits(rng.standard_normal(2 * n), expect)
+        # odd-length and 32-bit draws leave buffered words that the
+        # next rekey drops
         rng.standard_normal(pair % 5 + 1)
         rng.integers(0, 7, dtype=np.uint32)
+        rng.random(dtype=np.float32)
     # the sampler's batch of out-of-order pairs, against fresh streams
     spec = SimulationSpec(window_length=2.0, num_samples=2, master_seed=seed)
     sampler = _SpectralSampler(bf, spec)
@@ -198,10 +202,10 @@ def test_zeros_from_batch_matches_per_row_reference(cauchy, monkeypatch):
     ref = _zeros_per_row(f, fp, spec)
     assert len(out) == len(ref) == f.shape[0]
     for r, (a, b) in enumerate(zip(out, ref)):
-        assert _same_bits(a, b), r
-    assert out[0].size == out[1].size == 0
-    assert out[2][0] == 0.0
-    assert out[4][-1] == (m - 2) * spec.grid_step
+        assert _same_bits(a.zeros, b), r
+    assert out[0].zeros.size == out[1].zeros.size == 0
+    assert out[2].zeros[0] == 0.0
+    assert out[4].zeros[-1] == (m - 2) * spec.grid_step
     # cell roots snapped to 0 or 1 tie across nodes, as when both lie
     # within rounding of node 5: two sign changes give two zeros in every
     # row, where the per-row `np.unique` merged them in rows with a hit
@@ -211,9 +215,10 @@ def test_zeros_from_batch_matches_per_row_reference(cauchy, monkeypatch):
     ref = _zeros_per_row(f, fp, spec, snapped)
     has_hit = np.any(f == 0.0, axis=1)
     for r, (a, b) in enumerate(zip(out, ref)):
+        a = a.zeros
         assert _same_bits(np.unique(a) if has_hit[r] else a, b), r
     tie = 5 * spec.grid_step
-    assert [np.count_nonzero(out[r] == tie) for r in (6, 7)] == [2, 2]
+    assert [np.count_nonzero(out[r].zeros == tie) for r in (6, 7)] == [2, 2]
     monkeypatch.undo()
     # whole sampled batches, where exact node hits do not occur
     gen_spec = SimulationSpec(window_length=7.3, num_samples=64,
@@ -221,7 +226,7 @@ def test_zeros_from_batch_matches_per_row_reference(cauchy, monkeypatch):
     f, fp = _SpectralSampler(cauchy, gen_spec).sample(9, range(32))
     for a, b in zip(_zeros_from_batch(f, fp, gen_spec),
                     _zeros_per_row(f, fp, gen_spec)):
-        assert _same_bits(a, b)
+        assert _same_bits(a.zeros, b)
 
 
 def _per_replicate_sums(samples, phi, R):
@@ -332,6 +337,16 @@ def test_k_point_refuses_non_finite_points(bf, monkeypatch, points):
         empirical_k_point(bf, spec, points, 0.1)
 
 
+def test_k_point_refuses_collapsed_interval(bf, monkeypatch):
+    # epsilon below half an ulp of the point: [x - eps, x + eps] is one value
+    monkeypatch.setattr(simulation, "zero_samples",
+                        lambda *a, **k: pytest.fail("sampled"))
+    spec = SimulationSpec(4e5, num_samples=2)
+    with pytest.raises(ConfigError, match=r"epsilon 1e-12 .* point 300000\.0: "
+                       r"its counting interval \[300000\.0, 300000\.0\]"):
+        empirical_k_point(bf, spec, [3e5], 1e-12)
+
+
 def test_window_guard(bf):
     spec = SimulationSpec(window_length=5.0, grid_step=0.05, num_samples=2,
                           master_seed=3)
@@ -401,6 +416,47 @@ def test_empirical_moments_centered(bf):
     assert m1.ci_low <= 0.0 <= m1.ci_high  # exact centering
     pred = predicted_covariance(bf, phi, phi, 40.0)
     assert m2.ci_low <= pred <= m2.ci_high
+
+
+@pytest.mark.parametrize("rows", [None, 100, 125, 7])
+def test_bootstrap_blocks_equal_one_draw(bf, monkeypatch, rows):
+    # blocks of resample rows continue one stream: bit for bit the CIs of
+    # a single (1000, n) index draw, also with a short last block
+    n, R = 2001, 5.0
+    if rows is not None:
+        monkeypatch.setattr(simulation, "_BOOTSTRAP_BLOCK", rows * n)
+    spec = SimulationSpec(window_length=R, num_samples=n, master_seed=31)
+    phi = TestFunction.indicator(0.0, 1.0)
+    got = empirical_moments(bf, spec, phi, R, [1, 2, 4])
+    centered = (replicate_statistics(bf, spec, phi, R)
+                - expected_linear_statistic(phi, R))
+    idx = _chunk_rng(31, 0xB00757).integers(0, n, size=(1000, n))
+    for est, p in zip(got, (1, 2, 4)):
+        lo, hi = np.quantile((centered ** p)[idx].mean(axis=1), [0.025, 0.975])
+        assert (est.ci_low, est.ci_high) == (float(lo), float(hi))
+
+
+def test_bootstrap_memory_is_bounded():
+    # at n = 50 000 one (1000, n) index draw would take 400 MB, and each
+    # order's gather as much again; a block and its gather take 32 MB
+    code = """
+import resource
+from gausszeros import get_model
+from gausszeros.simulation import (SimulationSpec, empirical_moments,
+                                   replicate_statistics)
+from gausszeros.variance import TestFunction
+bf, phi = get_model("bargmann-fock"), TestFunction.indicator(0.0, 1.0)
+spec = SimulationSpec(window_length=1.0, num_samples=50_000, master_seed=3)
+replicate_statistics(bf, spec, phi, 1.0)
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+empirical_moments(bf, spec, phi, 1.0, [2, 4])
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak) / 1024)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(simulation.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 64.0  # MB above the sampling's own peak
 
 
 def test_empirical_k_point(bf):
