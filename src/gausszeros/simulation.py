@@ -10,7 +10,9 @@ index), so runs are reproducible bit-for-bit regardless of batching or
 thread count.  Zeros are located by sign changes and polished on the cubic
 Hermite interpolant of (f, f') over the bracketing cell by a safeguarded
 Newton iteration that never leaves the cell's sign-change bracket; cells
-whose last Newton step is not at rounding level are finished by bisection.
+whose last Newton step is not at rounding level are finished by bisection,
+and so are cells whose right-end value is at rounding level, on a cubic
+written around the nearer node.
 The zero sets of all replicates stay in one pooled array (`ZeroSets`) from
 the sampler to every statistic, which sums over it with one `bincount`.
 """
@@ -55,6 +57,9 @@ _BOOTSTRAP = 1000  # resamples behind each moment's confidence interval
 _BOOTSTRAP_BLOCK = 1 << 21
 _NEWTON_STEPS = 7  # sampled cells converge in 4-6; the rest are bisected
 _BELOW_ONE = 1.0 - 2.0 ** -53  # the last double below 1
+# |f1| below this times |f0| + h (|f0'| + |f1'|) is within the rounding of
+# the cubic's value at t = 1 in powers of t (a bound on its ~10 roundings)
+_BLIND_END = 64.0 * 2.0 ** -52
 # FFT length cap: 300x the largest benchmark length (28000, cauchy at
 # R = 1000).  At the cap, cauchy with 4 replicates on 2 threads peaked at
 # 1.7 GB RSS (numpy 2.4, 2-core 8 GB host); memory grows with threads.
@@ -235,6 +240,12 @@ def _hermite_roots_batch(f0, d0, f1, d1, h: float) -> np.ndarray:
     without condition; on sampled paths it is within 4 ulps of 60
     bisection halvings on [0, 1], the kernel this one replaced, at a fifth
     of the cost.
+
+    In powers of t, p near t = 1 sums terms of the size of |f0| and h |f'|,
+    so where |f1| is at their rounding level the computed p has no sign
+    there and the Newton bracket cannot be trusted.  Such cells are
+    bisected afresh on [0, 1], with p evaluated in powers of t - 1 beyond
+    t = 1/2, where p(1) = -|f1| is exact.
     """
     s = np.sign(f0)
     a = s * f0
@@ -259,22 +270,32 @@ def _hermite_roots_batch(f0, d0, f1, d1, h: float) -> np.ndarray:
             new = np.where(inside, new, 0.5 * (lo + hi))
             step = np.abs(new - t)
             t = new
-    rest = np.nonzero(step > 2.0 * np.spacing(t))[0]
-    if rest.size:
-        t[rest] = _bisect(a[rest], b[rest], c[rest], d[rest],
-                          lo[rest], hi[rest])
+    blind = np.abs(f1) <= _BLIND_END * (a + np.abs(b) + h * np.abs(d1))
+    r = np.nonzero((step > 2.0 * np.spacing(t)) | blind)[0]
+    if r.size:
+        blind = blind[r]
+        near1 = (s[r] * f1[r], s[r] * (h * d1[r]),
+                 s[r] * (-3.0 * (f1[r] - f0[r]) + h * (d0[r] + 2.0 * d1[r])))
+        t[r] = _bisect((a[r], b[r], c[r], d[r]), near1, np.where(blind, 0.5, 1.0),
+                       np.where(blind, 0.0, lo[r]), np.where(blind, 1.0, hi[r]))
     return t
 
 
-def _bisect(a, b, c, d, lo, hi) -> np.ndarray:
-    """Bisection of a + t (b + t (c + t d)) on brackets with p(lo) > 0 >=
-    p(hi), until no midpoint falls strictly inside (at most ~1100 steps,
-    the exponent range of a double)."""
+def _bisect(coef, near1, split, lo, hi) -> np.ndarray:
+    """Bisection of p on brackets with p(lo) > 0 >= p(hi), until no midpoint
+    falls strictly inside (at most ~1100 steps, the exponent range of a
+    double).  p(t) is a + t (b + t (c + t d)) with (a, b, c, d) = coef, or,
+    for t > split, a1 + u (b1 + u (c1 + u d)) in u = t - 1 with
+    (a1, b1, c1) = near1."""
+    a, b, c, d = coef
+    a1, b1, c1 = near1
     while True:
         mid = 0.5 * (lo + hi)
         if not np.any((mid > lo) & (mid < hi)):
             return mid
-        pos = ((d * mid + c) * mid + b) * mid + a > 0.0
+        u = mid - 1.0
+        pos = np.where(mid > split, ((d * u + c1) * u + b1) * u + a1,
+                       ((d * mid + c) * mid + b) * mid + a) > 0.0
         lo = np.where(pos, mid, lo)
         hi = np.where(pos, hi, mid)
 
@@ -288,7 +309,9 @@ def _zeros_from_batch(f: np.ndarray, fp: np.ndarray, spec: SimulationSpec
     coincide with a root, since a bracket needs non-zero ends.
     """
     h = spec.grid_step
-    sign_change = (f[:, :-1] * f[:, 1:]) < 0.0
+    # signs, not the product f_i f_i+1, which can underflow to 0
+    neg, pos = f < 0.0, f > 0.0
+    sign_change = (neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])
     rows, cols = np.nonzero(sign_change)
     t = _hermite_roots_batch(f[rows, cols], fp[rows, cols],
                              f[rows, cols + 1], fp[rows, cols + 1], h)

@@ -1,11 +1,17 @@
+import inspect
 import math
+import os
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gausszeros.conditioning import (MonteCarloSpec, _mc_abs_product,
+from gausszeros import conditioning, densities, models
+from gausszeros.conditioning import (_CHUNK, MonteCarloSpec, _mc_abs_product,
                                      assemble_context, pi_k)
-from gausszeros.densities import vanishing_constant
+from gausszeros.densities import rho_k, vanishing_constant
 from gausszeros.errors import ConfigError, NotPSD, OrderUnavailable
 from gausszeros.models import tail_norm
 from gausszeros.partitions import IndexPartition, cluster_partition
@@ -355,3 +361,128 @@ def test_routes_reported(bf):
     assert routes([0.0, 0.3, 5.0]) == ("taylor", "taylor")
     assert routes([0.0, 0.9, 1.8]) == ("newton",)
     assert routes([0.0, 2.0]) == ("closed-form", "closed-form")
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo chunks on a thread pool
+# ---------------------------------------------------------------------------
+
+def _record_mc_calls(monkeypatch):
+    """Wrap `_mc_abs_product`; returns the list of (k, control, powers, samples)."""
+    calls, original = [], conditioning._mc_abs_product
+
+    def recorder(L, mc, L_control=None, powers=None):
+        calls.append((L.shape[0], L_control is not None, powers is not None,
+                      mc.samples))
+        return original(L, mc, L_control=L_control, powers=powers)
+    monkeypatch.setattr(conditioning, "_mc_abs_product", recorder)
+    return calls
+
+
+def _record_pool_sizes(monkeypatch):
+    sizes = []
+
+    class Pool(conditioning.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+    monkeypatch.setattr(conditioning, "ThreadPoolExecutor", Pool)
+    return sizes
+
+
+def test_same_bits_for_any_worker_count(bf, cauchy, monkeypatch):
+    odd = MonteCarloSpec(samples=3 * _CHUNK + 12345, seed=8)
+    u = np.array([[1.0, 0.4, 0.2, 0.1], [0.4, 1.5, 0.3, 0.2],
+                  [0.2, 0.3, 0.9, 0.25], [0.1, 0.2, 0.25, 1.2]])
+
+    def answers():
+        out = []
+        for k in (4, 5, 6):  # spread: one coupled group, plain Monte Carlo
+            r = rho_k(bf, 0.85 * np.arange(k), MonteCarloSpec(seed=k))
+            out += [r.rho, r.n_stderr]
+        two = rho_k(bf, [0.0, 0.3, 8.0, 8.4], MonteCarloSpec(seed=3))
+        v = vanishing_constant(cauchy, [0.0, 0.0, 2.0, 2.0], MonteCarloSpec(seed=4))
+        return [float(x).hex() for x in (*out, two.rho, two.n_stderr, v.value,
+                                         v.stderr, *pi_k(u, odd))]
+
+    calls = _record_mc_calls(monkeypatch)
+    sizes = _record_pool_sizes(monkeypatch)
+    bits = {}
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        calls.clear()
+        sizes.clear()
+        bits[cpus] = answers()
+        chunks = [math.ceil(n / _CHUNK) for *_, n in calls]
+        assert sizes == [min(c, cpus) for c in chunks]
+    assert bits[1] == bits[2] == bits[4]
+    # the cases named above all reached the sampler
+    assert {k for k, control, powers, n in calls if not control} >= {4, 5, 6}
+    assert any(control for _, control, _, _ in calls)
+    assert any(powers for _, _, powers, _ in calls)
+    assert any(n % _CHUNK for *_, n in calls)
+
+
+def test_public_calls_stay_on_the_main_thread(bf, monkeypatch):
+    # the benchmark's span accounting needs every public layer function and
+    # every derivs to run on the calling thread; only private code and numpy
+    # may run on the pool's workers
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    seen, workers = [], set()
+
+    def wrap(fn, name):
+        def wrapper(*args, **kwargs):
+            seen.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {}
+    for layer in ("models", "divdiff", "conditioning", "densities",
+                  "partitions", "variance", "simulation"):
+        mod = sys.modules[f"gausszeros.{layer}"]
+        for attr, obj in vars(mod).items():
+            if (inspect.isfunction(obj) and not attr.startswith("_")
+                    and obj.__module__ == mod.__name__):
+                wrappers[obj] = wrap(obj, f"{layer}.{attr}")
+    for name, mod in list(sys.modules.items()):
+        if name == "gausszeros" or name.startswith("gausszeros."):
+            for attr, obj in list(vars(mod).items()):
+                if inspect.isfunction(obj) and obj in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[obj])
+    classes = [models.CorrelationModel]
+    while classes:
+        cls = classes.pop()
+        classes.extend(cls.__subclasses__())
+        if "derivs" in vars(cls):
+            monkeypatch.setattr(cls, "derivs", wrap(vars(cls)["derivs"],
+                                                    "models.derivs"))
+    chunk_rng = conditioning._chunk_rng
+
+    def worker_rng(seed, index):
+        workers.add(threading.get_ident())
+        return chunk_rng(seed, index)
+    monkeypatch.setattr(conditioning, "_chunk_rng", worker_rng)
+
+    # a fresh instance: the session fixture may carry an instance `derivs`
+    # left behind by another test's monkeypatch
+    densities.rho_k(type(bf)(), 0.85 * np.arange(6))
+    names = {name for name, _ in seen}
+    assert {"densities.rho_k", "conditioning.pi_k", "models.derivs"} <= names
+    assert {ident for _, ident in seen} == {threading.get_ident()}
+    assert workers and threading.get_ident() not in workers
+
+
+def test_chunks_in_flight_bound_memory(monkeypatch):
+    # two chunks in flight at k = 6 hold their draws and block-sized
+    # temporaries: at most 10 MiB for 2^18 samples
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    L = np.linalg.cholesky(0.7 * np.eye(6) + 0.3)
+    mc = MonteCarloSpec(samples=1 << 18, seed=7)
+    _mc_abs_product(L, mc)  # first-call allocations are not the chunks'
+    tracemalloc.start()
+    try:
+        _mc_abs_product(L, mc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2 ** 20

@@ -212,3 +212,12 @@ def test_flat_secant_example():
     (t,) = _hermite_roots_batch(np.array([1.0]), np.array([4.0]),
                                 np.array([-3.0]), np.array([-12.0]), 1.0)
     assert abs(t - (1.0 + math.sqrt(3.0)) / 4.0) <= 2 * EPS
+
+
+def test_tiny_end_keeps_the_crossing():
+    # p(1) = -1e-300 is far below the rounding of the cubic in powers of t
+    # there, which sums O(1) terms; the crossing is the root of
+    # 2.05 t^2 - t - 1, not the node
+    (t,) = _hermite_roots_batch(np.array([-1.0]), np.array([0.0]),
+                                np.array([1e-300]), np.array([-1.0]), 0.05)
+    assert abs(t - (1.0 + math.sqrt(9.2)) / 4.1) <= 1e-15

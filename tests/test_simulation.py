@@ -101,6 +101,15 @@ def test_extract_zeros_sine_path():
     np.testing.assert_allclose(zs, expect, atol=1e-8)
 
 
+def test_sign_change_below_the_underflow_of_products():
+    # f1 f2 = -1e-400 underflows to -0.0; the signs still differ, and the
+    # symmetric cubic on that cell crosses at its midpoint
+    f = np.array([[1.0, 1e-200, -1e-200, -1.0]])
+    spec = SimulationSpec(window_length=0.15, grid_step=0.05)
+    zs = _zeros_from_batch(f, np.zeros_like(f), spec)
+    assert zs.zeros.tolist() == pytest.approx([0.075], abs=1e-15)
+
+
 def test_zero_refinement_grid_consistency():
     # the same smooth path sampled at h and h/2 (shared nodes) must give
     # zeros within 10 h^2 of each other
