@@ -121,7 +121,13 @@ def _as_batch(x):
 
 
 class BargmannFockModel(CorrelationModel):
-    """kappa(x) = exp(-x^2 / 2); derivatives via Hermite-type polynomials."""
+    """kappa(x) = exp(-x^2 / 2); derivatives via Hermite-type polynomials.
+
+    kappa^(j)(x) = (-1)^j He_j(x) exp(-x^2 / 2).  Every order comes from one
+    Horner pass over a zero-padded (order, degree) table of He_j
+    coefficients built in `__init__` (under 0.5 ms), with the same
+    operations, in the same order, as one `polyval` per order.
+    """
 
     kind = "bargmann-fock"
     max_derivative_order = 12
@@ -129,26 +135,36 @@ class BargmannFockModel(CorrelationModel):
 
     def __init__(self):
         # coefficient rows of He_j (probabilists' Hermite), ascending powers
+        cap = self.internal_order_cap
         rows = [np.array([1.0]), np.array([0.0, 1.0])]
-        for j in range(2, self.internal_order_cap + 1):
+        for j in range(2, cap + 1):
             prev, prev2 = rows[-1], rows[-2]
             nxt = np.zeros(j + 1)
             nxt[1:] += prev                      # x * He_{j-1}
             nxt[: j - 1] -= (j - 1) * prev2      # -(j-1) * He_{j-2}
             rows.append(nxt)
-        self._he = rows
+        self._he = np.zeros((cap + 1, cap + 1))
+        for j, row in enumerate(rows):
+            self._he[j, : j + 1] = row
         self._he_abs = [np.abs(r) for r in rows]
+        self._sign = np.array([-1.0 if j % 2 else 1.0 for j in range(cap + 1)])
 
     def _derivs(self, xb, max_order: int) -> np.ndarray:
         # exp(-x^2/2) is exactly 0 from |x| = 38.6 on; clamping x to +-40
         # keeps the polynomial factor finite there instead of inf * 0
         xb = np.minimum(np.maximum(xb, -_BF_CUT), _BF_CUT)
         gauss = np.exp(-0.5 * xb * xb)
-        out = np.empty((max_order + 1, xb.size))
-        for j in range(max_order + 1):
-            sign = -1.0 if j % 2 else 1.0
-            out[j] = sign * npoly.polyval(xb, self._he[j]) * gauss
-        return out
+        # Horner from the top degree down.  Row j joins at its leading
+        # coefficient (0 * x + 1 = 1), so each row repeats the operations
+        # of its own Horner evaluation and keeps its bits.
+        poly = np.zeros((max_order + 1, xb.size))
+        for i in range(max_order, -1, -1):
+            rows = poly[i:]
+            rows *= xb
+            rows += self._he[i:max_order + 1, i, None]
+        # the sign goes on after the polynomial: folded into the table it
+        # would turn the -0.0 of some odd orders at x = 0 into +0.0
+        return self._sign[:max_order + 1, None] * poly * gauss
 
     def spectral_density(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -171,65 +187,108 @@ class BargmannFockModel(CorrelationModel):
 
 
 class SincModel(CorrelationModel):
-    """kappa(x) = sinc(sqrt(3) x), the band-limited correlation on [-sqrt3, sqrt3]."""
+    """kappa(x) = sinc(sqrt(3) x), the band-limited correlation on [-sqrt3, sqrt3].
+
+    With u = sqrt3 x, kappa^(j) is its 60-term Taylor series below the cut
+    |u| < max(0.5, 0.3 j), and Leibniz's rule on sin(u) u^-1 beyond it.
+    Every order comes from one pass over coefficient tables built in
+    `__init__` (about 2 ms): one power stack per parity of j for the
+    series, and one sin(u + pi m / 2) and one u^-p per m and p shared by
+    all orders for Leibniz's rule.  Each value is summed in the same order,
+    from the same products, as a per-order evaluation, so it keeps its bits.
+    """
 
     kind = "sinc-sqrt3"
     max_derivative_order = 12
     internal_order_cap = 40
 
     _SERIES_TERMS = 60
+    _OMK_TERMS = 19
+    # (order, point) pairs per block: the series' (order, term, point)
+    # stack stays near 1 MB whatever the size of the call
+    _BLOCK = 4096
 
     def __init__(self):
+        cap = self.internal_order_cap
         # B_l = sum_{m<l} C(l, m) (l-m)!  bounds the non-leading Leibniz terms
         self._leibniz_b = [
             float(sum(math.comb(l, m) * math.factorial(l - m) for m in range(l)))
             for l in range(self.max_derivative_order + 1)
         ]
-
-    def _sinc_deriv_series(self, u: np.ndarray, j: int, scale: float
-                           ) -> np.ndarray:
-        # term k: scale * (-1)^k u^(2k-j) / ((2k+1) (2k-j)!); alternating
-        # with ~e^|u| cancellation, so only used below the per-order cut.
+        self._cuts = np.array([max(0.5, 0.3 * j) for j in range(cap + 1)])
+        self._scale = np.array([float(3.0 ** (j // 2)) * (_SQRT3 if j % 2 else 1.0)
+                                for j in range(cap + 1)])
+        # series term n of order j: coefficient of u^(2n + j % 2), from
+        # scale * (-1)^k u^(2k-j) / ((2k+1) (2k-j)!) with k = (j+1)//2 + n.
         # Folding the 3^(j/2) scale into the coefficient keeps the values at
         # u = 0 exact (e.g. kappa''(0) = 3 / (3 0!) = -1 without rounding).
-        k0 = (j + 1) // 2
-        acc = np.zeros_like(u)
-        upow = u ** (2 * k0 - j)
-        u2 = u * u
-        for k in range(k0, k0 + self._SERIES_TERMS):
-            fact = math.factorial(2 * k - j)
-            coeff = (-1.0) ** k * scale / ((2 * k + 1) * fact)
-            acc = acc + coeff * upow
-            upow = upow * u2
-        return acc
-
-    def _sinc_deriv_closed(self, u: np.ndarray, j: int) -> np.ndarray:
-        # Leibniz on sin(u) * u^{-1}: loses ~ j! / |u|^j of precision, so it
-        # is only used beyond the per-order cut where that factor is tame
-        acc = np.zeros_like(u)
-        inv = 1.0 / u
-        for m in range(j + 1):
-            c = math.comb(j, m) * (-1.0) ** (j - m) * math.factorial(j - m)
-            acc = acc + c * np.sin(u + 0.5 * math.pi * m) * inv ** (j - m + 1)
-        return acc
-
-    @staticmethod
-    def _series_cut(j: int) -> float:
-        return max(0.5, 0.3 * j)
+        fact = [math.factorial(n) for n in range(2 * self._SERIES_TERMS)]
+        self._series = np.array([
+            [(-1.0) ** k * scale / ((2 * k + 1) * fact[2 * k - j])
+             for k in range((j + 1) // 2, (j + 1) // 2 + self._SERIES_TERMS)]
+            for j, scale in enumerate(self._scale.tolist())])
+        # Leibniz on sin(u) * u^{-1}: order j is the sum over m of
+        # _leibniz[j - m, j] sin(u + pi m / 2) u^-(j - m + 1)
+        self._leibniz = np.array([
+            [math.comb(j, j - d) * (-1.0) ** d * fact[d] if j >= d else 0.0
+             for j in range(cap + 1)] for d in range(cap + 1)])
+        self._shifts = np.array([0.5 * math.pi * m for m in range(cap + 1)])
+        # 1 - sinc(u) = sum_k (-1)^(k+1) u^(2k) / (2k+1)!, k = 1..19
+        self._omk_sign = np.array([(-1.0) ** (k + 1)
+                                   for k in range(1, self._OMK_TERMS + 1)])[:, None]
+        self._omk_fact = np.array([float(math.factorial(2 * k + 1))
+                                   for k in range(1, self._OMK_TERMS + 1)])[:, None]
 
     def _derivs(self, xb, max_order: int) -> np.ndarray:
         u = _SQRT3 * xb
-        out = np.empty((max_order + 1, xb.size))
-        for j in range(max_order + 1):
-            scale = float(3.0 ** (j // 2)) * (_SQRT3 if j % 2 else 1.0)
-            small = np.abs(u) < self._series_cut(j)
-            col = np.empty_like(u)
-            if np.any(small):
-                col[small] = self._sinc_deriv_series(u[small], j, scale)
-            if np.any(~small):
-                col[~small] = scale * self._sinc_deriv_closed(u[~small], j)
-            out[j] = col
+        out = np.empty((max_order + 1, u.size))
+        step = max(1, self._BLOCK // (max_order + 1))
+        for s in range(0, u.size, step):
+            out[:, s:s + step] = self._derivs_block(u[s:s + step], max_order)
         return out
+
+    def _derivs_block(self, u: np.ndarray, top: int) -> np.ndarray:
+        series = np.abs(u) < self._cuts[:top + 1, None]  # (order, point)
+        out = np.empty((top + 1, u.size))
+        # the cuts grow with the order: a point below order 0's cut takes
+        # the series at every order, one beyond the top order's cut never
+        closed, near = ~series[0], series[-1]
+        if closed.any():
+            out[:, closed] = self._leibniz_sum(u[closed], top)
+        if near.any():
+            out[:, near] = np.where(series[:, near],
+                                    self._series_sum(u[near], top), out[:, near])
+        return out
+
+    def _series_sum(self, u: np.ndarray, top: int) -> np.ndarray:
+        # alternating with ~e^|u| cancellation, so only used below the
+        # per-order cut; only points below the top cut come here, where no
+        # power of |u| < 12 overflows
+        steps = np.empty((2, self._SERIES_TERMS, u.size))
+        steps[0, 0], steps[1, 0] = 1.0, u
+        steps[:, 1:] = u * u
+        # u^(2n + parity), built by the repeated products u^e u2 u2 ...
+        pows = np.cumprod(steps, axis=1)
+        out = np.empty((top + 1, u.size))
+        for parity in (0, 1):
+            terms = self._series[parity:top + 1:2, :, None] * pows[parity]
+            out[parity::2] = np.cumsum(terms, axis=1)[:, -1]  # in term order
+        return out
+
+    def _leibniz_sum(self, u: np.ndarray, top: int) -> np.ndarray:
+        # loses ~ j! / |u|^j of precision, so it is only used beyond the
+        # per-order cut where that factor is tame
+        inv = 1.0 / u
+        sines = np.sin(u + self._shifts[:top + 1, None])
+        acc = np.zeros((top + 1, u.size))
+        # step d adds term m = j - d of every order j >= d: the terms of
+        # each order arrive by increasing m, all times the same inv^(d+1),
+        # one scalar-exponent power per step (an array exponent of 2 would
+        # take a general power instead of a square)
+        for d in range(top, -1, -1):
+            acc[d:] += (self._leibniz[d, d:top + 1, None] * sines[:top + 1 - d]
+                        * inv ** (d + 1))
+        return self._scale[:top + 1, None] * acc
 
     def spectral_density(self, xi):
         return np.where(np.abs(np.asarray(xi, dtype=float)) < _SQRT3,
@@ -242,13 +301,12 @@ class SincModel(CorrelationModel):
         small = np.abs(u) < 1.0
         if np.any(small):
             us = u[small]
-            acc = np.zeros_like(us)
-            term = us * us  # u^2
             u2 = us * us
-            for k in range(1, 20):
-                acc = acc + (-1.0) ** (k + 1) * term / math.factorial(2 * k + 1)
-                term = term * u2
-            out[small] = acc
+            # u^(2k) by repeated products, each term summed in k order
+            pows = np.cumprod(np.broadcast_to(u2, (self._OMK_TERMS, u2.size)),
+                              axis=0)
+            terms = self._omk_sign * pows / self._omk_fact
+            out[small] = np.cumsum(terms, axis=0)[-1]
         if np.any(~small):
             ul = u[~small]
             out[~small] = 1.0 - np.sin(ul) / ul
@@ -423,6 +481,7 @@ class SpectralTableModel(CorrelationModel):
 
     kind = "spectral-table"
     _NODE_BUDGET = 1 << 20  # per point: |x| ~ 8e3 at T ~ 12, ~0.15 s, ~100 MB
+    _BLOCK = 1 << 19  # (order, node) products per block (4 MB), two orders at least
 
     def __init__(self, density: SpectralDensity, *, label: str = "spectral-table"):
         self._density = density
@@ -438,6 +497,9 @@ class SpectralTableModel(CorrelationModel):
         self._moments = [2.0 * float(np.sum(weights * nodes ** j * dens))
                          for j in range(self.max_derivative_order + 1)]
         self._x_far = self._far_field(nodes)
+        # kappa^(j) = 2 (-1)^(m + odd) int xi^j g trig_j, j = 2m + odd
+        self._trig_sign = np.array([(-1.0) ** (j // 2 + j % 2) * 2.0
+                                    for j in range(self.max_derivative_order + 1)])
 
     # -- construction helpers ------------------------------------------
     def _pick_truncation(self) -> float:
@@ -507,13 +569,23 @@ class SpectralTableModel(CorrelationModel):
                 continue
             nodes, weights = self._panels_for(float(xv))
             dens = weights * self._density.density(nodes)
-            cos_part = np.cos(xv * nodes)
-            sin_part = np.sin(xv * nodes)
-            for j in range(max_order + 1):
-                m, odd = divmod(j, 2)
-                trig = sin_part if odd else cos_part
-                sign = (-1.0) ** (m + odd)
-                out[j, col] = sign * 2.0 * np.sum(dens * nodes ** j * trig)
+            cos_part, sin_part = np.cos(xv * nodes), np.sin(xv * nodes)
+            # an even number of orders per (order, node) block, so that even
+            # rows are even orders; one block unless the point is far out
+            step = 2 * max(1, self._BLOCK // (2 * nodes.size))
+            for lo in range(0, max_order + 1, step):
+                hi = min(lo + step, max_order + 1)
+                terms = np.empty((hi - lo, nodes.size))
+                for j in range(lo, hi):
+                    # a scalar exponent per order: an array exponent of 2
+                    # would take a general power instead of a square
+                    terms[j - lo] = nodes ** j
+                terms *= dens
+                terms[0::2] *= cos_part
+                terms[1::2] *= sin_part
+                # each contiguous row is summed pairwise, as np.sum sums a
+                # 1-D array
+                out[lo:hi, col] = self._trig_sign[lo:hi] * terms.sum(axis=1)
         return out
 
     def spectral_density(self, xi):

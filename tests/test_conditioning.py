@@ -338,10 +338,13 @@ def _shape(rng, k, shape):
 
 def test_one_derivs_call_per_configuration(presets, table, rng, monkeypatch):
     calls = []
-    for model in list(presets.values()) + [table]:
-        derivs = model.derivs
-        monkeypatch.setattr(model, "derivs",
-                            lambda x, m, d=derivs: calls.append(x) or d(x, m))
+    instances = list(presets.values()) + [table]
+    for model in instances:
+        # patch the class: undoing a patch of the session instance would
+        # leave its bound method behind in the instance's __dict__
+        cls = type(model)
+        monkeypatch.setattr(cls, "derivs", lambda self, x, m, d=cls.derivs:
+                            calls.append(x) or d(self, x, m))
         for k in range(2, 7):
             for shape in ("tight", "spread", "two-cluster"):
                 x = _shape(rng, k, shape)
@@ -353,6 +356,8 @@ def test_one_derivs_call_per_configuration(presets, table, rng, monkeypatch):
         vanishing_constant(model, [0.0, 0.0, 2.0, 2.0],
                            MonteCarloSpec(samples=1000, seed=1))
         assert len(calls) == 1, model.kind
+    monkeypatch.undo()
+    assert not [m.kind for m in instances if "derivs" in vars(m)]
 
 
 def test_routes_reported(bf):
@@ -463,9 +468,7 @@ def test_public_calls_stay_on_the_main_thread(bf, monkeypatch):
         return chunk_rng(seed, index)
     monkeypatch.setattr(conditioning, "_chunk_rng", worker_rng)
 
-    # a fresh instance: the session fixture may carry an instance `derivs`
-    # left behind by another test's monkeypatch
-    densities.rho_k(type(bf)(), 0.85 * np.arange(6))
+    densities.rho_k(bf, 0.85 * np.arange(6))
     names = {name for name, _ in seen}
     assert {"densities.rho_k", "conditioning.pi_k", "models.derivs"} <= names
     assert {ident for _, ident in seen} == {threading.get_ident()}

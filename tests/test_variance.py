@@ -234,9 +234,9 @@ def test_panel_error_bounds_cosine(omega, a, length, tol_exp, chunk_len,
 def test_sinc_sigma_squared_derivs_calls(sinc, monkeypatch):
     # each panel round is one array F call, hence one derivs call
     calls = []
-    derivs = sinc.derivs
-    monkeypatch.setattr(sinc, "derivs",
-                        lambda x, k: calls.append(np.size(x)) or derivs(x, k))
+    derivs = type(sinc).derivs
+    monkeypatch.setattr(type(sinc), "derivs", lambda self, x, k:
+                        calls.append(np.size(x)) or derivs(self, x, k))
     sigma_squared(sinc)
     assert 0 < len(calls) <= 10
     assert sum(calls) / len(calls) > 1000
@@ -253,7 +253,7 @@ def _no_integration(monkeypatch, model):
     def fail(*args, **kwargs):
         raise AssertionError("integrand evaluated before the tail check")
     monkeypatch.setattr(variance, "two_point_F", fail)
-    monkeypatch.setattr(model, "derivs", fail)
+    monkeypatch.setattr(type(model), "derivs", fail)
 
 
 def test_table_model_refused_before_integrating(table, monkeypatch):
