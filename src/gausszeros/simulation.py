@@ -3,16 +3,19 @@
 Paths are sampled with their derivative on a uniform grid by one spectral
 route: a single complex FFT on a torus of period P >= L + reach, whose
 eigenvalues are the model's spectral density at the FFT frequencies, and
-whose derivative channel is the same draw multiplied by i*omega.  The real
-and imaginary parts of one draw are two independent replicates; each pair
-draws from its own counter-based substream keyed by (master_seed, pair
-index), so runs are reproducible bit-for-bit regardless of batching or
-thread count.  Zeros are located by sign changes and polished on the cubic
-Hermite interpolant of (f, f') over the bracketing cell by a safeguarded
-Newton iteration that never leaves the cell's sign-change bracket; cells
-whose last Newton step is not at rounding level are finished by bisection,
-and so are cells whose right-end value is at rounding level, on a cubic
-written around the nearer node.
+whose derivative channel is the same draw multiplied by i*omega.  Only the
+modes |j| <= J are drawn, where J is the smallest index whose dropped mass
+sum_{|j| > J} (1 + omega_j^2) weight_j is at most 2^-53; the rest of the
+spectrum is zero padding in buffers that each pool thread reuses across its
+batches.  The real and imaginary parts of one draw are two independent
+replicates; each pair draws the kept modes from its own counter-based
+substream keyed by (master_seed, pair index), so runs are reproducible
+bit-for-bit regardless of batching or thread count.  Zeros are located by
+sign changes and polished on the cubic Hermite interpolant of (f, f') over
+the bracketing cell by a safeguarded Newton iteration that never leaves the
+cell's sign-change bracket; cells whose last Newton step is not at rounding
+level are finished by bisection, and so are cells whose right-end value is
+at rounding level, on a cubic written around the nearer node.
 The zero sets of all replicates stay in one pooled array (`ZeroSets`) from
 the sampler to every statistic, which sums over it with one `bincount`.
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -48,13 +52,17 @@ __all__ = [
 
 _REACH_TARGET = 1e-9  # periodization: |kappa^(l)| below this beyond the reach
 _REACH_CAP = 400.0
+# spectral mass (1 + omega^2) g left out of the sampled band: below the
+# rounding of kappa(0) = -kappa''(0) = 1
+_BAND_TAIL = 2.0 ** -53
 _BOOTSTRAP = 1000  # resamples behind each moment's confidence interval
-# resample indices drawn at once: 16 MB of int64, so n <= 2097 replicates
-# take one draw.  Smaller blocks cost the sampler time: once a 16 MB block
-# is freed, glibc serves its 4 MB per-batch arrays from the heap instead of
-# mapping and faulting in fresh pages (cauchy zero_samples at R = 100 ran
-# 30 % faster after such a free; numpy 2.4, glibc malloc).
-_BOOTSTRAP_BLOCK = 1 << 21
+# resample indices drawn at once: 2 MB of int64, so n <= 262 replicates
+# take one draw.  A 16 MB block bought no time once the sampler reused its
+# buffers, and raised the peak RSS: benchmark montecarlo, 6 alternating
+# pairs (2-core host, numpy 2.4), wall 0.970 s with 2 MB blocks against
+# 0.981 s with 16 MB ones, job median 0.103 against 0.109 s, peak RSS 104.5
+# against 131.9 MB.
+_BOOTSTRAP_BLOCK = 1 << 18
 _NEWTON_STEPS = 7  # sampled cells converge in 4-6; the rest are bisected
 _BELOW_ONE = 1.0 - 2.0 ** -53  # the last double below 1
 # |f1| below this times |f0| + h (|f0'| + |f1'|) is within the rounding of
@@ -178,14 +186,26 @@ class _SpectralSampler:
     """(f, f') on the grid of [0, L], as a window of a stationary torus field.
 
     With step h and n = P / h nodes, the field is sum_j a_j zeta_j
-    e^{i omega_j x} over the FFT frequencies omega_j, with complex standard
+    e^{i omega_j x} over the FFT modes |j| <= J, with complex standard
     normal zeta_j and a_j^2 = (2 pi / (n h)) g(omega_j): its covariance is
-    the Riemann sum of int g(xi) e^{i xi x} dxi, i.e. kappa periodized with
-    period P, up to the mass of g beyond the Nyquist frequency pi / h
-    (below 1e-30 for the presets at the allowed steps).  Every lag inside
-    [0, L] stays at least P - L >= reach from its nearest alias.  The
-    spectral weights are non-negative by construction, so no embedding can
-    fail.
+    the Riemann sum of int g(xi) e^{i xi x} dxi over the kept band, i.e.
+    kappa periodized with period P, up to the mass of g beyond omega_J.
+    J is the smallest index whose dropped mass sum_{|j| > J} (1 +
+    omega_j^2) a_j^2 is at most _BAND_TAIL = 2^-53, so the covariances of
+    f, f' and (f, f') each differ from the sum over all n modes by at most
+    2^-53; the mass of g beyond the Nyquist frequency pi / h, which no
+    mode carries, is below 1e-30 for the presets at the allowed steps.
+    Every lag inside [0, L] stays at least P - L >= reach from its nearest
+    alias.  The spectral weights are non-negative by construction, so no
+    embedding can fail.
+
+    Each pair's substream gives 2 (2 J + 1) normals: the real and
+    imaginary parts of zeta_j for the kept modes in FFT order, j = 0..J,
+    then -J..-1.  When no mode can be dropped, all n modes are drawn in
+    FFT order (2 n normals).  The products a_j zeta_j fill the band of a
+    zero-padded (pairs, n) spectrum, transformed by one inverse FFT into a
+    second buffer; both, and the draws, are made once per thread and
+    reused, and the part of the spectrum outside the band is never written.
     """
 
     def __init__(self, model, spec: SimulationSpec):
@@ -197,14 +217,24 @@ class _SpectralSampler:
             raise SizeCap(
                 f"window {spec.window_length:g} at step {h:g} needs an FFT of "
                 f"{n} nodes, over the budget of {_NODE_BUDGET}")
-        self.n = _next_fast_len(n)
-        omega = 2.0 * math.pi * np.fft.fftfreq(self.n, d=h)
-        weight = 2.0 * math.pi / (self.n * h) * model.spectral_density(omega)
-        self.amp = np.sqrt(weight).astype(complex)
-        self.amp_d = 1j * omega * self.amp
-        if self.n % 2 == 0:
+        self.n = n = _next_fast_len(n)
+        omega = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
+        weight = 2.0 * math.pi / (n * h) * model.spectral_density(omega)
+        # dropped[J]: the mass of the modes |j| > J, summed from the top
+        level = np.minimum(np.arange(n), n - np.arange(n))  # |j| of each mode
+        mass = np.bincount(level, weights=(1.0 + omega * omega) * weight)
+        dropped = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)
+        band = int(np.argmax(dropped <= _BAND_TAIL))
+        # modes 0..lo-1 and n-hi..n-1 in FFT order
+        self.lo, self.hi = (band + 1, band) if 2 * band + 1 < n else (n, 0)
+        kept = np.r_[0:self.lo, n - self.hi:n]
+        amp = np.sqrt(weight).astype(complex)
+        amp_d = 1j * omega * amp
+        if n % 2 == 0:
             # the Nyquist mode has no sign, so it carries no derivative
-            self.amp_d[self.n // 2] = 0.0
+            amp_d[n // 2] = 0.0
+        self.amp, self.amp_d = amp[kept], amp_d[kept]
+        self._local = threading.local()
 
     def sample(self, master_seed: int, pairs) -> tuple[np.ndarray, np.ndarray]:
         """Fields of the given replicate pairs: arrays (2 len(pairs), m).
@@ -213,17 +243,32 @@ class _SpectralSampler:
         pairs[i], i.e. replicates 2 pair and 2 pair + 1.
         """
         pairs = list(pairs)
-        zeta = np.empty((len(pairs), self.n), dtype=complex)
+        zeta, coeffs, field = self._buffers(len(pairs))
         for row, rng in zip(zeta.view(float), _substreams(master_seed, pairs)):
             rng.standard_normal(out=row)
-        return (self._window(self.amp * zeta),
-                self._window(self.amp_d * zeta))
+        return (self._window(self.amp, zeta, coeffs, field),
+                self._window(self.amp_d, zeta, coeffs, field))
 
-    def _window(self, coeffs: np.ndarray) -> np.ndarray:
-        field = np.fft.ifft(coeffs, axis=1, norm="forward")[:, :self.m]
+    def _buffers(self, rows: int):
+        """The calling thread's draws, zero-padded spectrum and FFT output,
+        made at the first call that needs `rows` rows and reused after.
+        Only the band of the spectrum is ever written."""
+        bufs = getattr(self._local, "bufs", None)
+        if bufs is None or bufs[0].shape[0] < rows:
+            bufs = (np.empty((rows, self.lo + self.hi), dtype=complex),
+                    np.zeros((rows, self.n), dtype=complex),
+                    np.empty((rows, self.n), dtype=complex))
+            self._local.bufs = bufs
+        return tuple(b[:rows] for b in bufs)
+
+    def _window(self, amp, zeta, coeffs, field) -> np.ndarray:
+        lo, hi = self.lo, self.hi
+        np.multiply(amp[:lo], zeta[:, :lo], out=coeffs[:, :lo])
+        np.multiply(amp[lo:], zeta[:, lo:], out=coeffs[:, self.n - hi:])
+        np.fft.ifft(coeffs, axis=1, norm="forward", out=field)
         out = np.empty((2 * field.shape[0], self.m))
-        out[0::2] = field.real
-        out[1::2] = field.imag
+        out[0::2] = field[:, :self.m].real
+        out[1::2] = field[:, :self.m].imag
         return out
 
 

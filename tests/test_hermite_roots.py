@@ -195,9 +195,10 @@ def test_roots_match_bisection(cell):
 def test_sampled_roots_within_4_ulps(presets):
     # real brackets: smooth paths on the default step, every root kept
     for seed, model in enumerate(presets.values()):
-        spec = SimulationSpec(window_length=50.0, num_samples=64,
+        # 96 replicates give ~1530 +- 35 brackets: 15 SD above the guard
+        spec = SimulationSpec(window_length=50.0, num_samples=96,
                               master_seed=seed)
-        f, fp = _SpectralSampler(model, spec).sample(seed, range(32))
+        f, fp = _SpectralSampler(model, spec).sample(seed, range(48))
         rows, cols = np.nonzero(f[:, :-1] * f[:, 1:] < 0.0)
         cell = (f[rows, cols], fp[rows, cols], f[rows, cols + 1],
                 fp[rows, cols + 1], spec.grid_step)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from gausszeros.conditioning import _chunk_rng, _substreams
 from gausszeros.errors import (ConfigError, IntervalsOverlap, SizeCap,
                                WindowTooSmall)
 from gausszeros.densities import rho_k
+from gausszeros.models import CauchyModel
 from gausszeros import simulation
 from gausszeros.simulation import (SimulationSpec, _hermite_roots_batch,
                                    _ks_distance, _next_fast_len,
@@ -137,6 +139,29 @@ def _same_bits(a, b):
         a.tobytes() == b.tobytes()
 
 
+class _WideBand(CauchyModel):
+    """Cauchy's reach with a density too wide to drop any mode."""
+
+    def spectral_density(self, xi):
+        return np.exp(-np.abs(np.asarray(xi, dtype=float)) / 8.0) / 16.0
+
+
+def _full_band(model, spec, n):
+    """Complex amplitudes of f and f' on all n FFT modes, in FFT order."""
+    h = spec.grid_step
+    omega = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
+    amp = np.sqrt(2.0 * math.pi / (n * h) * model.spectral_density(omega))
+    amp = amp.astype(complex)
+    amp_d = 1j * omega * amp
+    if n % 2 == 0:
+        amp_d[n // 2] = 0.0
+    return omega, amp, amp_d
+
+
+def _kept(sampler):
+    return np.r_[0:sampler.lo, sampler.n - sampler.hi:sampler.n]
+
+
 @pytest.mark.parametrize("seed", [0, 123, 2 ** 63 + 5, 2 ** 64 - 1])
 def test_rekeyed_stream_matches_fresh_substream(bf, seed):
     n = 101
@@ -151,17 +176,61 @@ def test_rekeyed_stream_matches_fresh_substream(bf, seed):
         rng.standard_normal(pair % 5 + 1)
         rng.integers(0, 7, dtype=np.uint32)
         rng.random(dtype=np.float32)
-    # the sampler's batch of out-of-order pairs, against fresh streams
+    # the sampler's batch of out-of-order pairs, against fresh streams: the
+    # first 2 (2 J + 1) normals of each go to the modes 0..J, -J..-1; with
+    # no mode dropped (the wide band) all 2 n go to every mode in FFT
+    # order, the stream of the sampler that had no band
     spec = SimulationSpec(window_length=2.0, num_samples=2, master_seed=seed)
-    sampler = _SpectralSampler(bf, spec)
-    pairs = [5, 1, 3, 1]
-    zeta = np.stack([_philox_stream(seed, p).standard_normal(2 * sampler.n)
-                     .view(complex) for p in pairs])
-    got = sampler.sample(seed, pairs)
-    expect = (sampler._window(sampler.amp * zeta),
-              sampler._window(sampler.amp_d * zeta))
-    for g, e in zip(got, expect):
-        assert _same_bits(g, e)
+    for model in (bf, _WideBand()):
+        sampler = _SpectralSampler(model, spec)
+        kept = _kept(sampler)
+        if model is bf:
+            assert sampler.hi == sampler.lo - 1 and 2 * kept.size < sampler.n
+        else:
+            assert (sampler.lo, sampler.hi) == (sampler.n, 0)
+        pairs = [5, 1, 3, 1]
+        zeta = np.zeros((len(pairs), sampler.n), dtype=complex)
+        zeta[:, kept] = np.stack([
+            _philox_stream(seed, p).standard_normal(2 * kept.size)
+            .view(complex) for p in pairs])
+        _, amp, amp_d = _full_band(model, spec, sampler.n)
+        for _ in range(2):  # the second call reuses this thread's buffers
+            got = sampler.sample(seed, pairs)
+            for g, a in zip(got, (amp, amp_d)):
+                # one product and one inverse FFT over all n modes, the
+                # real and imaginary parts interleaved
+                field = np.fft.ifft(a * zeta, axis=1, norm="forward")
+                expect = np.empty_like(g)
+                expect[0::2] = field[:, :sampler.m].real
+                expect[1::2] = field[:, :sampler.m].imag
+                assert _same_bits(g, expect)
+        # fewer pairs after more: the rows it reads were zero-padded too
+        assert _same_bits(sampler.sample(seed, pairs[2:])[0], got[0][4:])
+
+
+@pytest.mark.parametrize("name", SAMPLED_MODELS)
+@pytest.mark.parametrize("length", [2.0, 50.0, 100.0])
+def test_kept_band_covariances(request, name, length):
+    # no sampling: the covariances of f, f' and (f, f') at lags 0, h, 1
+    # and L, summed over the kept band, against the same sums over all
+    # modes; exact differences by one fsum each
+    model = request.getfixturevalue(name)
+    spec = SimulationSpec(window_length=length)
+    sampler = _SpectralSampler(model, spec)
+    kept = _kept(sampler)
+    omega, amp, amp_d = _full_band(model, spec, sampler.n)
+    assert _same_bits(sampler.amp, amp[kept])
+    assert _same_bits(sampler.amp_d, amp_d[kept])
+    amp, amp_d = amp.real, amp_d.imag
+    for lag in (0.0, spec.grid_step, 1.0, length):
+        cos, sin = np.cos(omega * lag), np.sin(omega * lag)
+        for terms in (amp * amp * cos, amp_d * amp_d * cos, amp * amp_d * sin):
+            gap = math.fsum(np.r_[terms, -terms[kept]])
+            assert abs(gap) <= 2.0 ** -53, (lag, gap)
+    if name == "sinc":
+        # sinc drops only the modes beyond sqrt3, where g is exactly 0
+        assert kept.size < sampler.n / 10
+        assert not np.any(np.delete(amp, kept))
 
 
 def _zeros_per_row(f, fp, spec, cell_roots=_hermite_roots_batch):
@@ -466,6 +535,21 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak) / 1024)
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 64.0  # MB above the sampling's own peak
+
+
+def test_sampling_memory_is_bounded(cauchy):
+    # each pool thread reuses one set of batch buffers; the sampler that
+    # allocated fresh draws, products and transforms per batch peaked at
+    # 28.1-28.9 MiB here (numpy 2.4)
+    spec = SimulationSpec(window_length=100.0, num_samples=2000,
+                          master_seed=5)
+    tracemalloc.start()
+    try:
+        zero_samples(cauchy, spec, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 27 * 2 ** 20
 
 
 def test_empirical_k_point(bf):
