@@ -161,10 +161,14 @@ def cmd_rho(args) -> int:
 def cmd_sigma2(args) -> int:
     model = get_model(args.model)
     spec = _quad_spec(args, model)
-    sigma2 = variance.sigma_squared(model, spec)
-    lower = variance.sigma_lower_bound(model, spec)
-    _emit(args, _json_line({"sigma2": sigma2, "lower_bound": lower,
-                            "converged": True}))
+    record = {"sigma2": None, "converged": False,
+              "lower_bound": variance.sigma_lower_bound(model)}
+    try:
+        record.update(sigma2=variance.sigma_squared(model, spec), converged=True)
+    except NumericsError:
+        _emit(args, _json_line(record))  # the closed-form bound still holds
+        raise  # main() maps it to exit 3
+    _emit(args, _json_line(record))
     return 0
 
 
@@ -195,6 +199,7 @@ def cmd_fcurve(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = _sim_spec(args)
+    simulation._require_window(spec, args.phi_obj, args.R)
     model = get_model(args.model)
     samples = simulation.zero_samples(model, spec, threads=args.threads)
     arr = simulation.linear_statistic(samples, args.phi_obj, args.R)
@@ -362,7 +367,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
-    args = None
     try:
         try:
             _preload_config(argv, registry)
@@ -379,9 +383,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NumericsError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
-        if args is not None and args.command == "sigma2":
-            sys.stdout.write(_json_line({"sigma2": None, "lower_bound": None,
-                                         "converged": False}))
         return EXIT_NUMERICS
     except DomainError as exc:
         sys.stderr.write(f"domain error: {exc}\n")

@@ -42,7 +42,7 @@ _TAIL_TOL = 1e-12  # table models: spectral mass cut at T, kappa cut at x_far
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls for the 1-D/2-D integrals used throughout the library."""
+    """Truncation radius and tolerance of the certified 1-D integrals."""
 
     truncation_radius: float = 40.0
     abs_tolerance: float = 1e-8
@@ -92,6 +92,11 @@ class CorrelationModel:
         """Even density g with kappa(x) = int g(xi) e^{i xi x} dxi (full line)."""
         raise NotImplementedError
 
+    def second_chaos_mass(self) -> float:
+        """int (1 - xi^2)^2 g(xi)^2 dxi over the full line, exactly: by
+        Parseval, (1/pi) int_0^inf (kappa + kappa'')^2 dx."""
+        return self._chaos_mass
+
     # -- accuracy helpers --------------------------------------------------
     def one_minus_kappa(self, x):
         """1 - kappa(x), full relative precision also for small x."""
@@ -132,6 +137,8 @@ class BargmannFockModel(CorrelationModel):
     kind = "bargmann-fock"
     max_derivative_order = 12
     internal_order_cap = 48
+    # int (1 - 2 xi^2 + xi^4) e^{-xi^2} dxi / (2 pi) = (3 sqrt(pi) / 4) / (2 pi)
+    _chaos_mass = 3.0 / (8.0 * math.sqrt(math.pi))
 
     def __init__(self):
         # coefficient rows of He_j (probabilists' Hermite), ascending powers
@@ -201,6 +208,7 @@ class SincModel(CorrelationModel):
     kind = "sinc-sqrt3"
     max_derivative_order = 12
     internal_order_cap = 40
+    _chaos_mass = 2.0 * _SQRT3 / 15.0  # int_{-sqrt3}^{sqrt3} (1 - xi^2)^2 / 12
 
     _SERIES_TERMS = 60
     _OMK_TERMS = 19
@@ -335,6 +343,8 @@ class CauchyModel(CorrelationModel):
     kind = "cauchy"
     max_derivative_order = 12
     internal_order_cap = 48
+    # 2 int_0^inf (1 - xi^2)^2 e^{-a xi} / 2 = 1/a - 4/a^3 + 24/a^5, a = 2 sqrt2
+    _chaos_mass = 7.0 / (16.0 * _SQRT2)
 
     def _derivs(self, xb, max_order: int) -> np.ndarray:
         out = np.empty((max_order + 1, xb.size))
@@ -496,6 +506,8 @@ class SpectralTableModel(CorrelationModel):
         # full-line absolute moments of the even density
         self._moments = [2.0 * float(np.sum(weights * nodes ** j * dens))
                          for j in range(self.max_derivative_order + 1)]
+        # exact on each linear piece of g (degree 6); the mass beyond T is left out
+        self._chaos_mass = 2.0 * float(weights @ ((1.0 - nodes ** 2) * dens) ** 2)
         self._x_far = self._far_field(nodes)
         # kappa^(j) = 2 (-1)^(m + odd) int xi^j g trig_j, j = 2m + odd
         self._trig_sign = np.array([(-1.0) ** (j // 2 + j % 2) * 2.0

@@ -226,7 +226,7 @@ class _SpectralSampler:
         dropped = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)
         band = int(np.argmax(dropped <= _BAND_TAIL))
         # modes 0..lo-1 and n-hi..n-1 in FFT order
-        self.lo, self.hi = (band + 1, band) if 2 * band + 1 < n else (n, 0)
+        self.lo, self.hi = band + 1, min(band, n - band - 1)
         kept = np.r_[0:self.lo, n - self.hi:n]
         amp = np.sqrt(weight).astype(complex)
         amp_d = 1j * omega * amp
@@ -415,12 +415,18 @@ def linear_statistic(samples: Sequence[ZeroSample], phi: TestFunction,
 def replicate_statistics(model, spec: SimulationSpec, phi: TestFunction,
                          R: float, threads: int = 1) -> np.ndarray:
     """Array of linear statistics over all replicates of the spec."""
-    _require_scale("R", R)
-    if spec.window_length < R * phi.support_radius() - 1e-12:
-        raise WindowTooSmall(
-            f"window {spec.window_length} shorter than R * support radius "
-            f"{R * phi.support_radius():.3g}")
+    _require_window(spec, phi, R)
     return linear_statistic(zero_samples(model, spec, threads=threads), phi, R)
+
+
+def _require_window(spec: SimulationSpec, phi: TestFunction, R: float):
+    """Refuse phi(x / R) unless its support lies in the sampled [0, L]."""
+    _require_scale("R", R)
+    lo, hi = phi.support()
+    if lo < 0.0 or spec.window_length < R * hi - 1e-12:
+        raise WindowTooSmall(
+            f"test function support [{lo:g}, {hi:g}] times R = {R:g} leaves "
+            f"the sampled window [0, {spec.window_length:g}]")
 
 
 def empirical_moments(model, spec: SimulationSpec, phi: TestFunction, R: float,

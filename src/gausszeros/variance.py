@@ -9,7 +9,9 @@ The two-point excess F(z) = rho_2(0, z) - 1/pi^2 has the closed form
 with k = kappa(z) etc.  The number variance of zeros grows like R sigma^2
 with sigma^2 = 1/pi + 2 int_0^inf F, and the exact finite-R covariance of
 two linear statistics is an F-weighted cross-correlation plus a diagonal
-term R/pi * int phi1 phi2.
+term R/pi * int phi1 phi2, both certified integrals (adaptive Gauss-Kronrod
+panels plus an F tail bound).  sigma^2's lower bound, its second-chaos term
+(1/pi) int (1 - xi^2)^2 g^2, is in closed form (`second_chaos_mass`).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ __all__ = [
 ]
 
 _NEAR_ZERO = 1e-4
-_MAX_PANELS = 200  # panels per quadrature chunk before a chunk stops refining
+_MAX_PANELS = 200  # refinement stops at this many times the first panel count
 _INV_PI2 = 1.0 / math.pi ** 2
 _erf = np.vectorize(math.erf, otypes=[float])
 
@@ -142,16 +144,20 @@ class TestFunction:
         _, ys = self.params
         return float(np.max(np.abs(ys)))
 
-    def support_radius(self) -> float:
-        """Largest |x| carrying (numerically) non-negligible mass."""
+    def support(self) -> tuple[float, float]:
+        """Interval carrying (numerically) all the mass; a gaussian's reaches
+        9 widths from its center."""
         if self.kind == "indicator":
-            a, b = self.params
-            return max(abs(a), abs(b))
+            return self.params
         if self.kind == "gaussian":
             c, w = self.params
-            return abs(c) + 9.0 * w
+            return c - 9.0 * w, c + 9.0 * w
         xs, _ = self.params
-        return max(abs(xs[0]), abs(xs[-1]))
+        return xs[0], xs[-1]
+
+    def support_radius(self) -> float:
+        """Largest |x| carrying (numerically) non-negligible mass."""
+        return max(abs(t) for t in self.support())
 
     def cross_correlation(self, other: "TestFunction", u):
         """int phi(x) * other(x + u) dx at scalar or array u.
@@ -279,73 +285,52 @@ def _qk21(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return resk * half, err
 
 
-def _integrate_panels(f, a: float, b: float, abs_tol: float, chunk_len: float,
-                      max_panels: int | None = None, breaks=()
-                      ) -> tuple[float, float]:
-    """Adaptive qk21 quadrature over equal chunks, with summed error bounds.
+def _integrate_panels(f, a: float, b: float, abs_tol: float,
+                      panel_len: float, breaks=()) -> tuple[float, float]:
+    """Globally adaptive qk21 quadrature on [a, b], with a summed error bound.
 
-    [a, b] is cut into n chunks of length <= chunk_len.  A chunk is done
-    when its summed panel error is <= max(abs_tol / n, 1e-13 |value|), or
-    when it holds max_panels panels.  Each round evaluates f once, on the 21
-    nodes of every new panel, and bisects in each open chunk its worst
-    panels: the fewest whose errors together cover the excess.  `breaks`
-    are extra initial panel edges, placed where f has a kink.  Returns the
-    value and the summed error estimate (inf if f was not finite).
+    The first panels are at most panel_len long, with extra edges at the
+    kinks `breaks` of f.  While the summed error exceeds max(abs_tol,
+    1e-13 |value|), a round bisects the worst panels, the fewest whose errors
+    cover the excess, and evaluates f once on the 21 nodes of each new panel,
+    up to _MAX_PANELS times the first panel count.  Returns the value and the
+    summed error estimate (inf if f was not finite).
     """
     if b <= a:
         return 0.0, 0.0
-    max_panels = max_panels or _MAX_PANELS
-    n_chunks = max(1, int(math.ceil((b - a) / chunk_len)))
-    edges = np.linspace(a, b, n_chunks + 1)
-    budget = abs_tol / n_chunks
-    inner = [t for t in breaks if a < t < b]
-    cuts = np.unique(np.concatenate([edges, inner]))
-    new_lo, new_hi = cuts[:-1], cuts[1:]
-    new_chunk = np.minimum(np.searchsorted(edges, new_lo, side="right") - 1,
-                           n_chunks - 1)
-    lo = hi = val = err = np.empty(0)
-    chunk = np.empty(0, dtype=int)
+    edges = np.linspace(a, b, max(1, int(math.ceil((b - a) / panel_len))) + 1)
+    cuts = np.unique(np.concatenate([edges, [t for t in breaks if a < t < b]]))
+    cap = _MAX_PANELS * (cuts.size - 1)
+    lo, hi = cuts[:-1], cuts[1:]
+    val, err = _qk21(f, lo, hi)
     while True:
-        v, e = _qk21(f, new_lo, new_hi)
-        lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
-        chunk = np.concatenate([chunk, new_chunk])
-        val, err = np.concatenate([val, v]), np.concatenate([err, e])
-
-        count = np.bincount(chunk, minlength=n_chunks)
-        excess = (np.bincount(chunk, err, minlength=n_chunks)
-                  - np.maximum(budget, 1e-13 * np.abs(
-                      np.bincount(chunk, val, minlength=n_chunks))))
+        value, total = float(val.sum()), float(err.sum())
+        if not math.isfinite(value + total):
+            return value, math.inf  # a non-finite integrand certifies nothing
+        excess = total - max(abs_tol, 1e-13 * abs(value))
         mid = 0.5 * (lo + hi)
-        cand = np.flatnonzero(((excess > 0.0) & (count < max_panels))[chunk]
-                              & (mid > lo) & (mid < hi))
-        if cand.size == 0:
-            value, total = float(val.sum()), float(err.sum())
-            # a non-finite integrand certifies nothing
-            return value, total if math.isfinite(value + total) else math.inf
-        # worst first inside each chunk; pick the prefix covering the excess
-        order = cand[np.lexsort((-err[cand], chunk[cand]))]
-        c, e = chunk[order], err[order]
-        pos = np.arange(order.size)
-        first = np.maximum.accumulate(
-            np.where(np.r_[True, c[1:] != c[:-1]], pos, 0))
-        cum = np.cumsum(e)
-        before = cum - e - (cum[first] - e[first])
-        pick = order[(before < excess[c]) & (pos - first < max_panels - count[c])]
+        cand = np.flatnonzero((mid > lo) & (mid < hi))
+        if excess <= 0.0 or lo.size >= cap or cand.size == 0:
+            return value, total
+        # worst first; the prefix whose errors cover the excess, within the cap
+        order = cand[np.argsort(-err[cand], kind="stable")]
+        e = err[order]
+        pick = order[np.cumsum(e) - e < excess][:cap - lo.size]
 
         keep = np.ones(lo.size, dtype=bool)
         keep[pick] = False
-        new_lo = np.concatenate([lo[pick], mid[pick]])
-        new_hi = np.concatenate([mid[pick], hi[pick]])
-        new_chunk = np.concatenate([chunk[pick], chunk[pick]])
-        lo, hi, chunk = lo[keep], hi[keep], chunk[keep]
-        val, err = val[keep], err[keep]
+        lo = np.concatenate([lo[keep], lo[pick], mid[pick]])
+        hi = np.concatenate([hi[keep], mid[pick], hi[pick]])
+        v, e = _qk21(f, lo[-2 * pick.size:], hi[-2 * pick.size:])
+        val, err = np.concatenate([val[keep], v]), np.concatenate([err[keep], e])
 
 
 def _certified_integral(f, pieces, tail: float | None, factor: float,
                         tol: float, breaks=()) -> float:
-    """Integral of f over pieces (a, b, chunk_len, abs_tol) with kinks
+    """Integral of f over pieces (a, b, panel_len, abs_tol) with kinks
     `breaks`, refused unless factor x (tail + panel errors) <= tol.
 
+    Each piece runs its own `_integrate_panels` loop to its own abs_tol.
     `tail` bounds what the pieces leave out (None: nothing certifies it),
     and `factor` turns the integral into the reported quantity.  A missing
     or too large tail bound is refused before f is called.
@@ -359,8 +344,8 @@ def _certified_integral(f, pieces, tail: float | None, factor: float,
             f"tail bound {factor * tail:.3e} alone exceeds tolerance "
             f"{tol:.3e} (truncation {end})")
     value = err = 0.0
-    for a, b, chunk_len, abs_tol in pieces:
-        v, e = _integrate_panels(f, a, b, abs_tol, chunk_len, breaks=breaks)
+    for a, b, panel_len, abs_tol in pieces:
+        v, e = _integrate_panels(f, a, b, abs_tol, panel_len, breaks=breaks)
         value += v
         err += e
     if factor * (err + tail) > tol:
@@ -383,26 +368,23 @@ def _envelope_tail(env_sq, T: float) -> float:
     return float(e[:-1] @ np.diff(t) + e[-1] * t[-1])
 
 
-def _envelope_bound(model: CorrelationModel, T: float, excess: bool
-                    ) -> float | None:
-    """Bound on int_T^inf of |F| (excess) or of (kappa + kappa'')^2, from the
-    derivative envelopes e_l; None where they certify none.
+def _envelope_bound(model: CorrelationModel, T: float) -> float | None:
+    """Bound on int_T^inf |F| from the derivative envelopes e_l; None where
+    they certify none.
 
     |F| <= pi^-2 (e0^2 + 2 e1^2 + 1.3 e2^2) once every e_l is below 0.1,
     which is asked from T = 20 on.
     """
     starts = [model.envelope_start(l) for l in range(3)]
-    if None in starts or max(starts) > T or excess and (T < 20.0 or max(
-            model.tail_envelope(l, T) for l in range(3)) > 0.1):
+    if None in starts or max(starts) > T or T < 20.0 or max(
+            model.tail_envelope(l, T) for l in range(3)) > 0.1:
         return None
 
     def env_sq(t):
         e0, e1, e2 = (model.tail_envelope(l, t) for l in range(3))
-        if excess:
-            return e0 ** 2 + 2.0 * e1 ** 2 + 1.3 * e2 ** 2
-        return (e0 + e2) ** 2
+        return e0 ** 2 + 2.0 * e1 ** 2 + 1.3 * e2 ** 2
 
-    return _envelope_tail(env_sq, T) / (math.pi ** 2 if excess else 1.0)
+    return _envelope_tail(env_sq, T) / math.pi ** 2
 
 
 def sigma_squared(model: CorrelationModel, quad: QuadratureSpec | None = None
@@ -418,21 +400,18 @@ def sigma_squared(model: CorrelationModel, quad: QuadratureSpec | None = None
     integral = _certified_integral(
         lambda z: two_point_F(model, z),
         [(0.0, min(1.0, T), 1.0, share), (min(1.0, T), T, 25.0, share)],
-        _envelope_bound(model, T, True), 2.0, spec.abs_tolerance)
+        _envelope_bound(model, T), 2.0, spec.abs_tolerance)
     return 1.0 / math.pi + 2.0 * integral
 
 
-def sigma_lower_bound(model: CorrelationModel, quad: QuadratureSpec | None = None
-                      ) -> float:
-    """Positive lower bound pi^-2 int_0^inf (kappa + kappa'')^2 for sigma^2."""
-    spec = quad or model.default_quadrature()
-    T = spec.truncation_radius
-    integral = _certified_integral(
-        lambda z: model.derivs(z, 2)[::2].sum(axis=0) ** 2,  # kappa + kappa''
-        [(0.0, T, 25.0, 0.5 * spec.abs_tolerance)],
-        _envelope_bound(model, T, False), 1.0 / math.pi ** 2,
-        spec.abs_tolerance)
-    return integral / math.pi ** 2
+def sigma_lower_bound(model: CorrelationModel) -> float:
+    """Positive lower bound for sigma^2: its second-chaos term.
+
+    pi^-2 int_0^inf (kappa + kappa'')^2 = (1/pi) int (1 - xi^2)^2 g(xi)^2
+    dxi by Parseval, from the model's exact `second_chaos_mass`; no
+    quadrature and no `derivs` call.
+    """
+    return model.second_chaos_mass() / math.pi
 
 
 def predicted_covariance(model: CorrelationModel, phi1: TestFunction,
@@ -447,7 +426,7 @@ def predicted_covariance(model: CorrelationModel, phi1: TestFunction,
     spec = quad or model.default_quadrature()
     span = R * (phi1.support_radius() + phi2.support_radius())
     zmax = min(spec.truncation_radius, span + 1.0)
-    tail = 0.0 if zmax >= span else _envelope_bound(model, zmax, True)
+    tail = 0.0 if zmax >= span else _envelope_bound(model, zmax)
     if tail:
         tail *= 2.0 * abs(min(phi1.integral() * phi2.sup_bound(),
                               phi2.integral() * phi1.sup_bound()))

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gausszeros
-from gausszeros import variance
+from gausszeros import simulation, variance
 from gausszeros.cli import build_parser, main
 from gausszeros.densities import rho_k
 from gausszeros.models import get_model
@@ -100,6 +100,22 @@ def test_sigma2_not_converged_exit(capsys):
                            "--tolerance", "1e-12")
     assert code == 3
     assert json.loads(out)["converged"] is False
+
+
+def test_table_sigma2_states_its_lower_bound(tmp_path, capsys):
+    # sigma^2 is refused (no certified F tail), the closed-form bound is not
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_GOOD_TABLE))
+    code, out, err = run_cli(capsys, "sigma2", "--model", str(path))
+    assert code == 3 and err.startswith("numerical failure:")
+    rec = json.loads(out)
+    assert rec["sigma2"] is None and rec["converged"] is False
+    assert rec["lower_bound"] > 0.0
+    dest = tmp_path / "sigma2.json"
+    code, out, _ = run_cli(capsys, "sigma2", "--model", str(path),
+                           "--out", str(dest))
+    assert code == 3 and out == ""
+    assert json.loads(dest.read_text()) == rec
 
 
 def test_fcurve(capsys):
@@ -374,6 +390,33 @@ def test_simulate_stat_is_replicate_statistics(capsys):
     ref = replicate_statistics(get_model("bargmann-fock"), spec, phi, 30.0)
     assert [r["seed"] for r in recs] == list(range(300))
     assert [r["stat"].hex() for r in recs] == [v.hex() for v in ref.tolist()]
+
+
+@pytest.mark.parametrize("command", ["simulate", "moments"])
+@pytest.mark.parametrize("phi, low", [("indicator:-1,1", "-1"),
+                                      ("gaussian:0,0.1", "-0.9")])
+def test_support_below_zero_refused_before_sampling(capsys, monkeypatch,
+                                                    command, phi, low):
+    # zeros are sampled on [0, L] only, while the mean (R/pi) int phi counts
+    # all of phi: moments printed 44.99 against a predicted 7.34 here
+    monkeypatch.setattr(simulation, "zero_samples",
+                        lambda *a, **k: pytest.fail("sampled"))
+    argv = [command, "--R", "20", "--n", "400", "--seed", "3", "--phi", phi]
+    code, out, err = run_cli(capsys, *argv, *(["--p", "2"] if command ==
+                                               "moments" else []))
+    assert code == 2 and out == ""
+    assert err.startswith("domain error:") and f"support [{low}, " in err
+
+
+def test_moments_support_inside_window_runs(capsys):
+    # lowest support point 0.5 - 9 * 0.05 = 0.05 >= 0
+    code, out, _ = run_cli(capsys, "moments", "--p", "2", "--R", "20",
+                           "--n", "100", "--seed", "3", "--threads", "1",
+                           "--phi", "gaussian:0.5,0.05")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["n"] == 100 and rec["ci"][0] <= rec["estimate"] <= rec["ci"][1]
+    assert rec["predicted_pair_sum"] > 0.0
 
 
 def test_threads_environment_is_ignored(capsys, monkeypatch):

@@ -187,7 +187,7 @@ def test_rekeyed_stream_matches_fresh_substream(bf, seed):
         if model is bf:
             assert sampler.hi == sampler.lo - 1 and 2 * kept.size < sampler.n
         else:
-            assert (sampler.lo, sampler.hi) == (sampler.n, 0)
+            assert sampler.lo + sampler.hi == sampler.n
         pairs = [5, 1, 3, 1]
         zeta = np.zeros((len(pairs), sampler.n), dtype=complex)
         zeta[:, kept] = np.stack([
@@ -430,6 +430,18 @@ def test_window_guard(bf):
                           master_seed=3)
     with pytest.raises(WindowTooSmall):
         replicate_statistics(bf, spec, TestFunction.indicator(0, 2), 5.0)
+
+
+@pytest.mark.parametrize("phi, low", [(TestFunction.indicator(-1.0, 1.0), "-1"),
+                                      (TestFunction.gaussian(0.0, 0.1), "-0.9")])
+def test_support_below_window_refused_before_sampling(bf, monkeypatch, phi,
+                                                      low):
+    monkeypatch.setattr(simulation, "zero_samples",
+                        lambda *a, **k: pytest.fail("sampled"))
+    spec = SimulationSpec(window_length=20.0 * phi.support_radius(),
+                          num_samples=2)
+    with pytest.raises(WindowTooSmall, match=rf"support \[{low}, "):
+        replicate_statistics(bf, spec, phi, 20.0)
 
 
 def test_determinism_across_threads_and_batches(bf):
