@@ -9,9 +9,10 @@ theta, xi and omega are slices of one A K A^T from one `derivs` call (see
 `divdiff`; closed forms for two distinct singletons).  The same context
 serves every Kac-Rice quotient: the intensities on any partition, and the
 vanishing constant on the partition of coincident points.  Monte Carlo
-moments are spent in chunks that run on min(chunks, CPU count) threads
-and are reduced in chunk order, so every answer has the same bits for any
-number of cores.
+moments evaluate each normal draw at `_ROTATIONS` seeded rotations of it,
+and are spent in chunks that run on min(chunks, CPU count) threads and are
+reduced in chunk order, so every answer has the same bits for any number
+of cores.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ __all__ = [
 ]
 
 DEGENERACY_RTOL = 1e-12
-_CHUNK = 1 << 16  # samples per counter-based substream
-_COLUMNS = 1 << 13  # samples per block of L @ w inside a chunk
+_ROTATIONS = 8  # evaluations per normal draw w: at w, Q_2 w, ..., Q_8 w
+_ROTATION_STREAM = 2 ** 64 - 1  # substream of the Q_r, beyond every chunk index
+_CHUNK = 1 << 16  # evaluations per counter-based substream
+_COLUMNS = 1 << 13  # evaluations per block of products inside a chunk
 _BLOCK_THRESHOLD = 0.05  # |correlation| joining two coordinates into a group
 
 
@@ -45,17 +48,20 @@ _BLOCK_THRESHOLD = 0.05  # |correlation| joining two coordinates into a group
 class MonteCarloSpec:
     """Sampling budget and seeding for Monte Carlo moments.
 
-    The budget is spent in fixed-size chunks, each drawn from its own
-    counter-based substream keyed by (seed, chunk index).  The chunks run
-    on min(chunks, CPU count) threads and their sums are added in chunk
-    order, so estimates do not depend on how chunks are scheduled across
-    workers, nor on how many there are.  The default
-    2^18 samples are four such chunks; with the radial factor of
-    `_mc_abs_product` they state a smaller error than 10^6 plain samples.
-    At least two samples are needed to estimate a standard error.
+    `samples` counts integrand evaluations.  Each normal draw is evaluated
+    at `_ROTATIONS` = 8 rotations of itself, so a call draws
+    max(2, ceil(samples / 8)) normal vectors; at least two draws are needed
+    to estimate a standard error.  The budget is spent in chunks of
+    `_CHUNK` evaluations, each drawn from its own counter-based substream
+    keyed by (seed, chunk index).  The chunks run on min(chunks, CPU count)
+    threads and their sums are added in chunk order, so estimates do not
+    depend on how chunks are scheduled across workers, nor on how many
+    there are.  The default 2^19 evaluations are 2^16 draws in eight
+    chunks; with the radial factor and the rotations of `_mc_abs_product`
+    they state a smaller error than 10^6 plain samples.
     """
 
-    samples: int = 1 << 18
+    samples: int = 1 << 19
     seed: int = 190406
 
     def __post_init__(self):
@@ -193,61 +199,91 @@ def _cholesky_or_none(u: np.ndarray) -> np.ndarray | None:
         return None
 
 
+def _rotations(seed: int, k: int) -> np.ndarray:
+    """Q_1 = I and `_ROTATIONS` - 1 Haar orthogonal k x k matrices, stacked.
+
+    The Haar matrices are the Q factors of Gaussian matrices with the signs
+    of R's diagonal moved into Q (Mezzadri, Notices AMS 54, 2007), drawn
+    from the substream `_ROTATION_STREAM` of `seed`.
+    """
+    rng = next(_substreams(seed, (_ROTATION_STREAM,)))
+    q, r = np.linalg.qr(rng.standard_normal((_ROTATIONS - 1, k, k)))
+    q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    return np.concatenate([np.eye(k)[None], q])
+
+
 def _mc_abs_product(L: np.ndarray, mc: MonteCarloSpec,
                     L_control: np.ndarray | None = None,
                     powers: np.ndarray | None = None) -> tuple[float, float]:
     """Chunked Monte Carlo mean of prod |(L w)_i|^p_i over standard normals w.
 
     The integrand is homogeneous of degree q = sum p_i, and |w| ~ chi_k is
-    independent of w / |w|, so each sample is taken as
-    E chi_k^q prod |(L w)_i|^p_i / |w|^q: the radial part is integrated
+    independent of w / |w|, so each evaluation is taken as
+    E chi_k^q prod |(L v)_i|^p_i / |w|^q: the radial part is integrated
     exactly (spherical-radial split) and only the direction is sampled.
-    With `L_control` set, estimates the mean of the difference of the two
-    products from common normals instead (control-variate correction);
-    the difference has the same degree.
+    Each draw w is evaluated at v = Q_r w for the `_ROTATIONS` matrices of
+    `_rotations`, drawn once per call (|Q_r w| = |w|; randomly rotated
+    spherical-radial rules, Genz & Monahan, SIAM J. Sci. Comput. 19, 1998).
+    A sample is the mean of a draw's evaluations, and the standard error is
+    taken over these per-draw means, so it holds whatever the correlation
+    between rotations.  With `L_control` set, estimates the mean of the
+    difference of the two products from common normals instead
+    (control-variate correction); the difference has the same degree.  Both
+    factors multiply the same rotated draws: products of L and L_control
+    with each Q_r, rounded apart, would shift the small difference by a
+    fixed amount for the whole call.
 
     The chunks run on a pool of min(chunks, CPU count) threads, made and
     joined here.  Each returns its sum and sum of squares, and these are
     added in chunk order, so the answer has the same bits for any number
     of workers.  Within a chunk the products are formed in blocks of
-    `_COLUMNS` samples, which bounds the temporaries of each chunk in
+    `_COLUMNS` evaluations, which bounds the temporaries of each chunk in
     flight.  Workers call only private code and numpy.
     """
     k = L.shape[0]
     q = float(k if powers is None else powers.sum())
     radial = 2.0 ** (q / 2) * math.gamma((k + q) / 2) / math.gamma(k / 2)
+    draws = max(2, math.ceil(mc.samples / _ROTATIONS))
+    per_chunk, per_block = _CHUNK // _ROTATIONS, _COLUMNS // _ROTATIONS
+    rot = _rotations(mc.seed, k)
+    # rows ordered (i, r), so A @ w reshapes to (k, rotations x draws)
+    A = (rot if L_control is not None else L @ rot).transpose(1, 0, 2)
+    A = A.reshape(k * _ROTATIONS, k)
 
     def chunk(c: int) -> tuple[float, float]:
-        n = min(_CHUNK, mc.samples - c * _CHUNK)
-        w = _chunk_rng(mc.seed, c).standard_normal((k, n))  # one column per sample
+        n = min(per_chunk, draws - c * per_chunk)
+        w = _chunk_rng(mc.seed, c).standard_normal((k, n))  # one column per draw
         vals = np.empty(n)
-        for j in range(0, n, _COLUMNS):
-            wb, vb = w[:, j:j + _COLUMNS], vals[j:j + _COLUMNS]
-            _abs_product(L @ wb, powers, out=vb)
-            if L_control is not None:
-                vb -= _abs_product(L_control @ wb, powers)
-            vb *= radial / np.einsum("ij,ij->j", wb, wb) ** (q / 2)
+        for j in range(0, n, per_block):
+            wb, vb = w[:, j:j + per_block], vals[j:j + per_block]
+            z = (A @ wb).reshape(k, -1)
+            if L_control is None:
+                prods = _abs_product(z, powers)
+            else:
+                prods = _abs_product(L @ z, powers)
+                prods -= _abs_product(L_control @ z, powers)
+            prods.reshape(_ROTATIONS, -1).sum(axis=0, out=vb)
+            vb *= radial / _ROTATIONS / np.einsum("ij,ij->j", wb, wb) ** (q / 2)
         return float(vals.sum()), float(vals @ vals)
 
-    chunks = math.ceil(mc.samples / _CHUNK)
+    chunks = math.ceil(draws / per_chunk)
     with ThreadPoolExecutor(min(chunks, os.cpu_count() or 1)) as pool:
         sums = list(pool.map(chunk, range(chunks)))
     total = total_sq = 0.0
     for s, s2 in sums:  # in chunk order, whatever finished first
         total += s
         total_sq += s2
-    mean = total / mc.samples
-    var = max(total_sq / mc.samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / mc.samples)
+    mean = total / draws
+    var = max(total_sq / draws - mean * mean, 0.0)
+    return mean, math.sqrt(var / draws)
 
 
-def _abs_product(z: np.ndarray, powers: np.ndarray | None,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def _abs_product(z: np.ndarray, powers: np.ndarray | None) -> np.ndarray:
     """prod_i |z_i|^p_i down each column of z, overwriting z."""
     np.abs(z, out=z)
     if powers is not None:
         z **= powers[:, None]
-    return z.prod(axis=0, out=out)
+    return z.prod(axis=0)
 
 
 def _pi2_closed(u11: float, u22: float, u12: float) -> float:
@@ -316,7 +352,9 @@ def pi_k(variance, mc: MonteCarloSpec | None = None, powers=None
     block-diagonal covariances are resolved far below the raw Monte Carlo
     noise floor.  A single strongly coupled group falls back to plain
     chunked Monte Carlo.  Both samplers integrate the radial part exactly
-    (see `_mc_abs_product`).
+    and evaluate each normal draw at eight seeded rotations of it, so the
+    default 2^19 evaluations draw 2^16 normal vectors (see
+    `_mc_abs_product`).
     """
     mc = mc or MonteCarloSpec()
     u = np.asarray(variance, dtype=float)

@@ -146,14 +146,18 @@ class TestFunction:
 
     def support(self) -> tuple[float, float]:
         """Interval carrying (numerically) all the mass; a gaussian's reaches
-        9 widths from its center."""
+        9 widths from its center, a table's runs between the grid points
+        next to its outermost non-zero values (its grid ends if all are 0)."""
         if self.kind == "indicator":
             return self.params
         if self.kind == "gaussian":
             c, w = self.params
             return c - 9.0 * w, c + 9.0 * w
-        xs, _ = self.params
-        return xs[0], xs[-1]
+        xs, ys = self.params
+        mass = np.flatnonzero(ys)
+        if mass.size == 0:
+            return xs[0], xs[-1]
+        return xs[max(mass[0] - 1, 0)], xs[min(mass[-1] + 1, len(xs) - 1)]
 
     def support_radius(self) -> float:
         """Largest |x| carrying (numerically) non-negligible mass."""

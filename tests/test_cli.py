@@ -419,6 +419,16 @@ def test_moments_support_inside_window_runs(capsys):
     assert rec["predicted_pair_sum"] > 0.0
 
 
+def test_moments_table_support_trims_zero_ends(tmp_path, capsys):
+    # the table is 0 on [-1, 0], so its support is [0, 1], inside [0, R]
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"xs": [-1.0, 0.0, 1.0], "ys": [0.0, 0.0, 1.0]}))
+    code, out, err = run_cli(capsys, "moments", "--p", "2", "--R", "5",
+                             "--n", "20", "--phi", f"table:{path}")
+    assert code == 0, err
+    assert json.loads(out)["n"] == 20
+
+
 def test_threads_environment_is_ignored(capsys, monkeypatch):
     monkeypatch.setenv("GAUSSZEROS_THREADS", "abc")
     code, out, _ = run_cli(capsys, "rho", "--points", "0,1")

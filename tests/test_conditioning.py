@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from gausszeros import conditioning, densities, models
-from gausszeros.conditioning import (_CHUNK, MonteCarloSpec, _mc_abs_product,
+from gausszeros.conditioning import (_CHUNK, _ROTATIONS, MonteCarloSpec,
+                                     _mc_abs_product, _pi3_closed, _rotations,
                                      assemble_context, pi_k)
 from gausszeros.densities import rho_k, vanishing_constant
 from gausszeros.errors import ConfigError, NotPSD, OrderUnavailable
@@ -166,19 +167,6 @@ def test_pi3_closed_form_limits():
     assert pi_k(u) == (0.0, 0.0)
 
 
-def test_mc_abs_product_radial_estimator():
-    mc = MonteCarloSpec(seed=21)
-    for k in (4, 5, 6):
-        val, err = _mc_abs_product(np.eye(k), mc)
-        assert 0.0 < err < 5e-3 * val
-        assert abs(val - (2.0 / math.pi) ** (k / 2.0)) < 4.0 * err
-    # E X^2 Y^2 = u11 u22 + 2 u12^2
-    L = np.linalg.cholesky(np.array([[1.0, 0.4], [0.4, 2.0]]))
-    val, err = _mc_abs_product(L, mc, powers=np.array([2.0, 2.0]))
-    assert 0.0 < err < 5e-3
-    assert abs(val - 2.32) < 4.0 * err
-
-
 def _plain_stderr(u, samples, seed):
     """Standard error of plain Monte Carlo, prod |(L w)_i| over normals w."""
     L = np.linalg.cholesky(u)
@@ -206,6 +194,98 @@ def test_default_budget_beats_a_million_plain_samples(bf, sinc):
 def test_monte_carlo_spec_refuses_tiny_budgets(samples):
     with pytest.raises(ConfigError):
         MonteCarloSpec(samples=samples)
+
+
+@pytest.mark.parametrize("samples", [2, 9])
+def test_tiny_budgets_state_an_error(samples):
+    # ceil(samples / 8) = 1 draw would state a zero error: two are drawn
+    u = 0.7 * np.eye(4) + 0.3
+    for val, err in (_mc_abs_product(np.eye(4), MonteCarloSpec(samples, seed=2)),
+                     pi_k(u, MonteCarloSpec(samples, seed=2))):
+        assert math.isfinite(val) and math.isfinite(err) and err > 0.0
+
+
+def _estimates(L, powers=None, L_control=None):
+    """Values and stderrs of 20 default-budget calls on seeds 1000-1019."""
+    out = np.array([_mc_abs_product(L, MonteCarloSpec(seed=1000 + seed),
+                                    L_control=L_control, powers=powers)
+                    for seed in range(20)])
+    return out[:, 0], out[:, 1]
+
+
+def test_mc_abs_product_radial_estimator():
+    # 20 seeds against closed forms: no |z| above 4, mean z^2 near 1
+    u3 = np.array([[1.0, 0.6, -0.3], [0.6, 1.5, 0.4], [-0.3, 0.4, 0.8]])
+    u2 = np.array([[1.0, 0.4], [0.4, 2.0]])
+    cases = [(np.linalg.cholesky(u3), _pi3_closed(u3), None),
+             # E X^2 Y^2 = u11 u22 + 2 u12^2
+             (np.linalg.cholesky(u2), 2.32, np.array([2.0, 2.0]))]
+    cases += [(np.eye(k), (2.0 / math.pi) ** (k / 2.0), None) for k in (4, 5, 6)]
+    for L, expect, powers in cases:
+        vals, errs = _estimates(L, powers)
+        assert np.all(errs > 0.0) and np.all(errs < 5e-3 * min(expect, 1.0))
+        z = (vals - expect) / errs
+        assert np.abs(z).max() <= 4.0, (L.shape, z)
+        assert (z * z).mean() <= 2.0, (L.shape, z)
+
+
+@pytest.mark.parametrize("coupling", [1e-9, 1e-16])
+def test_common_random_numbers_cancel_to_the_coupling(coupling):
+    # both factors see the same rotated draws, so the correction's noise is
+    # of the coupling's size and no rounding of a product with Q_r biases it
+    control = np.zeros((4, 4))
+    control[:2, :2] = [[1.0, 0.3], [0.3, 1.2]]
+    control[2:, 2:] = [[0.9, -0.2], [-0.2, 1.1]]
+    u = control.copy()
+    u[0, 2] = u[2, 0] = u[1, 3] = u[3, 1] = coupling
+    L, L_control = np.linalg.cholesky(u), np.linalg.cholesky(control)
+    # the exact correction is of second order in the coupling
+    vals, errs = _estimates(L, L_control=L_control)
+    assert np.abs(vals / errs).max() <= 4.0, vals / errs
+    _, err = _mc_abs_product(L, MonteCarloSpec(), L_control=L_control)
+    assert 0.0 < err < coupling
+
+
+def test_default_call_draw_count(monkeypatch):
+    # a default k = 6 call draws 2^16 normal vectors for its 2^19
+    # evaluations, plus 7 Gaussian 6 x 6 matrices for the rotations
+    counts, substreams = [], conditioning._substreams
+
+    class Spy:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, size):
+            counts.append(int(np.prod(size)))
+            return self.rng.standard_normal(size)
+
+    def spy(seed, indices):
+        for rng in substreams(seed, indices):
+            yield Spy(rng)
+    monkeypatch.setattr(conditioning, "_substreams", spy)
+    pi_k(0.7 * np.eye(6) + 0.3)
+    assert sorted(counts) == [7 * 36] + [6 * _CHUNK // _ROTATIONS] * 8
+    assert sum(counts) == 6 * 2 ** 16 + 7 * 36
+
+
+def test_rotations_are_orthogonal_and_shared_by_every_chunk():
+    rot = _rotations(5, 6)
+    assert rot.shape == (_ROTATIONS, 6, 6)
+    assert np.array_equal(rot[0], np.eye(6))
+    for q in rot:
+        assert np.abs(q.T @ q - np.eye(6)).max() <= 1e-14
+    assert not np.allclose(rot[1], rot[2])
+    # recompute a two-chunk call by hand, one set of rotations for both
+    L = np.linalg.cholesky(0.7 * np.eye(6) + 0.3)
+    mc = MonteCarloSpec(samples=2 * _CHUNK, seed=5)
+    w = np.hstack([conditioning._chunk_rng(5, c).standard_normal(
+        (6, _CHUNK // _ROTATIONS)) for c in (0, 1)])
+    evals = np.abs(np.einsum("ij,rjl,ln->rin", L, rot, w)).prod(axis=1)
+    radial = 2.0 ** 3 * math.gamma(6) / math.gamma(3)
+    vals = evals.mean(axis=0) * radial / (w * w).sum(axis=0) ** 3
+    val, err = _mc_abs_product(L, mc)
+    assert val == pytest.approx(vals.mean(), rel=1e-12)
+    assert err == pytest.approx(vals.std() / math.sqrt(vals.size), rel=1e-9)
 
 
 def test_pi_k_identity_monte_carlo():

@@ -211,6 +211,14 @@ def test_expected_linear_statistic():
         math.sqrt(math.pi) / math.pi)
 
 
+def test_table_support_trims_zero_ends():
+    xs = [-2.0, -1.0, 0.0, 1.0, 2.0]
+    assert TestFunction.table(xs, [0, 0, 0, 1, 0]).support() == (0.0, 2.0)
+    assert TestFunction.table(xs, [0, 2, 0, 0, 0]).support() == (-2.0, 0.0)
+    assert TestFunction.table(xs, [0, 0, 1, 0, 0]).support_radius() == 1.0
+    assert TestFunction.table(xs, [0, 0, 0, 0, 0]).support() == (-2.0, 2.0)
+
+
 def test_cross_correlations():
     ind = TestFunction.indicator(0.0, 1.0)
     assert ind.cross_correlation(ind, 0.0) == 1.0
