@@ -342,7 +342,7 @@ def pi_k(variance, mc: MonteCarloSpec | None = None, powers=None
          ) -> tuple[float, float]:
     """E prod_i |X_i|^p_i for X ~ N(0, variance), with a standard error.
 
-    `powers` holds one integer p_i per coordinate (default all 1).  One
+    `powers` holds one integer p_i >= 0 per coordinate (default all 1).  One
     coordinate, and two or three coordinates with unit powers, use closed
     forms (zero error; three is Nabeya's arcsine form).  Otherwise the
     coordinates split into weakly correlated groups: the product of the
@@ -360,9 +360,11 @@ def pi_k(variance, mc: MonteCarloSpec | None = None, powers=None
     u = np.asarray(variance, dtype=float)
     L = _check_psd_and_factor(u)
     k = u.shape[0]
-    p = np.ones(k, dtype=int) if powers is None else np.asarray(powers, dtype=int)
-    if p.shape != (k,):
-        raise ConfigError("one power per coordinate required")
+    p = np.ones(k) if powers is None else np.asarray(powers, dtype=float)
+    if p.shape != (k,) or not np.all(np.isfinite(p) & (p >= 0) & (p == np.floor(p))):
+        raise ConfigError("one integer power >= 0 per coordinate required, "
+                          f"got {p.tolist()}")
+    p = p.astype(int)
     unit = bool(np.all(p == 1))
     if k == 1:  # E|Z|^q for Z ~ N(0, var)
         var, q = max(u[0, 0], 0.0), int(p[0])

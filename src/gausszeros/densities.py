@@ -4,11 +4,12 @@ The k-point intensity rho_k is evaluated through its divided-difference
 form: for a partition of the configuration into blocks, the intensity is
 the square-rooted Vandermonde factor over blocks times a conditional
 absolute moment over the square root of a block-covariance determinant.
-Any partition whose cross-block points stay distinct gives the same value;
-the cluster partition at scale 1 keeps the matrices well conditioned on
-and near the diagonal.  The vanishing constant is the same quotient on the
-partition of coincident points, without the Vandermonde factor, with one
-moment coordinate per block raised to the block size.
+In exact arithmetic any partition whose cross-block points stay distinct
+gives the same value (in floating point not on mixed-scale blocks, see
+`rho_k`); the cluster partition at scale 1 keeps the matrices well
+conditioned on and near the diagonal.  The vanishing constant is the same
+quotient on the partition of coincident points, without the Vandermonde
+factor, with one moment coordinate per block raised to the block size.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import divdiff
 from .conditioning import MonteCarloSpec, assemble_context, pi_k
-from .errors import ConfigError, DegenerateConfiguration, SeparationTooSmall
+from .errors import ConfigError, DegenerateConfiguration, NotPSD, SeparationTooSmall
 from .models import tail_norm
 from .partitions import IndexPartition, cluster_partition
 
@@ -76,7 +77,13 @@ def _kac_rice(ctx, mc: MonteCarloSpec | None, first=None, powers=None):
             "blocks coincide, or the model's finite marginals are singular "
             "(correlation does not decay)")
     lam = ctx.lam if first is None else ctx.lam[np.ix_(first, first)]
-    moment, err = pi_k(lam, mc, powers)
+    try:
+        moment, err = pi_k(lam, mc, powers)
+    except NotPSD as exc:  # name the blocks whose rows lam came from
+        gap = min(np.diff(np.sort(np.take(ctx.x, b))).min(initial=math.inf)
+                  for b in ctx.partition.blocks)
+        raise NotPSD(f"{exc}: partition {ctx.partition}, routes {','.join(ctx.routes)}"
+                     f", smallest gap in a block {gap:.3g}") from exc
     denom = (2.0 * math.pi) ** (len(ctx.x) / 2.0) * math.sqrt(ctx.d_value)
     return moment, err, denom
 
@@ -86,7 +93,9 @@ def rho_k(model, points, mc: MonteCarloSpec | None = None) -> DensityResult:
 
     The partition is chosen as the scale-1 cluster partition of the
     configuration, which keeps the underlying Gaussian vector uniformly
-    non-degenerate; the value does not depend on that choice.
+    non-degenerate.  The value depends on that choice on mixed-scale blocks
+    (ROADMAP item 1): cauchy at [0, 1e-4, 0.6001] gives 3.4406e-6 on one
+    Newton block with a near-tie, 3.7735e-6 on the partition {0,1},{2}.
     """
     x = divdiff.snap_configuration(points)
     return rho_with_partition(model, x, cluster_partition(x, 1.0), mc)

@@ -10,11 +10,11 @@ of coefficients over atoms f^(n)(t), and a set of them has covariance
 A K A^T, K[i, j] = (-1)^a kappa^(a+b)(t_j - t_i) from one `derivs` call.
 Every block contributes the rows of its prefixes [f](z_1..z_p) and of its
 one-node extensions [f](z_1..z_s, z_a); `double_divided_diff_matrix` reads
-the prefix cross block of that covariance.  Newton rows (the inverse
-Newton matrix) divide by node gaps; Taylor rows (f expanded at the block
-centre up to `internal_order_cap`, K truncated above it) divide by
-nothing.  A block of span <= TAYLOR_SPAN takes the
-route with the smaller error estimate (`_dd_matrix_taylor`).
+the prefix cross block of that covariance.  Newton rows (one recurrence
+over the block, snapped by the public entry point) divide by node gaps;
+Taylor rows (f expanded at the block centre to `internal_order_cap`, K
+truncated above it) divide by nothing.  A block of span in (0, TAYLOR_SPAN]
+takes the route with the smaller error estimate (`_dd_matrix_taylor`).
 """
 
 from __future__ import annotations
@@ -61,10 +61,7 @@ def snap_configuration(points) -> np.ndarray:
 def multiplicities(points) -> np.ndarray:
     """c_i = number of earlier nodes equal to node i (after snapping)."""
     x = snap_configuration(points)
-    out = np.zeros(x.size, dtype=int)
-    for i in range(x.size):
-        out[i] = int(np.sum(x[:i] == x[i]))
-    return out
+    return np.tril(x[:, None] == x, -1).sum(axis=1)
 
 
 def newton_matrix(points) -> np.ndarray:
@@ -75,19 +72,26 @@ def newton_matrix(points) -> np.ndarray:
     diagonal prod_{l<i, x_l != x_i}(x_i - x_l), hence always invertible.
     """
     x = snap_configuration(points)
-    c = multiplicities(x)
-    p = x.size
-    # t[i, r]: r-th Taylor coefficient at x_i of the current Newton
-    # polynomial; multiplying by (X - x_j) maps t_r to t_{r-1} + (x_i - x_j) t_r
-    t = np.zeros((p, int(c.max()) + 1))
+    return _newton_basis(x, x)[0][:, :-1]
+
+
+def _newton_basis(x: np.ndarray, sites: np.ndarray):
+    """Entry (i, j), j = 0..len(x): the c_i-th Taylor coefficient at sites_i
+    of prod_{l<j}(X - x_l), c_i the number of x_l, l < i, equal to sites_i;
+    and the orders c."""
+    c = np.tril(sites[:, None] == x, -1).sum(axis=1)
+    # t[i, r]: r-th Taylor coefficient at sites_i of the current Newton
+    # polynomial; multiplying by (X - x_j) maps t_r to t_{r-1} + (sites_i - x_j) t_r
+    t = np.zeros((sites.size, int(c.max()) + 1))
     t[:, 0] = 1.0
-    m = np.empty((p, p))
-    for j in range(p):
-        m[:, j] = t[np.arange(p), c]
-        nxt = (x - x[j])[:, None] * t
+    out = np.empty((sites.size, x.size + 1))
+    for j in range(x.size):
+        out[:, j] = t[np.arange(sites.size), c]
+        nxt = (sites - x[j])[:, None] * t
         nxt[:, 1:] += t[:, :-1]
         t = nxt
-    return m
+    out[:, -1] = t[np.arange(sites.size), c]
+    return out, c
 
 
 def divided_diff_vector(points, evals) -> np.ndarray:
@@ -97,11 +101,11 @@ def divided_diff_vector(points, evals) -> np.ndarray:
     entry i is f^{(c_i)}(x_i) / c_i!.  Solved by forward substitution
     against the lower-triangular Newton matrix.
     """
-    x = snap_configuration(points)
+    m = newton_matrix(points)
     b = np.asarray(evals, dtype=float)
-    if b.shape != x.shape:
+    if b.shape != (m.shape[0],):
         raise ConfigError("evaluation vector length must match the configuration")
-    return _forward_solve(newton_matrix(x), b)
+    return _forward_solve(m, b)
 
 
 def _forward_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -139,15 +143,15 @@ def _newton_rows(z: np.ndarray):
     with [r, d] the bordering row of the extended Newton matrix, the last
     row of [[M, 0], [r, d]]^-1 is [-r M^-1 / d, 1 / d].
     """
-    s = z.size
-    orders = np.concatenate([multiplicities(z), (z[:, None] == z[None, :]).sum(axis=1)])
+    s, sites = z.size, np.concatenate([z, z])
+    basis, orders = _newton_basis(z, sites)  # M, then every border
     rows = np.zeros((2 * s, 2 * s))
-    rows[:s, :s] = _forward_solve(newton_matrix(z), np.eye(s))
+    rows[:s, :s] = _forward_solve(basis[:s, :s], np.eye(s))
     for a in range(s):
-        border = newton_matrix(np.append(z, z[a]))[s]
+        border = basis[s + a]
         rows[s + a, :s] = -(border[:s] @ rows[:s, :s]) / border[s]
         rows[s + a, s + a] = 1.0 / border[s]
-    return rows * _INV_FACT[orders], np.concatenate([z, z]), orders
+    return rows * _INV_FACT[orders], sites, orders
 
 
 def _kernel_matrix(model, sites, orders, cap: int, anchors=0.0) -> np.ndarray:
@@ -193,14 +197,15 @@ def _block_covariance(model, blocks):
     then of their extensions [f](z_1..z_s, z_a); and each block's route,
     "taylor" or "newton".
 
-    Each block's rows are built on its offsets from its leftmost node, so
-    the rounding of a block stays at its own span whatever its position.
+    Each snapped block is built on its offsets from its leftmost node, so
+    its rounding stays at its own span.  At span 0 (one point, or coincident
+    points) Newton rows divide by nothing, so no Taylor candidate is built.
     """
     cap = model.internal_order_cap
     anchors = [z.min() for z in blocks]
     # candidate rows of each block: Newton, then Taylor for a tight block
     cands = [[_newton_rows(z - a)]
-             + ([_taylor_rows(z - a, cap)] if np.ptp(z) <= TAYLOR_SPAN else [])
+             + ([_taylor_rows(z - a, cap)] if 0 < np.ptp(z) <= TAYLOR_SPAN else [])
              for z, a in zip(blocks, anchors)]
     # prefix orders only: assemble_context bounds the extensions' by its 2n
     need = 2 * max(int(c[0][2][:z.size].max()) for c, z in zip(cands, blocks))

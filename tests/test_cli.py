@@ -78,6 +78,15 @@ def test_rho_degenerate_exit_code(capsys):
     assert "degenerate" in err.lower() or "singular" in err.lower()
 
 
+def test_rho_not_psd_names_its_blocks(capsys):
+    # a near-tie next to a wider gap in one Newton block (ROADMAP item 1)
+    code, out, err = run_cli(capsys, "rho", "--model", "sinc-sqrt3",
+                             "--points", "0,0.01,0.91")
+    assert code == 2 and out == ""
+    assert "PSD" in err and "partition {0,1,2}" in err
+    assert "routes newton" in err and "smallest gap in a block 0.01" in err
+
+
 def test_sigma2(capsys):
     code, out, _ = run_cli(capsys, "sigma2", "--model", "bargmann-fock")
     assert code == 0
@@ -471,8 +480,9 @@ def test_rho_reports_stderr_and_routes(capsys):
                            "0,0.3,5;0,2;0,0.9,1.8;0,0.9,1.8,2.7")
     assert code == 0
     recs = [json.loads(line) for line in out.splitlines()]
+    # the singleton {2} at 5 has no gap to divide by: Newton rows
     assert [r["routes"] for r in recs] == [
-        ["taylor", "taylor"], ["closed-form", "closed-form"], ["newton"],
+        ["taylor", "newton"], ["closed-form", "closed-form"], ["newton"],
         ["newton"]]
     # three points have a closed-form moment; four sample
     assert [r["stderr"] == 0.0 for r in recs] == [True, True, True, False]

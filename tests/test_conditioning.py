@@ -63,6 +63,19 @@ def test_pi_k_powers_closed_forms():
         assert pi_k(np.array([[4.0]]), powers=[q]) == (pytest.approx(expect), 0.0)
 
 
+@pytest.mark.parametrize("powers", [[-1, 1], [1.5, 1], [1, -2, 1],
+                                    [math.inf, 1], [math.nan, 1]])
+def test_pi_k_rejects_bad_powers(powers):
+    with pytest.raises(ConfigError, match="power"):
+        pi_k(np.eye(len(powers)), powers=powers)
+
+
+def test_pi_k_zero_power():
+    # E|X|^0 |Y| = E|Y| = sqrt(2/pi) for independent standard normals
+    assert pi_k(np.eye(2), powers=[0, 1]) == (pytest.approx(math.sqrt(2 / math.pi)),
+                                              0.0)
+
+
 def test_pi_k_powers_group_split():
     # uncoupled coordinates: the product of one-coordinate moments, exactly,
     # E X^2 E|Y|^3 E|W| = 1 * 2^1.5 * 2 sqrt(2/pi) * sqrt(3) sqrt(2/pi)
@@ -443,7 +456,7 @@ def test_one_derivs_call_per_configuration(presets, table, rng, monkeypatch):
 def test_routes_reported(bf):
     def routes(x):
         return assemble_context(bf, x, cluster_partition(x, 1.0)).routes
-    assert routes([0.0, 0.3, 5.0]) == ("taylor", "taylor")
+    assert routes([0.0, 0.3, 5.0]) == ("taylor", "newton")  # singleton at 5
     assert routes([0.0, 0.9, 1.8]) == ("newton",)
     assert routes([0.0, 2.0]) == ("closed-form", "closed-form")
 

@@ -8,12 +8,17 @@ from numpy.polynomial import Polynomial
 from scipy.linalg import solve_triangular
 
 import dd_properties
+from gausszeros import densities, divdiff
+from gausszeros.conditioning import MonteCarloSpec
+from gausszeros.densities import rho_k
 from gausszeros.divdiff import (_INV_FACT, SNAP_TOL, TAYLOR_SPAN,
-                                _block_covariance, _newton_rows,
+                                _block_covariance, _forward_solve,
+                                _newton_rows, _taylor_rows,
                                 divided_diff_vector, double_divided_diff,
                                 multiplicities, newton_matrix,
                                 snap_configuration)
 from gausszeros.errors import OrderUnavailable
+from gausszeros.partitions import cluster_partition
 
 
 def test_multiplicities_examples():
@@ -179,6 +184,26 @@ def _newton_matrix_loop(x):
     return m
 
 
+def _newton_rows_per_extension(z):
+    # the former construction, kept as the reference: one Newton matrix of
+    # its own for each one-node extension, read off its bordering row
+    s = z.size
+    orders = np.concatenate([multiplicities(z), (z[:, None] == z).sum(axis=1)])
+    rows = np.zeros((2 * s, 2 * s))
+    rows[:s, :s] = _forward_solve(newton_matrix(z), np.eye(s))
+    for a in range(s):
+        border = newton_matrix(np.append(z, z[a]))[s]
+        rows[s + a, :s] = -(border[:s] @ rows[:s, :s]) / border[s]
+        rows[s + a, s + a] = 1.0 / border[s]
+    return rows * _INV_FACT[orders], np.concatenate([z, z]), orders
+
+
+def _assert_same_rows(z):
+    for got, ref in zip(_newton_rows(z), _newton_rows_per_extension(z)):
+        assert got.dtype.kind == ref.dtype.kind
+        np.testing.assert_array_equal(got, ref)
+
+
 @pytest.mark.parametrize("z", [[0.0, 0.0, 0.2, 0.2, 0.2],
                                [0.0, 3e-9, 0.3, 1.0],
                                [0.0, 0.7, 1.9, 3.2, 4.0]],
@@ -186,6 +211,7 @@ def _newton_matrix_loop(x):
 def test_newton_extension_rows_invert_the_extended_matrix(z):
     z = np.array(z)
     s = z.size
+    _assert_same_rows(z)
     rows, _, orders = _newton_rows(z)
     for a in range(s):
         ext = np.append(z, z[a])
@@ -194,6 +220,42 @@ def test_newton_extension_rows_invert_the_extended_matrix(z):
         ref[:s], ref[s + a] = inv[:s], inv[s]
         ref *= _INV_FACT[orders]
         assert np.max(np.abs(rows[s + a] - ref)) <= 1e-13 * np.max(np.abs(ref)), a
+
+
+def test_newton_rows_match_per_extension_matrices(rng):
+    for _ in range(200):
+        s = int(rng.integers(1, 8))
+        z = snap_configuration(rng.choice(rng.uniform(0.0, 2.0, 4), s)
+                               + rng.choice([0.0, 3e-9, 0.3], s))
+        _assert_same_rows(z - z.min())
+
+
+def test_rho_k_snaps_once(monkeypatch, bf):
+    # rho_k's snap, its scale-1 partition and assemble_context's snap; the
+    # private Newton rows find ties by equality and never snap again
+    calls = []
+
+    def counted(x, eta):
+        calls.append(eta)
+        return cluster_partition(x, eta)
+    for module in (divdiff, densities):
+        monkeypatch.setattr(module, "cluster_partition", counted)
+    rho_k(bf, np.linspace(0.0, 0.5, 6), MonteCarloSpec(samples=64))
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("z", [[0.3], [0.0, 0.0, 0.0]], ids=["one-point", "coincident"])
+def test_span_zero_block_builds_no_series(monkeypatch, bf, z):
+    series = []
+
+    def taylor_rows(z, cap):
+        series.append(z.size)
+        return _taylor_rows(z, cap)
+    monkeypatch.setattr(divdiff, "_taylor_rows", taylor_rows)
+    _, routes = _block_covariance(bf, [np.array(z)])
+    assert routes == ("newton",) and series == []
+    _block_covariance(bf, [np.array([0.0, 0.3])])  # a tight block has a choice
+    assert series == [2]
 
 
 def test_newton_matrix_matches_polynomial_products(rng):
