@@ -276,7 +276,9 @@ def _add_common(sub, *options):
     sub.add_argument("--dump-config", action="store_true")
     specs = {
         "seed": dict(type=int, default=None),
-        "threads": dict(type=int, default=os.cpu_count() or 1),
+        "threads": dict(type=int, default=os.cpu_count() or 1,
+                        help="sampler threads, at most the batch and CPU "
+                             "counts (default: CPU count)"),
         "tolerance": dict(type=float, default=None,
                           help="absolute quadrature tolerance"),
         "format": dict(choices=("json", "csv"), default=None,

@@ -165,31 +165,15 @@ def _check_psd_and_factor(variance: np.ndarray) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _substreams(seed: int, indices):
-    """Counter-based Philox substreams keyed by (seed mod 2^64, index).
-
-    Yields one generator per index: the same generator, rekeyed in place
-    from one state dict that this call owns, which costs a fraction of
-    building a generator.  Each stream starts at counter 0 with no buffered
-    words, whatever was drawn from the one before.  The dict is mutated
-    between yields, so an iterator must stay in the thread that made it.
-    """
-    key = [seed & 0xFFFFFFFFFFFFFFFF, 0]
-    state = {"bit_generator": "Philox",
-             "state": {"counter": [0, 0, 0, 0], "key": key},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
-             "uinteger": 0}
-    # a fixed seed skips the OS entropy draw; the state is replaced below
-    rng = np.random.Generator(np.random.Philox(0))
-    for index in indices:
-        key[1] = index
-        rng.bit_generator.state = state
-        yield rng
-
-
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
-    """The substream (seed mod 2^64, index) of `_substreams`, on its own."""
-    return next(_substreams(seed, (index,)))
+    """The counter-based Philox stream keyed by (seed mod 2^64, index).
+
+    Streams with different keys are independent for any key layout
+    (Salmon et al., SC'11), so callers key one stream per chunk or batch
+    of work; each starts at counter 0.
+    """
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _cholesky_or_none(u: np.ndarray) -> np.ndarray | None:
@@ -204,9 +188,9 @@ def _rotations(seed: int, k: int) -> np.ndarray:
 
     The Haar matrices are the Q factors of Gaussian matrices with the signs
     of R's diagonal moved into Q (Mezzadri, Notices AMS 54, 2007), drawn
-    from the substream `_ROTATION_STREAM` of `seed`.
+    from the stream `_chunk_rng(seed, _ROTATION_STREAM)`.
     """
-    rng = next(_substreams(seed, (_ROTATION_STREAM,)))
+    rng = _chunk_rng(seed, _ROTATION_STREAM)
     q, r = np.linalg.qr(rng.standard_normal((_ROTATIONS - 1, k, k)))
     q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
     return np.concatenate([np.eye(k)[None], q])

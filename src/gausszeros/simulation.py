@@ -8,14 +8,18 @@ modes |j| <= J are drawn, where J is the smallest index whose dropped mass
 sum_{|j| > J} (1 + omega_j^2) weight_j is at most 2^-53; the rest of the
 spectrum is zero padding in buffers that each pool thread reuses across its
 batches.  The real and imaginary parts of one draw are two independent
-replicates; each pair draws the kept modes from its own counter-based
-substream keyed by (master_seed, pair index), so runs are reproducible
-bit-for-bit regardless of batching or thread count.  Zeros are located by
-sign changes and polished on the cubic Hermite interpolant of (f, f') over
-the bracketing cell by a safeguarded Newton iteration that never leaves the
-cell's sign-change bracket; cells whose last Newton step is not at rounding
-level are finished by bisection, and so are cells whose right-end value is
-at rounding level, on a cubic written around the nearer node.
+replicates.  Batches hold 2 max(1, 2^18 // n) replicates for an FFT of n
+nodes, and each draws the kept modes of all its pairs, pair after pair,
+from one counter-based stream keyed by (master_seed, first pair of the
+batch).  So runs are reproducible bit-for-bit for any thread count, and
+replicate i depends on the seed, model, L and h but not on the number of
+replicates: a short last batch draws a prefix of a full batch's stream.
+Zeros are located by sign changes and polished on the cubic Hermite
+interpolant of (f, f') over the bracketing cell by a safeguarded Newton
+iteration that never leaves the cell's sign-change bracket; cells whose
+last Newton step is not at rounding level are finished by bisection, and
+so are cells whose right-end value is at rounding level, on a cubic
+written around the nearer node.
 The zero sets of all replicates stay in one pooled array (`ZeroSets`) from
 the sampler to every statistic, which sums over it with one `bincount`.
 """
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .conditioning import _chunk_rng, _substreams
+from .conditioning import _chunk_rng
 from .errors import ConfigError, IntervalsOverlap, SizeCap, WindowTooSmall
 from .variance import (TestFunction, _erf, _require_scale,
                        expected_linear_statistic)
@@ -72,6 +77,9 @@ _BLIND_END = 64.0 * 2.0 ** -52
 # R = 1000).  At the cap, cauchy with 4 replicates on 2 threads peaked at
 # 1.7 GB RSS (numpy 2.4, 2-core 8 GB host); memory grows with threads.
 _NODE_BUDGET = 1 << 23
+# spectrum nodes per batch: a batch holds 2 max(1, _BATCH_NODES // n)
+# replicates, whose two complex (pairs, n) buffers take about 8 MB per thread
+_BATCH_NODES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -199,13 +207,15 @@ class _SpectralSampler:
     alias.  The spectral weights are non-negative by construction, so no
     embedding can fail.
 
-    Each pair's substream gives 2 (2 J + 1) normals: the real and
-    imaginary parts of zeta_j for the kept modes in FFT order, j = 0..J,
-    then -J..-1.  When no mode can be dropped, all n modes are drawn in
-    FFT order (2 n normals).  The products a_j zeta_j fill the band of a
-    zero-padded (pairs, n) spectrum, transformed by one inverse FFT into a
-    second buffer; both, and the draws, are made once per thread and
-    reused, and the part of the spectrum outside the band is never written.
+    A batch of pairs draws all its normals with one fill of one stream,
+    `_chunk_rng(master_seed, first pair)`, pair-major: each pair takes the
+    next 2 (2 J + 1) normals, the real and imaginary parts of zeta_j for
+    the kept modes in FFT order, j = 0..J, then -J..-1.  When no mode can
+    be dropped, all n modes are drawn in FFT order (2 n normals a pair).
+    The products a_j zeta_j fill the band of a zero-padded (pairs, n)
+    spectrum, transformed by one inverse FFT into a second buffer; both,
+    and the draws, are made once per thread and reused, and the part of
+    the spectrum outside the band is never written.
     """
 
     def __init__(self, model, spec: SimulationSpec):
@@ -236,16 +246,19 @@ class _SpectralSampler:
         self.amp, self.amp_d = amp[kept], amp_d[kept]
         self._local = threading.local()
 
-    def sample(self, master_seed: int, pairs) -> tuple[np.ndarray, np.ndarray]:
-        """Fields of the given replicate pairs: arrays (2 len(pairs), m).
+    def sample(self, master_seed: int, pairs: range
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Fields of a batch of consecutive pairs: arrays (2 len(pairs), m).
 
         Row 2 i is the real part and row 2 i + 1 the imaginary part of pair
-        pairs[i], i.e. replicates 2 pair and 2 pair + 1.
+        p = pairs.start + i, i.e. replicates 2 p and 2 p + 1.  The draws of
+        pair p are row i of one fill of `_chunk_rng(master_seed,
+        pairs.start)`, so a shorter range from the same start gives a
+        prefix of the same rows.
         """
-        pairs = list(pairs)
         zeta, coeffs, field = self._buffers(len(pairs))
-        for row, rng in zip(zeta.view(float), _substreams(master_seed, pairs)):
-            rng.standard_normal(out=row)
+        _chunk_rng(master_seed, pairs.start).standard_normal(
+            out=zeta.view(float))
         return (self._window(self.amp, zeta, coeffs, field),
                 self._window(self.amp_d, zeta, coeffs, field))
 
@@ -372,15 +385,18 @@ def _zeros_from_batch(f: np.ndarray, fp: np.ndarray, spec: SimulationSpec
 
 
 def zero_samples(model, spec: SimulationSpec, threads: int = 1) -> ZeroSets:
-    """Zero sets of all replicates, batched over a pool of `threads` threads.
+    """Zero sets of all replicates, batched over a pool of threads.
 
-    Batches start at even replicates, so each holds whole pairs; with an
-    odd `num_samples` the last pair gives only its real part.
+    Batches hold 2 max(1, _BATCH_NODES // n) replicates for an FFT of n
+    nodes and start at even replicates, so each holds whole pairs; with an
+    odd `num_samples` the last pair gives only its real part.  The pool
+    has min(threads, batches, CPU count) workers, each with its own FFT
+    buffers; the bits do not depend on it.
     """
     if threads < 1:
         raise ConfigError(f"need at least one thread, got {threads}")
     sampler = _SpectralSampler(model, spec)
-    batch = 2 * max(1, min(256, (1 << 18) // sampler.n))
+    batch = 2 * max(1, _BATCH_NODES // sampler.n)
     batches = [range(s, min(s + batch, spec.num_samples))
                for s in range(0, spec.num_samples, batch)]
 
@@ -389,7 +405,8 @@ def zero_samples(model, spec: SimulationSpec, threads: int = 1) -> ZeroSets:
                                range(reps.start // 2, (reps.stop + 1) // 2))
         return _zeros_from_batch(f[:len(reps)], fp[:len(reps)], spec)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(batches), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         chunks = list(pool.map(work, batches))
     rows = [c.rows + reps.start for c, reps in zip(chunks, batches)]
     return ZeroSets(np.concatenate(rows),

@@ -262,7 +262,7 @@ def test_common_random_numbers_cancel_to_the_coupling(coupling):
 def test_default_call_draw_count(monkeypatch):
     # a default k = 6 call draws 2^16 normal vectors for its 2^19
     # evaluations, plus 7 Gaussian 6 x 6 matrices for the rotations
-    counts, substreams = [], conditioning._substreams
+    counts, chunk_rng = [], conditioning._chunk_rng
 
     class Spy:
         def __init__(self, rng):
@@ -272,10 +272,9 @@ def test_default_call_draw_count(monkeypatch):
             counts.append(int(np.prod(size)))
             return self.rng.standard_normal(size)
 
-    def spy(seed, indices):
-        for rng in substreams(seed, indices):
-            yield Spy(rng)
-    monkeypatch.setattr(conditioning, "_substreams", spy)
+    def spy(seed, index):
+        return Spy(chunk_rng(seed, index))
+    monkeypatch.setattr(conditioning, "_chunk_rng", spy)
     pi_k(0.7 * np.eye(6) + 0.3)
     assert sorted(counts) == [7 * 36] + [6 * _CHUNK // _ROTATIONS] * 8
     assert sum(counts) == 6 * 2 ** 16 + 7 * 36
@@ -557,7 +556,9 @@ def test_public_calls_stay_on_the_main_thread(bf, monkeypatch):
     chunk_rng = conditioning._chunk_rng
 
     def worker_rng(seed, index):
-        workers.add(threading.get_ident())
+        # the rotations are drawn on the calling thread, the chunks not
+        if index != conditioning._ROTATION_STREAM:
+            workers.add(threading.get_ident())
         return chunk_rng(seed, index)
     monkeypatch.setattr(conditioning, "_chunk_rng", worker_rng)
 
