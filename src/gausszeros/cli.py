@@ -79,6 +79,16 @@ def _sim_spec(args) -> simulation.SimulationSpec:
         num_samples=args.n, **_given(grid_step=args.step, master_seed=args.seed))
 
 
+def _torus_fields(model, spec: simulation.SimulationSpec) -> dict:
+    """The sampler's weight rule, torus nodes, kept modes and covariance
+    error over the window's lags (for a periodic torus a `derivs` call on
+    every lag, which only the CLI pays)."""
+    sampler = simulation._SpectralSampler(model, spec)
+    return {"route": sampler.route, "nodes": sampler.n,
+            "modes": sampler.modes,
+            "covariance_error": sampler.covariance_error}
+
+
 def _dump_config(args) -> int:
     cfg = {k: v for k, v in sorted(vars(args).items())
            if k not in ("func", "dump_config", "phi_obj", "config")
@@ -218,6 +228,9 @@ def cmd_simulate(args) -> int:
     w.writerow(["linear_statistic", f"{arr.mean():.12g}", f"{stderr:.12g}",
                 f"{arr.mean() - 1.96 * stderr:.12g}",
                 f"{arr.mean() + 1.96 * stderr:.12g}", arr.size])
+    for name, value in _torus_fields(model, spec).items():
+        w.writerow([name, value if isinstance(value, str) else f"{value:.12g}",
+                    "", "", "", ""])
     # summary goes to stdout when the stream went to a file, else to stderr
     (sys.stdout if args.out else sys.stderr).write(summary.getvalue())
     return 0
@@ -236,7 +249,7 @@ def cmd_moments(args) -> int:
     _emit(args, _json_line({
         "p": args.p, "estimate": est.estimate,
         "ci": [est.ci_low, est.ci_high], "n": est.num_samples,
-        "predicted_pair_sum": predicted,
+        "predicted_pair_sum": predicted, **_torus_fields(model, spec),
     }))
     return 0
 

@@ -1,19 +1,26 @@
 """Sampling of stationary Gaussian paths, zero extraction, and MC diagnostics.
 
 Paths are sampled with their derivative on a uniform grid by one spectral
-route: a single complex FFT on a torus of period P >= L + reach, whose
-eigenvalues are the model's spectral density at the FFT frequencies, and
-whose derivative channel is the same draw multiplied by i*omega.  Only the
-modes |j| <= J are drawn, where J is the smallest index whose dropped mass
-sum_{|j| > J} (1 + omega_j^2) weight_j is at most 2^-53; the rest of the
-spectrum is zero padding in buffers that each pool thread reuses across its
-batches.  The real and imaginary parts of one draw are two independent
-replicates.  Batches hold 2 max(1, 2^18 // n) replicates for an FFT of n
-nodes, and each draws the kept modes of all its pairs, pair after pair,
-from one counter-based stream keyed by (master_seed, first pair of the
-batch).  So runs are reproducible bit-for-bit for any thread count, and
-replicate i depends on the seed, model, L and h but not on the number of
-replicates: a short last batch draws a prefix of a full batch's stream.
+machine: per FFT mode j of a torus of n nodes a 2 x r factor B_j maps r
+complex normals to the coefficients of f and f', and one inverse FFT per
+channel gives the path.  Two weight rules feed it.  The periodic rule
+(every model, r = 1) takes the model's spectral density at the FFT
+frequencies on a period P >= L + reach, with f' the same draw times
+i*omega.  The circulant rule (r = 2) factors, mode by mode, the DFT of the
+(f, f') covariance wrapped on a smaller torus; it is tried only for models
+whose reach is capped (cauchy, sinc) and kept when it draws fewer normals
+at no larger covariance error.  Each sampler states that error: the
+largest gap between the covariances its weights imply and kappa, kappa',
+-kappa'' over the window's lags.  Only the modes |j| <= J are drawn (the
+band cut in `_band`); the rest of the spectrum is zero padding in
+buffers that each pool thread reuses across its batches.  The real and
+imaginary parts of one draw are two independent replicates.  Batches hold
+2 max(1, 2^18 // (r n)) replicates, and each draws the kept modes of all
+its pairs, pair after pair, from one counter-based stream keyed by
+(master_seed, first pair of the batch).  So runs are reproducible
+bit-for-bit for any thread count, and replicate i depends on the seed,
+model, L and h but not on the number of replicates: a short last batch
+draws a prefix of a full batch's stream.
 Zeros are located by sign changes and polished on the cubic Hermite
 interpolant of (f, f') over the bracketing cell by a safeguarded Newton
 iteration that never leaves the cell's sign-change bracket; cells whose
@@ -60,6 +67,11 @@ _REACH_CAP = 400.0
 # spectral mass (1 + omega^2) g left out of the sampled band: below the
 # rounding of kappa(0) = -kappa''(0) = 1
 _BAND_TAIL = 2.0 ** -53
+# circulant bands: the cut may drop at most this mass, below a tenth of the
+# periodization error it competes with (cauchy 1.4e-5 to 4e-5).  With the
+# clipped mass alone as the limit, sinc at L = 50 kept 81 of 2000 modes at
+# a covariance error of 8.8e-3, most of it from the cut.
+_CUT_MASS = 1e-6
 _BOOTSTRAP = 1000  # resamples behind each moment's confidence interval
 # resample indices drawn at once: 2 MB of int64, so n <= 262 replicates
 # take one draw.  A 16 MB block bought no time once the sampler reused its
@@ -77,8 +89,10 @@ _BLIND_END = 64.0 * 2.0 ** -52
 # R = 1000).  At the cap, cauchy with 4 replicates on 2 threads peaked at
 # 1.7 GB RSS (numpy 2.4, 2-core 8 GB host); memory grows with threads.
 _NODE_BUDGET = 1 << 23
-# spectrum nodes per batch: a batch holds 2 max(1, _BATCH_NODES // n)
-# replicates, whose two complex (pairs, n) buffers take about 8 MB per thread
+# spectrum nodes per batch: a batch holds 2 max(1, _BATCH_NODES // (r n))
+# replicates, whose two complex (pairs, n) buffers take at most 8 MB per
+# thread; with r = 2 normals a mode, the draws and outputs of 2^18 // n
+# pairs would raise the peak (cauchy L = 100: 34 against 18 MiB traced)
 _BATCH_NODES = 1 << 18
 
 
@@ -179,7 +193,14 @@ def _next_fast_len(n: int) -> int:
 
 def _correlation_reach(model) -> float:
     """Radius beyond which kappa, kappa', kappa'' fall below _REACH_TARGET;
-    the search stops at _REACH_CAP, met or not."""
+    the search stops at _REACH_CAP, met or not.
+
+    A reach of _REACH_CAP reports that the target was not met (cauchy and
+    sinc, whose envelopes decay like x^-3 and 1/x).  For such models the
+    periodized covariance is off by more than the target, and the sampler
+    also tries circulant weights on smaller tori (`_SpectralSampler`).
+    Models without an envelope (tables) get 60 and periodic weights only.
+    """
     if model.envelope_start(2) is None:
         return 60.0
     x = max(model.envelope_start(l) for l in range(3))
@@ -190,61 +211,236 @@ def _correlation_reach(model) -> float:
     return _REACH_CAP
 
 
+@dataclass(frozen=True)
+class _Torus:
+    """Mode weights of a torus of n nodes, cut to the band |j| <= J.
+
+    `factor[c, s, i]` is B_j[c, s] for the i-th kept mode in FFT order
+    (j = 0..lo-1, then n-hi..n-1, with lo = J + 1 and hi = min(J, n - J -
+    1)): row c = 0 gives f and c = 1 gives f', and each mode draws r =
+    factor.shape[1] complex normals.  The field's covariance matrix at lag
+    t is the real part of sum_j B_j B_j^H e^{i omega_j t}.
+    """
+
+    route: str
+    n: int
+    lo: int
+    hi: int
+    factor: np.ndarray
+
+    @property
+    def modes(self) -> int:
+        return self.lo + self.hi
+
+    @property
+    def normals(self) -> int:
+        """Complex normals a pair draws."""
+        return self.factor.shape[1] * self.modes
+
+    def covariance(self, m: int) -> np.ndarray:
+        """Rows cov(f, f), cov(f', f) and cov(f', f') of the kept weights at
+        lags 0, h, ..., (m-1) h, with f' at the later node."""
+        b = self.factor
+        out = np.empty((3, m))
+        lam = np.zeros(self.n, dtype=complex)
+        for row, (c, e) in enumerate(((0, 0), (1, 0), (1, 1))):
+            terms = (b[c] * b[e].conj()).sum(axis=0)
+            lam[:self.lo] = terms[:self.lo]
+            lam[self.n - self.hi:] = terms[self.lo:]
+            out[row] = np.fft.ifft(lam, norm="forward")[:m].real
+        return out
+
+
+def _band(mass: np.ndarray, limit) -> int:
+    """The smallest level J whose dropped mass, the sum of `mass` (one entry
+    per level |j| = 0..n//2) over the levels beyond J, is at most `limit`
+    (one value, or one per level)."""
+    # dropped[J]: the mass of the levels > J, summed from the top
+    dropped = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)
+    return int(np.argmax(dropped <= limit))
+
+
+def _periodic_torus(model, n: int, h: float) -> _Torus:
+    """Periodization weights: B_j = [a_j, i omega_j a_j] with a_j^2 =
+    (2 pi / (n h)) g(omega_j), cut where the dropped mass sum (1 +
+    omega_j^2) a_j^2 is at most _BAND_TAIL."""
+    omega = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
+    weight = 2.0 * math.pi / (n * h) * model.spectral_density(omega)
+    level = np.minimum(np.arange(n), n - np.arange(n))  # |j| of each mode
+    band = _band(np.bincount(level, weights=(1.0 + omega * omega) * weight),
+                 _BAND_TAIL)
+    lo, hi = band + 1, min(band, n - band - 1)
+    kept = np.r_[0:lo, n - hi:n]
+    amp = np.sqrt(weight[kept]).astype(complex)
+    amp_d = 1j * omega[kept] * amp
+    if n % 2 == 0 and lo > n // 2:
+        # the Nyquist mode has no sign, so it carries no derivative
+        amp_d[n // 2] = 0.0
+    return _Torus("periodic", n, lo, hi, np.stack([amp, amp_d])[:, None])
+
+
+def _circulant_torus(lags: np.ndarray, n: int, normals: int
+                     ) -> _Torus | None:
+    """Circulant weights from (kappa, kappa', -kappa'') at lags 0..n//2, or
+    None if they would draw at least `normals` complex normals a pair.
+
+    The covariance of (f, f') wrapped on n nodes (kappa and -kappa'' even,
+    kappa' odd and 0 at the antipode of an even n) has per mode the
+    Hermitian matrix D [[a, b], [b, d]] D^H, D = diag(1, i), with a, b, d
+    real from one real FFT.  A rotation by theta, tan 2 theta = 2 b /
+    (a - d), diagonalizes it; eigenvalues below 0 are clipped to 0, which
+    leaves B_j = D R diag(sqrt mu+, sqrt mu-).  The band is cut where the
+    dropped trace of B_j B_j^H reaches the clipped mass of the kept modes,
+    or _CUT_MASS if that is less.  Only the kept modes are factored.
+    """
+    half = n // 2
+    level = np.minimum(np.arange(n), n - np.arange(n))
+    wrapped = lags[:, level]
+    wrapped[1, half + 1:] *= -1.0
+    wrapped[1, 0] = 0.0
+    pair = np.full(half + 1, 2.0)  # modes per level
+    pair[0] = 1.0
+    if n % 2 == 0:
+        wrapped[1, half] = 0.0
+        pair[half] = 1.0
+    spec = np.fft.rfft(wrapped, axis=1) / n
+    a, d = spec[0].real, spec[2].real
+    b = spec[1].imag
+    b[0] = 0.0
+    if n % 2 == 0:
+        b[half] = 0.0
+    mid, dev = 0.5 * (a + d), 0.5 * (a - d)
+    rad = np.hypot(dev, b)
+    mu = np.stack([mid + rad, mid - rad])
+    kept_mu = np.maximum(mu, 0.0)
+    clipped = np.cumsum((kept_mu - mu).sum(axis=0) * pair)
+    band = _band(kept_mu.sum(axis=0) * pair,
+                 np.clip(clipped, _BAND_TAIL, _CUT_MASS))
+    lo, hi = band + 1, min(band, n - band - 1)
+    if 2 * (lo + hi) >= normals:
+        return None
+    # levels of the kept modes in FFT order; mode -j has b -> -b, i.e. the
+    # conjugate matrix: the same roots and a sine of the other sign
+    kept = np.r_[0:lo, hi:0:-1]
+    sign = np.r_[np.ones(lo), -np.ones(hi)]
+    b, dev, rad = b[kept], dev[kept], rad[kept]
+    root = np.sqrt(kept_mu[:, kept])
+    # the larger of cos theta and sin theta from a square root, the other
+    # from b, so that neither cancels
+    big = np.sqrt(0.5 + 0.5 * np.abs(dev) / np.where(rad > 0.0, rad, 1.0))
+    small = np.abs(b) / np.where(rad > 0.0, 2.0 * rad * big, 1.0)
+    cos = np.where(dev >= 0.0, big, small)
+    sin = sign * np.copysign(np.where(dev >= 0.0, small, big), b)
+    factor = np.array([[cos * root[0], -sin * root[1]],
+                       [1j * sin * root[0], 1j * cos * root[1]]])
+    return _Torus("circulant", n, lo, hi, factor)
+
+
 class _SpectralSampler:
     """(f, f') on the grid of [0, L], as a window of a stationary torus field.
 
-    With step h and n = P / h nodes, the field is sum_j a_j zeta_j
-    e^{i omega_j x} over the FFT modes |j| <= J, with complex standard
-    normal zeta_j and a_j^2 = (2 pi / (n h)) g(omega_j): its covariance is
-    the Riemann sum of int g(xi) e^{i xi x} dxi over the kept band, i.e.
-    kappa periodized with period P, up to the mass of g beyond omega_J.
-    J is the smallest index whose dropped mass sum_{|j| > J} (1 +
-    omega_j^2) a_j^2 is at most _BAND_TAIL = 2^-53, so the covariances of
-    f, f' and (f, f') each differ from the sum over all n modes by at most
-    2^-53; the mass of g beyond the Nyquist frequency pi / h, which no
-    mode carries, is below 1e-30 for the presets at the allowed steps.
-    Every lag inside [0, L] stays at least P - L >= reach from its nearest
-    alias.  The spectral weights are non-negative by construction, so no
-    embedding can fail.
+    With step h on a torus of n nodes, the field is sum_j B_j zeta_j
+    e^{i omega_j x} over the kept FFT modes |j| <= J, where zeta_j holds r
+    complex standard normals and the 2 x r factor B_j gives f (row 0) and
+    f' (row 1).  Two weight rules feed this one machine:
+
+    - periodic (every model): n = P / h with P the smallest fast length >=
+      L + reach, and B_j = [a_j, i omega_j a_j], a_j^2 = (2 pi / (n h))
+      g(omega_j), r = 1: the covariance is the Riemann sum of int g(xi)
+      e^{i xi x} dxi, i.e. kappa periodized with period P, so every lag
+      inside [0, L] stays at least P - L >= reach from its nearest
+      alias.  J is the smallest index whose dropped mass sum_{|j| > J} (1 + omega_j^2)
+      a_j^2 is at most _BAND_TAIL = 2^-53; the mass of g beyond the
+      Nyquist frequency pi / h is below 1e-30 for the presets at the
+      allowed steps.
+    - circulant (r = 2; Wood & Chan 1994, bivariate: Chan & Wood 1999): the
+      DFT of the (f, f') covariance wrapped on n nodes, factored per mode
+      with negative eigenvalues clipped to 0 (`_circulant_torus`).  The
+      grid covariance is exact on every lag up to n h / 2 but for the
+      clipped and the dropped mass; the band is cut where the dropped mass
+      reaches the clipped mass of the kept modes, or _CUT_MASS = 1e-6.
+
+    Only when `_correlation_reach` reports its cap (cauchy and sinc) are
+    circulant candidates built, on n = fast length of 2 (M - 1), 4 (M - 1),
+    ... while n stays below the periodic torus's.  The first whose
+    covariance error is at most the periodic one's and that draws fewer
+    normals (r times its kept modes) replaces the periodic weights.  The
+    covariance error is the largest |covariance of the kept weights -
+    model| over lags 0..M-1 and the channels (f, f), (f', f) and (f', f'),
+    against kappa, kappa' and -kappa''.  `covariance_error` states it; for
+    a periodic torus it is computed on first use, since it costs a
+    `derivs` call on M lags.  Periodic weights are non-negative and
+    negative circulant eigenvalues are clipped, so no embedding can fail.
 
     A batch of pairs draws all its normals with one fill of one stream,
     `_chunk_rng(master_seed, first pair)`, pair-major: each pair takes the
-    next 2 (2 J + 1) normals, the real and imaginary parts of zeta_j for
-    the kept modes in FFT order, j = 0..J, then -J..-1.  When no mode can
-    be dropped, all n modes are drawn in FFT order (2 n normals a pair).
-    The products a_j zeta_j fill the band of a zero-padded (pairs, n)
-    spectrum, transformed by one inverse FFT into a second buffer; both,
-    and the draws, are made once per thread and reused, and the part of
-    the spectrum outside the band is never written.
+    next 2 r (2 J + 1) normals, the real and imaginary parts of the first
+    normal of every kept mode in FFT order, j = 0..J, then -J..-1, then of
+    the second.  When no mode can be dropped, all n modes are drawn in FFT
+    order.  The products B_j zeta_j fill the band of a zero-padded (pairs,
+    n) spectrum, transformed by one inverse FFT into a second buffer per
+    channel; both, and the draws, are made once per thread and reused,
+    and the part of the spectrum outside the band is never written.
     """
 
     def __init__(self, model, spec: SimulationSpec):
-        self.m = spec.grid_size
         h = spec.grid_step
-        span = (self.m - 1) * h + _correlation_reach(model)
-        n = int(math.ceil(span / h))
+        self.m, self._h, self._model = spec.grid_size, h, model
+        reach = _correlation_reach(model)
+        n = int(math.ceil(((self.m - 1) * h + reach) / h))
         if n > _NODE_BUDGET:
             raise SizeCap(
                 f"window {spec.window_length:g} at step {h:g} needs an FFT of "
                 f"{n} nodes, over the budget of {_NODE_BUDGET}")
-        self.n = n = _next_fast_len(n)
-        omega = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
-        weight = 2.0 * math.pi / (n * h) * model.spectral_density(omega)
-        # dropped[J]: the mass of the modes |j| > J, summed from the top
-        level = np.minimum(np.arange(n), n - np.arange(n))  # |j| of each mode
-        mass = np.bincount(level, weights=(1.0 + omega * omega) * weight)
-        dropped = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)
-        band = int(np.argmax(dropped <= _BAND_TAIL))
-        # modes 0..lo-1 and n-hi..n-1 in FFT order
-        self.lo, self.hi = band + 1, min(band, n - band - 1)
-        kept = np.r_[0:self.lo, n - self.hi:n]
-        amp = np.sqrt(weight).astype(complex)
-        amp_d = 1j * omega * amp
-        if n % 2 == 0:
-            # the Nyquist mode has no sign, so it carries no derivative
-            amp_d[n // 2] = 0.0
-        self.amp, self.amp_d = amp[kept], amp_d[kept]
+        torus = _periodic_torus(model, _next_fast_len(n), h)
+        self._error = None
+        if reach >= _REACH_CAP:
+            torus = self._circulant_choice(torus)
+        self._torus = torus
+        self.route, self.n, self.lo, self.hi, self.factor = (
+            torus.route, torus.n, torus.lo, torus.hi, torus.factor)
         self._local = threading.local()
+
+    @property
+    def modes(self) -> int:
+        return self.lo + self.hi
+
+    @property
+    def covariance_error(self) -> float:
+        """Largest |covariance of the weights - model| over lags 0..M-1."""
+        if self._error is None:
+            self._error = self._error_of(self._torus, self._model_lags(self.m))
+        return self._error
+
+    def _model_lags(self, count: int, known: np.ndarray | None = None
+                    ) -> np.ndarray:
+        """(kappa, kappa', -kappa'') at lags 0..count-1 times h, extending
+        `known` (the first lags) by one `derivs` call."""
+        start = 0 if known is None else known.shape[1]
+        new = self._model.derivs(self._h * np.arange(start, count), 2)
+        new[2] *= -1.0
+        return new if known is None else np.concatenate([known, new], axis=1)
+
+    def _error_of(self, torus: _Torus, lags: np.ndarray) -> float:
+        return float(np.max(np.abs(torus.covariance(self.m)
+                                   - lags[:, :self.m])))
+
+    def _circulant_choice(self, periodic: _Torus) -> _Torus:
+        """The first circulant candidate that beats `periodic` on normals
+        and covariance error, or `periodic`; sets the stated error."""
+        lags, scale = None, 2
+        while (n := _next_fast_len(scale * (self.m - 1))) < periodic.n:
+            lags = self._model_lags(n // 2 + 1, lags)
+            torus = _circulant_torus(lags, n, periodic.normals)
+            if torus is not None:
+                if self._error is None:
+                    self._error = self._error_of(periodic, lags)
+                error = self._error_of(torus, lags)
+                if error <= self._error:
+                    self._error = error
+                    return torus
+            scale *= 2
+        return periodic
 
     def sample(self, master_seed: int, pairs: range
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -259,8 +455,8 @@ class _SpectralSampler:
         zeta, coeffs, field = self._buffers(len(pairs))
         _chunk_rng(master_seed, pairs.start).standard_normal(
             out=zeta.view(float))
-        return (self._window(self.amp, zeta, coeffs, field),
-                self._window(self.amp_d, zeta, coeffs, field))
+        return (self._window(self.factor[0], zeta, coeffs, field),
+                self._window(self.factor[1], zeta, coeffs, field))
 
     def _buffers(self, rows: int):
         """The calling thread's draws, zero-padded spectrum and FFT output,
@@ -268,16 +464,19 @@ class _SpectralSampler:
         Only the band of the spectrum is ever written."""
         bufs = getattr(self._local, "bufs", None)
         if bufs is None or bufs[0].shape[0] < rows:
-            bufs = (np.empty((rows, self.lo + self.hi), dtype=complex),
+            bufs = (np.empty((rows,) + self.factor.shape[1:], dtype=complex),
                     np.zeros((rows, self.n), dtype=complex),
                     np.empty((rows, self.n), dtype=complex))
             self._local.bufs = bufs
         return tuple(b[:rows] for b in bufs)
 
-    def _window(self, amp, zeta, coeffs, field) -> np.ndarray:
+    def _window(self, b, zeta, coeffs, field) -> np.ndarray:
         lo, hi = self.lo, self.hi
-        np.multiply(amp[:lo], zeta[:, :lo], out=coeffs[:, :lo])
-        np.multiply(amp[lo:], zeta[:, lo:], out=coeffs[:, self.n - hi:])
+        np.multiply(b[0, :lo], zeta[:, 0, :lo], out=coeffs[:, :lo])
+        np.multiply(b[0, lo:], zeta[:, 0, lo:], out=coeffs[:, self.n - hi:])
+        for s in range(1, b.shape[0]):
+            coeffs[:, :lo] += b[s, :lo] * zeta[:, s, :lo]
+            coeffs[:, self.n - hi:] += b[s, lo:] * zeta[:, s, lo:]
         np.fft.ifft(coeffs, axis=1, norm="forward", out=field)
         out = np.empty((2 * field.shape[0], self.m))
         out[0::2] = field[:, :self.m].real
@@ -362,20 +561,30 @@ def _zeros_from_batch(f: np.ndarray, fp: np.ndarray, spec: SimulationSpec
                       ) -> ZeroSets:
     """Sorted zeros in [0, L] of every path of a batch, with no per-path loop.
 
-    Bracket roots come out of the row-major `np.nonzero` sorted within each
-    row.  Nodes where f is exactly 0 are merged in by one sort; they never
+    The batch is read as one flat array of rows after rows: one sign mask
+    and its shift give every cell whose ends differ in sign, including the
+    cells that join a row to the next, which are dropped.  Their flat
+    indices come out sorted, so bracket roots are sorted within each row.
+    Nodes where f is exactly 0 are merged in by one sort; they never
     coincide with a root, since a bracket needs non-zero ends.
     """
-    h = spec.grid_step
+    h, m = spec.grid_step, f.shape[1]
+    flat, flat_d = f.ravel(), fp.ravel()
     # signs, not the product f_i f_i+1, which can underflow to 0
-    neg, pos = f < 0.0, f > 0.0
-    sign_change = (neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])
-    rows, cols = np.nonzero(sign_change)
-    t = _hermite_roots_batch(f[rows, cols], fp[rows, cols],
-                             f[rows, cols + 1], fp[rows, cols + 1], h)
+    neg = flat < 0.0
+    cells = np.flatnonzero(neg[1:] != neg[:-1])
+    hit = flat == 0.0
+    any_hit = bool(hit.any())
+    if any_hit:
+        # a 0 (or -0.0) end counts as non-negative above: no bracket
+        cells = cells[~(hit[cells] | hit[cells + 1])]
+    cells = cells[cells % m != m - 1]
+    rows, cols = np.divmod(cells, m)
+    t = _hermite_roots_batch(flat[cells], flat_d[cells], flat[cells + 1],
+                             flat_d[cells + 1], h)
     zeros = (cols + t) * h
-    hit_rows, hit_cols = np.nonzero(f == 0.0)
-    if hit_rows.size:
+    if any_hit:
+        hit_rows, hit_cols = np.divmod(np.flatnonzero(hit), m)
         rows = np.concatenate([rows, hit_rows])
         zeros = np.concatenate([zeros, hit_cols * h])
         order = np.lexsort((zeros, rows))
@@ -387,8 +596,8 @@ def _zeros_from_batch(f: np.ndarray, fp: np.ndarray, spec: SimulationSpec
 def zero_samples(model, spec: SimulationSpec, threads: int = 1) -> ZeroSets:
     """Zero sets of all replicates, batched over a pool of threads.
 
-    Batches hold 2 max(1, _BATCH_NODES // n) replicates for an FFT of n
-    nodes and start at even replicates, so each holds whole pairs; with an
+    Batches hold 2 max(1, _BATCH_NODES // (r n)) replicates for an FFT of
+    n nodes with r normals a mode, and start at even replicates, so each holds whole pairs; with an
     odd `num_samples` the last pair gives only its real part.  The pool
     has min(threads, batches, CPU count) workers, each with its own FFT
     buffers; the bits do not depend on it.
@@ -396,7 +605,7 @@ def zero_samples(model, spec: SimulationSpec, threads: int = 1) -> ZeroSets:
     if threads < 1:
         raise ConfigError(f"need at least one thread, got {threads}")
     sampler = _SpectralSampler(model, spec)
-    batch = 2 * max(1, _BATCH_NODES // sampler.n)
+    batch = 2 * max(1, _BATCH_NODES // (sampler.n * sampler.factor.shape[1]))
     batches = [range(s, min(s + batch, spec.num_samples))
                for s in range(0, spec.num_samples, batch)]
 

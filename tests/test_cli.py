@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -158,6 +159,29 @@ def test_moments_command(capsys):
     assert rec["p"] == 2
     assert rec["ci"][0] <= rec["estimate"] <= rec["ci"][1]
     assert rec["predicted_pair_sum"] > 0
+
+
+@pytest.mark.parametrize("model, route, nodes", [
+    ("bargmann-fock", "periodic", 2178), ("cauchy", "circulant", 4000),
+    ("sinc-sqrt3", "periodic", 10000)])
+def test_sampling_commands_report_torus(capsys, model, route, nodes):
+    # the weight rule, torus nodes, kept modes and covariance error, as
+    # fields of the moments record and rows of the simulate summary
+    argv = ["--R", "100", "--n", "4", "--seed", "3", "--model", model]
+    code, out, _ = run_cli(capsys, "moments", "--p", "2", *argv)
+    assert code == 0
+    rec = json.loads(out)
+    assert (rec["route"], rec["nodes"]) == (route, nodes)
+    assert 0 < rec["modes"] < nodes
+    assert 0.0 < rec["covariance_error"] < (1e-15 if model ==
+                                            "bargmann-fock" else 1e-2)
+    code, _, err = run_cli(capsys, "simulate", *argv)
+    assert code == 0
+    rows = {r[0]: r[1] for r in csv.reader(io.StringIO(err))}
+    assert rows["route"] == route and int(rows["nodes"]) == nodes
+    assert int(rows["modes"]) == rec["modes"]
+    assert float(rows["covariance_error"]) == pytest.approx(
+        rec["covariance_error"], rel=1e-11)
 
 
 def test_clustering_command(capsys):

@@ -13,11 +13,14 @@ from gausszeros.conditioning import _chunk_rng
 from gausszeros.errors import (ConfigError, IntervalsOverlap, SizeCap,
                                WindowTooSmall)
 from gausszeros.densities import rho_k
+from gausszeros.partitions import predicted_central_moment
 from gausszeros.models import CauchyModel
 from gausszeros import simulation
-from gausszeros.simulation import (SimulationSpec, _hermite_roots_batch,
+from gausszeros.simulation import (SimulationSpec, _circulant_torus,
+                                   _correlation_reach, _hermite_roots_batch,
                                    _ks_distance, _next_fast_len,
-                                   _SpectralSampler, _zeros_from_batch,
+                                   _periodic_torus, _SpectralSampler,
+                                   _zeros_from_batch,
                                    clt_diagnostic, empirical_k_point,
                                    empirical_moments, linear_statistic,
                                    replicate_statistics, zero_samples)
@@ -140,10 +143,15 @@ def _same_bits(a, b):
 
 
 class _WideBand(CauchyModel):
-    """Cauchy's reach with a density too wide to drop any mode."""
+    """A density too wide to drop any mode.  Its zero tail envelope gives a
+    short reach, so it keeps the periodic weights: cauchy's `derivs`, which
+    circulant weights would be built from, are not its covariance."""
 
     def spectral_density(self, xi):
         return np.exp(-np.abs(np.asarray(xi, dtype=float)) / 8.0) / 16.0
+
+    def tail_envelope(self, order, x):
+        return 0.0
 
 
 def _full_band(model, spec, n):
@@ -158,8 +166,8 @@ def _full_band(model, spec, n):
     return omega, amp, amp_d
 
 
-def _kept(sampler):
-    return np.r_[0:sampler.lo, sampler.n - sampler.hi:sampler.n]
+def _kept(torus):
+    return np.r_[0:torus.lo, torus.n - torus.hi:torus.n]
 
 
 @pytest.mark.parametrize("seed", [0, 123, 2 ** 63 + 5, 2 ** 64 - 1])
@@ -175,6 +183,7 @@ def test_batch_stream_matches_fresh_philox(bf, seed):
     spec = SimulationSpec(window_length=2.0, num_samples=2, master_seed=seed)
     for model in (bf, _WideBand()):
         sampler = _SpectralSampler(model, spec)
+        assert sampler.route == "periodic"
         kept = _kept(sampler)
         if model is bf:
             assert sampler.hi == sampler.lo - 1 and 2 * kept.size < sampler.n
@@ -200,19 +209,71 @@ def test_batch_stream_matches_fresh_philox(bf, seed):
                           got[0][:4])
 
 
+def test_circulant_stream_layout(cauchy):
+    # r = 2 normals a mode: each pair's row of one fresh stream holds the
+    # first normal of every kept mode in FFT order, then the second; each
+    # channel is B_j[c, 0] zeta_1 + B_j[c, 1] zeta_2 and one inverse FFT
+    seed, first, rows = 77, 3, 4
+    spec = SimulationSpec(window_length=4.0, num_samples=2, master_seed=seed)
+    sampler = _SpectralSampler(cauchy, spec)
+    assert sampler.route == "circulant" and sampler.factor.shape[1] == 2
+    kept = _kept(sampler)
+    zeta = _philox_stream(seed, first).standard_normal(
+        rows * 4 * kept.size).view(complex).reshape(rows, 2, kept.size)
+    got = sampler.sample(seed, range(first, first + rows))
+    for g, b in zip(got, sampler.factor):
+        coeffs = np.zeros((rows, sampler.n), dtype=complex)
+        coeffs[:, kept] = b[0] * zeta[:, 0]
+        coeffs[:, kept] += b[1] * zeta[:, 1]
+        field = np.fft.ifft(coeffs, axis=1, norm="forward")
+        expect = np.empty_like(g)
+        expect[0::2] = field[:, :sampler.m].real
+        expect[1::2] = field[:, :sampler.m].imag
+        assert _same_bits(g, expect)
+
+
+@pytest.mark.parametrize("n", [2000, 2001])
+def test_circulant_factor_reproduces_wrapped_covariance(bf, n):
+    # bargmann-fock is below rounding long before n h / 2 = 50, so its
+    # wrapped covariance clips nothing above rounding: the factors give
+    # kappa, kappa' and -kappa'' back on every lag up to n / 2, with and
+    # without a Nyquist mode
+    h = 0.05
+    k0, k1, k2 = bf.derivs(h * np.arange(n // 2 + 1), 2)
+    torus = _circulant_torus(np.array([k0, k1, -k2]), n, 2 * n)
+    assert torus.factor.shape[1] == 2
+    lags = np.arange(n // 2 + 1)
+    gap = _weights_covariance(torus, lags) - [k0, k1, -k2]
+    assert np.max(np.abs(gap)) < 1e-14
+
+
+def _periodic_size(model, spec):
+    """Nodes of the periodization torus: the fast length of (L + reach) / h."""
+    span = (spec.grid_size - 1) * spec.grid_step + _correlation_reach(model)
+    return _next_fast_len(int(math.ceil(span / spec.grid_step)))
+
+
 @pytest.mark.parametrize("name", SAMPLED_MODELS)
 @pytest.mark.parametrize("length", [2.0, 50.0, 100.0])
 def test_kept_band_covariances(request, name, length):
     # no sampling: the covariances of f, f' and (f, f') at lags 0, h, 1
     # and L, summed over the kept band, against the same sums over all
-    # modes; exact differences by one fsum each
+    # modes; exact differences by one fsum each.  Cauchy samples on
+    # circulant weights at these windows, so its periodization weights
+    # are checked on their own torus.
     model = request.getfixturevalue(name)
     spec = SimulationSpec(window_length=length)
     sampler = _SpectralSampler(model, spec)
-    kept = _kept(sampler)
-    omega, amp, amp_d = _full_band(model, spec, sampler.n)
-    assert _same_bits(sampler.amp, amp[kept])
-    assert _same_bits(sampler.amp_d, amp_d[kept])
+    assert sampler.route == ("circulant" if name == "cauchy" else "periodic")
+    torus = _periodic_torus(model, _periodic_size(model, spec),
+                            spec.grid_step)
+    if sampler.route == "periodic":
+        assert torus.n == sampler.n and _same_bits(torus.factor,
+                                                   sampler.factor)
+    kept = _kept(torus)
+    omega, amp, amp_d = _full_band(model, spec, torus.n)
+    assert _same_bits(torus.factor[0, 0], amp[kept])
+    assert _same_bits(torus.factor[1, 0], amp_d[kept])
     amp, amp_d = amp.real, amp_d.imag
     for lag in (0.0, spec.grid_step, 1.0, length):
         cos, sin = np.cos(omega * lag), np.sin(omega * lag)
@@ -223,6 +284,91 @@ def test_kept_band_covariances(request, name, length):
         # sinc drops only the modes beyond sqrt3, where g is exactly 0
         assert kept.size < sampler.n / 10
         assert not np.any(np.delete(amp, kept))
+
+
+# windows on circulant weights, with their torus nodes; the rest stay on
+# the periodization torus
+CIRCULANT_NODES = {("cauchy", 4.0): 2560, ("cauchy", 10.0): 1600,
+                   ("cauchy", 50.0): 2000, ("cauchy", 100.0): 4000}
+# covariance error of the periodization weights, rounded up: no window may
+# state more (bargmann-fock's is rounding)
+PERIODIC_ERROR = {"cauchy": (4.1e-5, 3.9e-5, 3.4e-5, 2.9e-5, 1.5e-5),
+                  "sinc": (1.7e-3, 9.6e-4, 1.11e-2, 7.6e-3, 5.8e-3),
+                  "bf": (2e-15,) * 5}
+ERROR_LENGTHS = (4.0, 10.0, 50.0, 100.0, 1000.0)
+
+
+def _weights_covariance(sampler, lags):
+    """Rows cov(f, f), cov(f', f), cov(f', f') of the sampler's kept
+    weights at integer node lags, f' at the later node: direct sums of
+    B_j B_j^H e^{2 pi i j k / n} over the kept modes, with no FFT."""
+    modes = _kept(sampler)
+    b = sampler.factor
+    phase = np.exp(2j * math.pi / sampler.n
+                   * (np.outer(lags, modes) % sampler.n))
+    return np.array([(phase @ (b[c] * b[e].conj()).sum(axis=0)).real
+                     for c, e in ((0, 0), (1, 0), (1, 1))])
+
+
+def _assert_stated_error(model, spec, sampler):
+    m, h = spec.grid_size, spec.grid_step
+    lags = np.unique(np.r_[0:8, m - 8:m,
+                           np.random.default_rng(m).integers(0, m, 48)])
+    k0, k1, k2 = model.derivs(h * lags, 2)
+    gap = np.abs(_weights_covariance(sampler, lags) - [k0, k1, -k2])
+    assert np.max(gap) <= sampler.covariance_error + 1e-12, (
+        np.max(gap), sampler.covariance_error)
+
+
+@pytest.mark.parametrize("name", ["bf", "sinc", "cauchy"])
+@pytest.mark.parametrize("length", ERROR_LENGTHS)
+def test_weights_meet_stated_covariance_error(request, name, length):
+    # no sampling: the grid covariances the factors imply, against kappa,
+    # kappa' and -kappa'', within the error the sampler states, which is
+    # at most the periodization torus's
+    model = request.getfixturevalue(name)
+    spec = SimulationSpec(window_length=length)
+    sampler = _SpectralSampler(model, spec)
+    nodes = CIRCULANT_NODES.get((name, length))
+    if nodes is None:
+        assert sampler.route == "periodic"
+        assert sampler.factor.shape[1] == 1
+        assert sampler.n == _periodic_size(model, spec)
+    else:
+        assert (sampler.route, sampler.n) == ("circulant", nodes)
+        assert sampler.factor.shape[1] == 2
+        # fewer normals than the periodization torus's kept modes
+        periodic = _periodic_torus(model, _periodic_size(model, spec),
+                                   spec.grid_step)
+        assert 2 * sampler.modes < periodic.modes
+    _assert_stated_error(model, spec, sampler)
+    limit = PERIODIC_ERROR[name][ERROR_LENGTHS.index(length)]
+    assert sampler.covariance_error <= limit
+
+
+def test_table_weights_meet_stated_covariance_error(table):
+    # no envelope, so no circulant candidate: periodic weights
+    spec = SimulationSpec(window_length=2.0)
+    sampler = _SpectralSampler(table, spec)
+    assert sampler.route == "periodic" and sampler._error is None
+    _assert_stated_error(table, spec, sampler)
+
+
+def test_cauchy_circulant_count_moments(cauchy):
+    # the zero count on [0, 100] from the circulant torus: its mean and
+    # variance within 3 standard errors of R / pi and the pair-partition
+    # prediction
+    R, n = 100.0, 20_000
+    spec = SimulationSpec(window_length=R, num_samples=n, master_seed=2718)
+    assert _SpectralSampler(cauchy, spec).route == "circulant"
+    phi = TestFunction.indicator(0.0, 1.0)
+    counts = replicate_statistics(cauchy, spec, phi, R, threads=2)
+    mean, var = counts.mean(), counts.var(ddof=1)
+    assert abs(mean - R / math.pi) < 3.0 * math.sqrt(var / n)
+    fourth = np.mean((counts - mean) ** 4)
+    se_var = math.sqrt((fourth - var * var) / n)
+    predicted = predicted_central_moment(cauchy, [phi, phi], R)
+    assert abs(var - predicted) < 3.0 * se_var, (var, predicted, se_var)
 
 
 def _zeros_per_row(f, fp, spec, cell_roots=_hermite_roots_batch):
