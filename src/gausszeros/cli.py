@@ -241,11 +241,13 @@ def cmd_moments(args) -> int:
     spec = _sim_spec(args)
     model = get_model(args.model)
     quad = _quad_spec(args, model)
-    estimates = simulation.empirical_moments(
-        model, spec, args.phi_obj, args.R, [args.p], threads=args.threads)
-    est = estimates[0]
+    # every refusal before the paths are drawn: the window, then the prediction
+    simulation._require_orders([args.p])
+    simulation._require_window(spec, args.phi_obj, args.R)
     predicted = partitions.predicted_central_moment(
         model, [args.phi_obj] * args.p, args.R, quad)
+    est = simulation.empirical_moments(
+        model, spec, args.phi_obj, args.R, [args.p], threads=args.threads)[0]
     _emit(args, _json_line({
         "p": args.p, "estimate": est.estimate,
         "ci": [est.ci_low, est.ci_high], "n": est.num_samples,

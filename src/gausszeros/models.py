@@ -486,12 +486,14 @@ class SpectralTableModel(CorrelationModel):
     """Correlation model induced by an even spectral density via quadrature.
 
     kappa^(j)(x) is the j-th moment-weighted Fourier-cosine/sine transform of
-    the density, integrated on oscillation-adapted panels.
+    the density.  Points are grouped by octave, 2^(e-1) < |x| + 1 <= 2^e, and
+    each summed pairwise on the panels for 2^e - 1 (at most twice the nodes
+    |x| needs), so a value does not depend on the call it is in.
     """
 
     kind = "spectral-table"
     _NODE_BUDGET = 1 << 20  # per point: |x| ~ 8e3 at T ~ 12, ~0.15 s, ~100 MB
-    _BLOCK = 1 << 19  # (order, node) products per block (4 MB), two orders at least
+    _BLOCK = 1 << 19  # (point, node) products per block (4 MB), one point at least
 
     def __init__(self, density: SpectralDensity, *, label: str = "spectral-table"):
         self._density = density
@@ -540,7 +542,7 @@ class SpectralTableModel(CorrelationModel):
         edges.extend(float(t) for t in self._density.xi if 0.0 < t < self._T)
         return np.unique(np.asarray(edges))
 
-    def _panels_for(self, x: float) -> tuple[np.ndarray, np.ndarray]:
+    def _panels_for(self, x: float, asked=None) -> tuple[np.ndarray, np.ndarray]:
         """Gauss-Legendre nodes/weights resolving e^{i x xi} on [0, T], within budget."""
         max_len = math.pi / (4.0 * (abs(x) + 1.0))
         counts = [max(1, math.ceil((hi - lo) / max_len))
@@ -548,8 +550,8 @@ class SpectralTableModel(CorrelationModel):
         need = self._gl_nodes.size * sum(counts)
         if need > self._NODE_BUDGET:
             raise QuadratureNotConverged(
-                f"kappa at |x| = {abs(x):.3g} needs {need} quadrature nodes, "
-                f"over the budget of {self._NODE_BUDGET}")
+                f"kappa at |x| = {abs(asked or x):.3g} needs {need} quadrature "
+                f"nodes, over the budget of {self._NODE_BUDGET}")
         nodes, weights = [], []
         for lo, hi, nsub in zip(self._kinks[:-1], self._kinks[1:], counts):
             sub = np.linspace(lo, hi, nsub + 1)
@@ -573,31 +575,31 @@ class SpectralTableModel(CorrelationModel):
             bound = max(bound, abs(q[0]) + abs(q[-1]) + float(np.sum(np.abs(np.diff(q)))))
         return 4.0 * bound / _TAIL_TOL
 
+    def _quadrature_blocks(self, xb: np.ndarray):
+        """(columns, nodes, weighted density) for the points of xb within
+        _x_far, at most _BLOCK (point, node) products at a time."""
+        a = np.abs(xb)
+        near = np.flatnonzero(~(a > self._x_far))  # a NaN point stays NaN
+        mant, exp = np.frexp(a[near] + 1.0)  # |x| + 1 = mant 2^exp, mant >= 0.5
+        octaves, group = np.unique(exp - (mant == 0.5), return_inverse=True)
+        for g, e in enumerate(octaves.tolist()):
+            cols = near[group == g]
+            nodes, weights = self._panels_for(2.0 ** e - 1.0, float(a[cols].max()))
+            dens = weights * self._density.density(nodes)
+            step = max(1, self._BLOCK // nodes.size)
+            for s in range(0, cols.size, step):
+                yield cols[s:s + step], nodes, dens
+
     # -- CorrelationModel interface -------------------------------------
     def _derivs(self, xb, max_order: int) -> np.ndarray:
         out = np.zeros((max_order + 1, xb.size))
-        for col, xv in enumerate(xb):
-            if abs(xv) > self._x_far:
-                continue
-            nodes, weights = self._panels_for(float(xv))
-            dens = weights * self._density.density(nodes)
-            cos_part, sin_part = np.cos(xv * nodes), np.sin(xv * nodes)
-            # an even number of orders per (order, node) block, so that even
-            # rows are even orders; one block unless the point is far out
-            step = 2 * max(1, self._BLOCK // (2 * nodes.size))
-            for lo in range(0, max_order + 1, step):
-                hi = min(lo + step, max_order + 1)
-                terms = np.empty((hi - lo, nodes.size))
-                for j in range(lo, hi):
-                    # a scalar exponent per order: an array exponent of 2
-                    # would take a general power instead of a square
-                    terms[j - lo] = nodes ** j
-                terms *= dens
-                terms[0::2] *= cos_part
-                terms[1::2] *= sin_part
-                # each contiguous row is summed pairwise, as np.sum sums a
-                # 1-D array
-                out[lo:hi, col] = self._trig_sign[lo:hi] * terms.sum(axis=1)
+        for cols, nodes, dens in self._quadrature_blocks(xb):
+            phase = xb[cols, None] * nodes
+            trig = np.cos(phase), np.sin(phase)
+            for j in range(max_order + 1):
+                # scalar exponents: an array 2 would take a general power
+                terms = nodes ** j * dens * trig[j % 2]
+                out[j, cols] = self._trig_sign[j] * terms.sum(axis=1)
         return out
 
     def spectral_density(self, xi):
@@ -606,12 +608,9 @@ class SpectralTableModel(CorrelationModel):
     def one_minus_kappa(self, x):
         xb, scalar = _as_batch(x)
         out = np.ones(xb.size)
-        for col, xv in enumerate(xb):
-            if abs(xv) > self._x_far:
-                continue
-            nodes, weights = self._panels_for(float(xv))
-            dens = weights * self._density.density(nodes)
-            out[col] = 4.0 * np.sum(dens * np.sin(0.5 * xv * nodes) ** 2)
+        for cols, nodes, dens in self._quadrature_blocks(xb):
+            half = np.sin(0.5 * xb[cols, None] * nodes)
+            out[cols] = 4.0 * (dens * half ** 2).sum(axis=1)
         return out[0] if scalar else out
 
     def moment_bound(self, order: int) -> float:

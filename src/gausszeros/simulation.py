@@ -655,6 +655,14 @@ def _require_window(spec: SimulationSpec, phi: TestFunction, R: float):
             f"the sampled window [0, {spec.window_length:g}]")
 
 
+def _require_orders(orders) -> list[int]:
+    """The moment orders as ints, refused unless each lies in 1..6."""
+    orders = [int(p) for p in orders]
+    if any(p < 1 or p > 6 for p in orders):
+        raise ConfigError("moment orders must lie in 1..6")
+    return orders
+
+
 def empirical_moments(model, spec: SimulationSpec, phi: TestFunction, R: float,
                       orders, threads: int = 1) -> list[MomentEstimate]:
     """Central moments of the linear statistic, centered at the exact mean.
@@ -667,9 +675,7 @@ def empirical_moments(model, spec: SimulationSpec, phi: TestFunction, R: float,
     _BOOTSTRAP_BLOCK entries, which continue one stream: the same indices
     as a single draw, in bounded memory.
     """
-    orders = [int(p) for p in orders]
-    if any(p < 1 or p > 6 for p in orders):
-        raise ConfigError("moment orders must lie in 1..6")
+    orders = _require_orders(orders)
     _require_replicates(spec)
     stats = replicate_statistics(model, spec, phi, R, threads=threads)
     centered = stats - expected_linear_statistic(phi, R)

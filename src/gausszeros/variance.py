@@ -329,20 +329,17 @@ def _integrate_panels(f, a: float, b: float, abs_tol: float,
         val, err = np.concatenate([val[keep], v]), np.concatenate([err[keep], e])
 
 
-def _certified_integral(f, pieces, tail: float | None, factor: float,
+def _certified_integral(f, pieces, tail: float, factor: float,
                         tol: float, breaks=()) -> float:
     """Integral of f over pieces (a, b, panel_len, abs_tol) with kinks
     `breaks`, refused unless factor x (tail + panel errors) <= tol.
 
     Each piece runs its own `_integrate_panels` loop to its own abs_tol.
-    `tail` bounds what the pieces leave out (None: nothing certifies it),
-    and `factor` turns the integral into the reported quantity.  A missing
-    or too large tail bound is refused before f is called.
+    `tail` bounds what the pieces leave out, and `factor` turns the
+    integral into the reported quantity.  A too large tail bound is refused
+    before f is called.
     """
     end = pieces[-1][1]
-    if tail is None:
-        raise QuadratureNotConverged(
-            f"no certified bound on the integrand beyond truncation {end}")
     if factor * tail > tol:
         raise QuadratureNotConverged(
             f"tail bound {factor * tail:.3e} alone exceeds tolerance "
@@ -372,17 +369,23 @@ def _envelope_tail(env_sq, T: float) -> float:
     return float(e[:-1] @ np.diff(t) + e[-1] * t[-1])
 
 
-def _envelope_bound(model: CorrelationModel, T: float) -> float | None:
-    """Bound on int_T^inf |F| from the derivative envelopes e_l; None where
-    they certify none.
+def _envelope_bound(model: CorrelationModel, T: float, reach: str) -> float:
+    """Bound on int_T^inf |F| from the derivative envelopes e_l, for an
+    integral that `reach` says passes T; refused where they certify none.
 
     |F| <= pi^-2 (e0^2 + 2 e1^2 + 1.3 e2^2) once every e_l is below 0.1,
     which is asked from T = 20 on.
     """
     starts = [model.envelope_start(l) for l in range(3)]
-    if None in starts or max(starts) > T or T < 20.0 or max(
+    if None in starts:
+        raise QuadratureNotConverged(
+            f"{reach}, and model {model.kind} has no tail envelope to bound "
+            "F there (table models have none)")
+    if max(starts) > T or T < 20.0 or max(
             model.tail_envelope(l, T) for l in range(3)) > 0.1:
-        return None
+        raise QuadratureNotConverged(
+            f"{reach}, where the {model.kind} envelope is not certified: it "
+            f"needs T >= {max(20.0, *starts):g} and envelopes below 0.1")
 
     def env_sq(t):
         e0, e1, e2 = (model.tail_envelope(l, t) for l in range(3))
@@ -404,7 +407,9 @@ def sigma_squared(model: CorrelationModel, quad: QuadratureSpec | None = None
     integral = _certified_integral(
         lambda z: two_point_F(model, z),
         [(0.0, min(1.0, T), 1.0, share), (min(1.0, T), T, 25.0, share)],
-        _envelope_bound(model, T), 2.0, spec.abs_tolerance)
+        _envelope_bound(model, T, f"sigma^2 integrates F to infinity, past "
+                        f"the truncation T = {T:g}"),
+        2.0, spec.abs_tolerance)
     return 1.0 / math.pi + 2.0 * integral
 
 
@@ -428,9 +433,12 @@ def predicted_covariance(model: CorrelationModel, phi1: TestFunction,
     """
     _require_scale("R", R)
     spec = quad or model.default_quadrature()
-    span = R * (phi1.support_radius() + phi2.support_radius())
+    r1, r2 = phi1.support_radius(), phi2.support_radius()
+    span = R * (r1 + r2)
     zmax = min(spec.truncation_radius, span + 1.0)
-    tail = 0.0 if zmax >= span else _envelope_bound(model, zmax)
+    tail = 0.0 if zmax >= span else _envelope_bound(
+        model, zmax, f"the span R (r1 + r2) = {R:g} x ({r1:g} + {r2:g}) = "
+        f"{span:g} passes the truncation T = {zmax:g}")
     if tail:
         tail *= 2.0 * abs(min(phi1.integral() * phi2.sup_bound(),
                               phi2.integral() * phi1.sup_bound()))

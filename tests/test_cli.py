@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gausszeros
-from gausszeros import simulation, variance
+from gausszeros import cli, partitions, simulation, variance
 from gausszeros.cli import build_parser, main
 from gausszeros.densities import rho_k
 from gausszeros.models import get_model
@@ -439,6 +439,39 @@ def test_support_below_zero_refused_before_sampling(capsys, monkeypatch,
                                                "moments" else []))
     assert code == 2 and out == ""
     assert err.startswith("domain error:") and f"support [{low}, " in err
+
+
+def test_table_moments_refused_before_sampling(tmp_path, capsys, monkeypatch):
+    # R (r1 + r2) = 80 passes the table's truncation 60, where a table model
+    # bounds no F tail: the prediction is refused before any path is drawn
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_GOOD_TABLE))
+    calls = []
+    monkeypatch.setattr(simulation, "zero_samples",
+                        lambda *a, **k: calls.append(a))
+    code, out, err = run_cli(capsys, "moments", "--model", str(path),
+                             "--p", "2", "--R", "40")
+    assert code == 3 and out == "" and calls == []
+    assert err.startswith("numerical failure: the span R (r1 + r2) = "
+                          "40 x (1 + 1) = 80 passes the truncation T = 60")
+    assert "has no tail envelope" in err
+
+
+def test_moments_record_unchanged_by_predicting_first(capsys):
+    # the record of the command, which predicts before it samples, byte for
+    # byte against the same calls made the other way round
+    code, out, _ = run_cli(capsys, "moments", "--p", "4", "--R", "20",
+                           "--n", "200", "--seed", "5", "--threads", "1")
+    assert code == 0
+    model, phi = get_model("bargmann-fock"), TestFunction.indicator(0.0, 1.0)
+    spec = SimulationSpec(window_length=20.0, num_samples=200, master_seed=5)
+    est = simulation.empirical_moments(model, spec, phi, 20.0, [4])[0]
+    predicted = partitions.predicted_central_moment(
+        model, [phi] * 4, 20.0, model.default_quadrature())
+    assert out == cli._json_line({
+        "p": 4, "estimate": est.estimate, "ci": [est.ci_low, est.ci_high],
+        "n": est.num_samples, "predicted_pair_sum": predicted,
+        **cli._torus_fields(model, spec)})
 
 
 def test_moments_support_inside_window_runs(capsys):

@@ -3,10 +3,11 @@
 Sinc, Bargmann-Fock and spectral-table models evaluate every derivative
 order in one pass over tables built at construction.  The references here
 are the per-order evaluations those passes replaced: a 60-term series and
-a Leibniz sum for each sinc order, one `polyval` per Hermite order, and one
-quadrature sum per table order.  The kernels repeat the same floating-point
-operations in the same order, so the outputs must agree bit for bit, also
-in the sign of zero.
+a Leibniz sum for each sinc order, one `polyval` per Hermite order, and for
+a table one quadrature sum per point and order on that point's own nodes
+(the panels of the top of its octave of |x| + 1).  The kernels repeat the
+same floating-point operations in the same order, so the outputs must
+agree bit for bit, also in the sign of zero.
 """
 
 import math
@@ -105,12 +106,21 @@ def bargmann_fock_reference(x, max_order):
     return out
 
 
-def table_reference(model, x, max_order):
+def octave_top(xv):
+    """2^e - 1 for the octave 2^(e-1) < |x| + 1 <= 2^e."""
+    top = 1.0
+    while top < abs(xv) + 1.0:
+        top *= 2.0
+    return top - 1.0
+
+
+def table_reference(model, x, max_order, rule=octave_top):
+    """Per-point, per-order sums on the panels for rule(x)."""
     out = np.zeros((max_order + 1, len(x)))
     for col, xv in enumerate(x):
         if abs(xv) > model._x_far:
             continue
-        nodes, weights = model._panels_for(float(xv))
+        nodes, weights = model._panels_for(rule(xv))
         dens = weights * model._density.density(nodes)
         cos_part = np.cos(xv * nodes)
         sin_part = np.sin(xv * nodes)
@@ -210,8 +220,52 @@ def test_long_calls_split_into_blocks(sinc, bf, table):
                          f"sinc order {top}")
     assert_same_bits(bf.derivs(x, 48), bargmann_fock_reference(x, 48),
                      "bargmann-fock")
-    # far table points: a quarter million nodes, two orders per block
-    far = [2000.0, -2000.0]
+    # far table points: a quarter million nodes each in one octave, so the
+    # three cross _BLOCK and split into blocks of two points and one
+    far = [2000.0, -2000.0, 1500.0]
+    assert 3 * table._panels_for(octave_top(far[0]))[0].size > table._BLOCK
     top = table.internal_order_cap
     assert_same_bits(table.derivs(np.array(far), top),
                      table_reference(table, far, top), "far table points")
+
+
+ACCURACY_POINTS = [0.0, TINY, -TINY, 1e-6, 0.3, 2.5, 10.0, 37.0, 100.0, 2000.0]
+
+
+def _fine(xv):
+    return 8.0 * (abs(xv) + 1.0)
+
+
+def test_table_octave_nodes_keep_accuracy(table, monkeypatch):
+    # Against each point's sum on the panels for 8 (|x| + 1), the octave
+    # nodes may add at most 1e-15 of an order's largest |value| to the
+    # error of the per-point nodes they replaced.  At x = 2000 both errors
+    # are the rounding noise of ~250 000 double nodes (1.1e-15 and 2.2e-15;
+    # summed in long double on the same nodes they stay the same), and
+    # 2e-15 is allowed there.
+    top = table.internal_order_cap
+    got = table.derivs(np.array(ACCURACY_POINTS), top)
+    for col, xv in enumerate(ACCURACY_POINTS):
+        assert_same_bits(table.derivs(xv, top), got[:, col], f"single {xv}")
+    per_point = table_reference(table, ACCURACY_POINTS, top, rule=abs)
+    monkeypatch.setattr(table, "_NODE_BUDGET", 1 << 22)  # 2e6 nodes at 2000
+    fine = table_reference(table, ACCURACY_POINTS, top, rule=_fine)
+    scale = np.abs(fine).max(axis=1, keepdims=True)
+    excess = (np.abs(got - fine) - np.abs(per_point - fine)) / scale
+    margin = np.where(np.abs(ACCURACY_POINTS) > 100.0, 2e-15, 1e-15)
+    worst = np.unravel_index(np.argmax(excess - margin), excess.shape)
+    assert np.all(excess <= margin), (
+        f"order {worst[0]} at x = {ACCURACY_POINTS[worst[1]]}: "
+        f"{excess[worst]:.3g} over the per-point nodes' error")
+
+
+def test_table_one_minus_kappa_accuracy_and_bits(table):
+    for xv in (1e-6, 1e-3, 0.3):
+        nodes, weights = table._panels_for(_fine(xv))
+        dens = weights * table._density.density(nodes)
+        want = 4.0 * np.sum(dens * np.sin(0.5 * xv * nodes) ** 2)
+        assert abs(table.one_minus_kappa(xv) - want) <= 1e-13 * want, xv
+    xs = ACCURACY_POINTS + [-0.3, 50.0, -2000.0, 1e20]
+    got = table.one_minus_kappa(np.array(xs))
+    for col, xv in enumerate(xs):
+        assert_same_bits(table.one_minus_kappa(xv), got[col], f"1 - kappa at {xv}")

@@ -221,6 +221,13 @@ def test_huge_arguments_finite(presets, table):
             assert 0.0 <= om2 <= 1.0 + 1e-12, (model.kind, x)
 
 
+def test_table_nan_point_is_nan(table):
+    # as on the presets; it joins the x = 0 octave and changes no other point
+    d = table.derivs(np.array([0.5, math.nan]), 4)
+    assert np.isnan(d[:, 1]).all() and np.isnan(table.one_minus_kappa(math.nan))
+    np.testing.assert_array_equal(d[:, 0], table.derivs(0.5, 4))
+
+
 def test_table_node_budget_refuses_far_points(table):
     # panels grow like |x|: 1e6 would need ~1.3e8 nodes on this table
     for evaluate in (lambda: table.derivs(1e6, 2),

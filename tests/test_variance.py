@@ -343,6 +343,26 @@ def test_table_covariance_tail_refused_before_integrating(table, monkeypatch):
         predicted_covariance(table, phi, phi, 100.0)
 
 
+@pytest.mark.parametrize("model_name, call, cause", [
+    ("table", lambda m: sigma_squared(m),
+     r"^sigma\^2 integrates F to infinity, past the truncation T = 60, and "
+     r"model bumped-table has no tail envelope"),
+    ("table", lambda m: predicted_covariance(
+        m, TestFunction.indicator(0.0, 1.0), TestFunction.indicator(0.0, 0.5),
+        100.0),
+     r"^the span R \(r1 \+ r2\) = 100 x \(1 \+ 0.5\) = 150 passes the "
+     r"truncation T = 60, and model bumped-table has no tail envelope"),
+    ("bf", lambda m: sigma_squared(m, QuadratureSpec(truncation_radius=5.0)),
+     r"^sigma\^2 .* T = 5, where the bargmann-fock envelope is not certified"),
+])
+def test_tail_refusals_name_their_cause(request, monkeypatch, model_name,
+                                        call, cause):
+    model = request.getfixturevalue(model_name)
+    _no_integration(monkeypatch, model)
+    with pytest.raises(QuadratureNotConverged, match=cause):
+        call(model)
+
+
 def test_unreachable_tolerance_refused_before_integrating(sinc, monkeypatch):
     _no_integration(monkeypatch, sinc)
     spec = QuadratureSpec(truncation_radius=4000.0, abs_tolerance=1e-12)
