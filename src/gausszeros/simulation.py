@@ -1,9 +1,9 @@
 """Sampling of stationary Gaussian paths, zero extraction, and MC diagnostics.
 
 Paths are sampled with their derivative on a uniform grid by one spectral
-machine: per FFT mode j of a torus of n nodes a 2 x r factor B_j maps r
-complex normals to the coefficients of f and f', and one inverse FFT per
-channel gives the path.  Two weight rules feed it.  The periodic rule
+machine: per FFT mode j of a torus of n nodes a 2 x r factor B_j maps up
+to r complex normals to the coefficients of f and f', and one inverse FFT
+per channel gives the path.  Two weight rules feed it.  The periodic rule
 (every model, r = 1) takes the model's spectral density at the FFT
 frequencies on a period P >= L + reach, with f' the same draw times
 i*omega.  The circulant rule (r = 2) factors, mode by mode, the DFT of the
@@ -11,16 +11,18 @@ i*omega.  The circulant rule (r = 2) factors, mode by mode, the DFT of the
 whose reach is capped (cauchy, sinc) and kept when it draws fewer normals
 at no larger covariance error.  Each sampler states that error: the
 largest gap between the covariances its weights imply and kappa, kappa',
--kappa'' over the window's lags.  Only the modes |j| <= J are drawn (the
-band cut in `_band`); the rest of the spectrum is zero padding in
-buffers that each pool thread reuses across its batches.  The real and
-imaginary parts of one draw are two independent replicates.  Batches hold
-2 max(1, 2^18 // (r n)) replicates, and each draws the kept modes of all
-its pairs, pair after pair, from one counter-based stream keyed by
-(master_seed, first pair of the batch).  So runs are reproducible
-bit-for-bit for any thread count, and replicate i depends on the seed,
-model, L and h but not on the number of replicates: a short last batch
-draws a prefix of a full batch's stream.
+-kappa'' over the window's lags.  Column s of B_j is drawn only on its
+own band |j| <= J_s (the cuts in `_band`): J for the first column and,
+for the circulant second column, which carries little mass, a far
+narrower J2.  The rest of the spectrum is zero padding in buffers that
+each pool thread reuses across its batches.  The real and imaginary parts
+of one draw are two independent replicates.  Batches hold 2 max(1, 2^18
+// (r n)) replicates, and each draws the banded normals of all its pairs,
+pair after pair, from one counter-based stream keyed by (master_seed,
+first pair of the batch).  So runs are reproducible bit-for-bit for any
+thread count, and replicate i depends on the seed, model, L and h but not
+on the number of replicates: a short last batch draws a prefix of a full
+batch's stream.
 Zeros are located by sign changes and polished on the cubic Hermite
 interpolant of (f, f') over the bracketing cell by a safeguarded Newton
 iteration that never leaves the cell's sign-change bracket; cells whose
@@ -39,7 +41,7 @@ import os
 import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -91,8 +93,9 @@ _BLIND_END = 64.0 * 2.0 ** -52
 _NODE_BUDGET = 1 << 23
 # spectrum nodes per batch: a batch holds 2 max(1, _BATCH_NODES // (r n))
 # replicates, whose two complex (pairs, n) buffers take at most 8 MB per
-# thread; with r = 2 normals a mode, the draws and outputs of 2^18 // n
-# pairs would raise the peak (cauchy L = 100: 34 against 18 MiB traced)
+# thread; with r = 2 columns, the draws and outputs of 2^18 // n pairs
+# would raise the peak (cauchy L = 100, 2000 replicates on 2 threads:
+# 30-32 against 15-16 MiB traced)
 _BATCH_NODES = 1 << 18
 
 
@@ -211,22 +214,42 @@ def _correlation_reach(model) -> float:
     return _REACH_CAP
 
 
+def _span(n: int, band: int) -> tuple[int, int]:
+    """(lo, hi) of the band |j| <= `band` on n nodes: the modes j = 0..lo-1
+    and n-hi..n-1, none of them twice."""
+    return band + 1, min(band, n - band - 1)
+
+
 @dataclass(frozen=True)
 class _Torus:
-    """Mode weights of a torus of n nodes, cut to the band |j| <= J.
+    """Mode weights of a torus of n nodes; column s is cut to its own band
+    |j| <= bands[s], with J = bands[0] the widest.
 
-    `factor[c, s, i]` is B_j[c, s] for the i-th kept mode in FFT order
-    (j = 0..lo-1, then n-hi..n-1, with lo = J + 1 and hi = min(J, n - J -
-    1)): row c = 0 gives f and c = 1 gives f', and each mode draws r =
-    factor.shape[1] complex normals.  The field's covariance matrix at lag
-    t is the real part of sum_j B_j B_j^H e^{i omega_j t}.
+    `factor[c, s, i]` is B_j[c, s] for the i-th mode of the band |j| <= J
+    in FFT order (j = 0..lo-1, then n-hi..n-1, with (lo, hi) = `_span(n,
+    J)`): row c = 0 gives f and c = 1 gives f'.  Column s draws one complex
+    normal per mode of its own band, i.e. its first lo_s and last hi_s
+    entries, (lo_s, hi_s) = `spans[s]`; its entries beyond that band are
+    not drawn.  The field's covariance matrix at lag t is the real part of
+    sum_j B_j B_j^H e^{i omega_j t} over the drawn entries.
     """
 
     route: str
     n: int
-    lo: int
-    hi: int
     factor: np.ndarray
+    bands: tuple[int, ...]
+
+    @cached_property
+    def spans(self) -> list[tuple[int, int]]:
+        return [_span(self.n, band) for band in self.bands]
+
+    @property
+    def lo(self) -> int:
+        return self.spans[0][0]
+
+    @property
+    def hi(self) -> int:
+        return self.spans[0][1]
 
     @property
     def modes(self) -> int:
@@ -235,18 +258,19 @@ class _Torus:
     @property
     def normals(self) -> int:
         """Complex normals a pair draws."""
-        return self.factor.shape[1] * self.modes
+        return sum(lo + hi for lo, hi in self.spans)
 
     def covariance(self, m: int) -> np.ndarray:
-        """Rows cov(f, f), cov(f', f) and cov(f', f') of the kept weights at
-        lags 0, h, ..., (m-1) h, with f' at the later node."""
-        b = self.factor
+        """Rows cov(f, f), cov(f', f) and cov(f', f') of the drawn weights
+        at lags 0, h, ..., (m-1) h, with f' at the later node."""
+        b, n, size = self.factor, self.n, self.modes
         out = np.empty((3, m))
-        lam = np.zeros(self.n, dtype=complex)
         for row, (c, e) in enumerate(((0, 0), (1, 0), (1, 1))):
-            terms = (b[c] * b[e].conj()).sum(axis=0)
-            lam[:self.lo] = terms[:self.lo]
-            lam[self.n - self.hi:] = terms[self.lo:]
+            lam = np.zeros(n, dtype=complex)
+            for s, (lo, hi) in enumerate(self.spans):
+                terms = b[c, s] * b[e, s].conj()
+                lam[:lo] += terms[:lo]
+                lam[n - hi:] += terms[size - hi:]
             out[row] = np.fft.ifft(lam, norm="forward")[:m].real
         return out
 
@@ -269,29 +293,34 @@ def _periodic_torus(model, n: int, h: float) -> _Torus:
     level = np.minimum(np.arange(n), n - np.arange(n))  # |j| of each mode
     band = _band(np.bincount(level, weights=(1.0 + omega * omega) * weight),
                  _BAND_TAIL)
-    lo, hi = band + 1, min(band, n - band - 1)
+    lo, hi = _span(n, band)
     kept = np.r_[0:lo, n - hi:n]
     amp = np.sqrt(weight[kept]).astype(complex)
     amp_d = 1j * omega[kept] * amp
     if n % 2 == 0 and lo > n // 2:
         # the Nyquist mode has no sign, so it carries no derivative
         amp_d[n // 2] = 0.0
-    return _Torus("periodic", n, lo, hi, np.stack([amp, amp_d])[:, None])
+    return _Torus("periodic", n, np.stack([amp, amp_d])[:, None], (band,))
 
 
 def _circulant_torus(lags: np.ndarray, n: int, normals: int
                      ) -> _Torus | None:
     """Circulant weights from (kappa, kappa', -kappa'') at lags 0..n//2, or
-    None if they would draw at least `normals` complex normals a pair.
+    None if, uncut, they would draw at least `normals` complex normals a
+    pair (2 per mode of the band |j| <= J).
 
     The covariance of (f, f') wrapped on n nodes (kappa and -kappa'' even,
     kappa' odd and 0 at the antipode of an even n) has per mode the
     Hermitian matrix D [[a, b], [b, d]] D^H, D = diag(1, i), with a, b, d
     real from one real FFT.  A rotation by theta, tan 2 theta = 2 b /
     (a - d), diagonalizes it; eigenvalues below 0 are clipped to 0, which
-    leaves B_j = D R diag(sqrt mu+, sqrt mu-).  The band is cut where the
-    dropped trace of B_j B_j^H reaches the clipped mass of the kept modes,
-    or _CUT_MASS if that is less.  Only the kept modes are factored.
+    leaves B_j = D R diag(sqrt mu+, sqrt mu-).  The band J is cut where
+    the dropped trace of B_j B_j^H reaches the clipped mass of the kept
+    modes, or _CUT_MASS if that is less.  Only the kept modes are factored.
+    The second column, whose squared norm is mu-, is cut on its own at the
+    band J2 <= J where its dropped mass, the sum of mu- beyond J2, meets
+    the same limit: mu- holds 1.9e-6 of cauchy's mass 2 at L = 100, so J2
+    is 29 against J = 944.
     """
     half = n // 2
     level = np.minimum(np.arange(n), n - np.arange(n))
@@ -314,9 +343,9 @@ def _circulant_torus(lags: np.ndarray, n: int, normals: int
     mu = np.stack([mid + rad, mid - rad])
     kept_mu = np.maximum(mu, 0.0)
     clipped = np.cumsum((kept_mu - mu).sum(axis=0) * pair)
-    band = _band(kept_mu.sum(axis=0) * pair,
-                 np.clip(clipped, _BAND_TAIL, _CUT_MASS))
-    lo, hi = band + 1, min(band, n - band - 1)
+    limit = np.clip(clipped, _BAND_TAIL, _CUT_MASS)
+    band = _band(kept_mu.sum(axis=0) * pair, limit)
+    lo, hi = _span(n, band)
     if 2 * (lo + hi) >= normals:
         return None
     # levels of the kept modes in FFT order; mode -j has b -> -b, i.e. the
@@ -333,7 +362,9 @@ def _circulant_torus(lags: np.ndarray, n: int, normals: int
     sin = sign * np.copysign(np.where(dev >= 0.0, small, big), b)
     factor = np.array([[cos * root[0], -sin * root[1]],
                        [1j * sin * root[0], 1j * cos * root[1]]])
-    return _Torus("circulant", n, lo, hi, factor)
+    # the second column's own band: mu- <= mu+ + mu-, so band2 <= band
+    return _Torus("circulant", n, factor,
+                  (band, _band(kept_mu[1] * pair, limit)))
 
 
 class _SpectralSampler:
@@ -341,8 +372,9 @@ class _SpectralSampler:
 
     With step h on a torus of n nodes, the field is sum_j B_j zeta_j
     e^{i omega_j x} over the kept FFT modes |j| <= J, where zeta_j holds r
-    complex standard normals and the 2 x r factor B_j gives f (row 0) and
-    f' (row 1).  Two weight rules feed this one machine:
+    complex standard normals, the s-th of them 0 beyond the column's own
+    band |j| <= J_s, and the 2 x r factor B_j gives f (row 0) and f' (row
+    1).  Two weight rules feed this one machine:
 
     - periodic (every model): n = P / h with P the smallest fast length >=
       L + reach, and B_j = [a_j, i omega_j a_j], a_j^2 = (2 pi / (n h))
@@ -358,25 +390,30 @@ class _SpectralSampler:
       with negative eigenvalues clipped to 0 (`_circulant_torus`).  The
       grid covariance is exact on every lag up to n h / 2 but for the
       clipped and the dropped mass; the band is cut where the dropped mass
-      reaches the clipped mass of the kept modes, or _CUT_MASS = 1e-6.
+      reaches the clipped mass of the kept modes, or _CUT_MASS = 1e-6, and
+      the second column, which carries the small eigenvalue, is cut to its
+      own band J2 at the same limit.
 
     Only when `_correlation_reach` reports its cap (cauchy and sinc) are
     circulant candidates built, on n = fast length of 2 (M - 1), 4 (M - 1),
     ... while n stays below the periodic torus's.  The first whose
     covariance error is at most the periodic one's and that draws fewer
-    normals (r times its kept modes) replaces the periodic weights.  The
-    covariance error is the largest |covariance of the kept weights -
-    model| over lags 0..M-1 and the channels (f, f), (f', f) and (f', f'),
-    against kappa, kappa' and -kappa''.  `covariance_error` states it; for
-    a periodic torus it is computed on first use, since it costs a
-    `derivs` call on M lags.  Periodic weights are non-negative and
-    negative circulant eigenvalues are clipped, so no embedding can fail.
+    normals, both with its second column uncut (2 normals per mode of the
+    band J), replaces the periodic weights and is drawn with that column
+    cut.  The covariance error is the largest |covariance of the drawn
+    weights - model| over lags 0..M-1 and the channels (f, f), (f', f)
+    and (f', f'), against kappa, kappa' and -kappa''.  `covariance_error`
+    states it; for a periodic torus it is computed on first use, since it
+    costs a `derivs` call on M lags.  Periodic weights are non-negative
+    and negative circulant eigenvalues are clipped, so no embedding can
+    fail.
 
     A batch of pairs draws all its normals with one fill of one stream,
     `_chunk_rng(master_seed, first pair)`, pair-major: each pair takes the
-    next 2 r (2 J + 1) normals, the real and imaginary parts of the first
-    normal of every kept mode in FFT order, j = 0..J, then -J..-1, then of
-    the second.  When no mode can be dropped, all n modes are drawn in FFT
+    next 2 sum_s (2 J_s + 1) normals, the real and imaginary parts of the
+    first normal of every mode of the band J in FFT order, j = 0..J, then
+    -J..-1, then of the second normal of every mode of the band J2 in the
+    same order.  When no mode can be dropped, all n modes are drawn in FFT
     order.  The products B_j zeta_j fill the band of a zero-padded (pairs,
     n) spectrum, transformed by one inverse FFT into a second buffer per
     channel; both, and the draws, are made once per thread and reused,
@@ -397,13 +434,19 @@ class _SpectralSampler:
         if reach >= _REACH_CAP:
             torus = self._circulant_choice(torus)
         self._torus = torus
-        self.route, self.n, self.lo, self.hi, self.factor = (
-            torus.route, torus.n, torus.lo, torus.hi, torus.factor)
+        self.route, self.n, self.lo, self.hi, self.factor, self.spans = (
+            torus.route, torus.n, torus.lo, torus.hi, torus.factor,
+            torus.spans)
         self._local = threading.local()
 
     @property
     def modes(self) -> int:
         return self.lo + self.hi
+
+    @property
+    def normals(self) -> int:
+        """Complex normals a pair draws."""
+        return self._torus.normals
 
     @property
     def covariance_error(self) -> float:
@@ -435,9 +478,12 @@ class _SpectralSampler:
             if torus is not None:
                 if self._error is None:
                     self._error = self._error_of(periodic, lags)
-                error = self._error_of(torus, lags)
-                if error <= self._error:
-                    self._error = error
+                # chosen on the uncut weights, both columns on the band J:
+                # chosen on the cut ones, cauchy at L = 20 took 1600 nodes
+                # at 10x the error of the 3200 it takes (3.7e-5, 3.9e-6)
+                uncut = replace(torus, bands=torus.bands[:1] * 2)
+                if self._error_of(uncut, lags) <= self._error:
+                    self._error = self._error_of(torus, lags)
                     return torus
             scale *= 2
         return periodic
@@ -449,8 +495,9 @@ class _SpectralSampler:
         Row 2 i is the real part and row 2 i + 1 the imaginary part of pair
         p = pairs.start + i, i.e. replicates 2 p and 2 p + 1.  The draws of
         pair p are row i of one fill of `_chunk_rng(master_seed,
-        pairs.start)`, so a shorter range from the same start gives a
-        prefix of the same rows.
+        pairs.start)`, `normals` complex values in the layout of the class
+        docstring, so a shorter range from the same start gives a prefix
+        of the same rows.
         """
         zeta, coeffs, field = self._buffers(len(pairs))
         _chunk_rng(master_seed, pairs.start).standard_normal(
@@ -464,19 +511,23 @@ class _SpectralSampler:
         Only the band of the spectrum is ever written."""
         bufs = getattr(self._local, "bufs", None)
         if bufs is None or bufs[0].shape[0] < rows:
-            bufs = (np.empty((rows,) + self.factor.shape[1:], dtype=complex),
+            bufs = (np.empty((rows, self.normals), dtype=complex),
                     np.zeros((rows, self.n), dtype=complex),
                     np.empty((rows, self.n), dtype=complex))
             self._local.bufs = bufs
         return tuple(b[:rows] for b in bufs)
 
     def _window(self, b, zeta, coeffs, field) -> np.ndarray:
-        lo, hi = self.lo, self.hi
-        np.multiply(b[0, :lo], zeta[:, 0, :lo], out=coeffs[:, :lo])
-        np.multiply(b[0, lo:], zeta[:, 0, lo:], out=coeffs[:, self.n - hi:])
-        for s in range(1, b.shape[0]):
-            coeffs[:, :lo] += b[s, :lo] * zeta[:, s, :lo]
-            coeffs[:, self.n - hi:] += b[s, lo:] * zeta[:, s, lo:]
+        n, size, (lo, hi) = self.n, self.modes, self.spans[0]
+        np.multiply(b[0, :lo], zeta[:, :lo], out=coeffs[:, :lo])
+        np.multiply(b[0, lo:], zeta[:, lo:size], out=coeffs[:, n - hi:])
+        # each further column adds the draws that follow on its own band
+        at = size
+        for s, (lo, hi) in enumerate(self.spans[1:], 1):
+            z = zeta[:, at:at + lo + hi]
+            coeffs[:, :lo] += b[s, :lo] * z[:, :lo]
+            coeffs[:, n - hi:] += b[s, size - hi:] * z[:, lo:]
+            at += lo + hi
         np.fft.ifft(coeffs, axis=1, norm="forward", out=field)
         out = np.empty((2 * field.shape[0], self.m))
         out[0::2] = field[:, :self.m].real
@@ -597,10 +648,10 @@ def zero_samples(model, spec: SimulationSpec, threads: int = 1) -> ZeroSets:
     """Zero sets of all replicates, batched over a pool of threads.
 
     Batches hold 2 max(1, _BATCH_NODES // (r n)) replicates for an FFT of
-    n nodes with r normals a mode, and start at even replicates, so each holds whole pairs; with an
-    odd `num_samples` the last pair gives only its real part.  The pool
-    has min(threads, batches, CPU count) workers, each with its own FFT
-    buffers; the bits do not depend on it.
+    n nodes and a factor of r columns, and start at even replicates, so
+    each holds whole pairs; with an odd `num_samples` the last pair gives
+    only its real part.  The pool has min(threads, batches, CPU count)
+    workers, each with its own FFT buffers; the bits do not depend on it.
     """
     if threads < 1:
         raise ConfigError(f"need at least one thread, got {threads}")

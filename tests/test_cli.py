@@ -184,6 +184,20 @@ def test_sampling_commands_report_torus(capsys, model, route, nodes):
         rec["covariance_error"], rel=1e-11)
 
 
+def test_moments_reports_normals(capsys):
+    # cauchy's circulant factor draws its second column on a band of its
+    # own, far narrower than the first; a periodic torus draws one normal
+    # per kept mode
+    argv = ["moments", "--p", "2", "--R", "100", "--n", "4", "--seed", "3"]
+    recs = {}
+    for model in ("cauchy", "bargmann-fock"):
+        code, out, _ = run_cli(capsys, *argv, "--model", model)
+        assert code == 0
+        recs[model] = json.loads(out)
+    assert recs["cauchy"]["normals"] < 1.2 * recs["cauchy"]["modes"]
+    assert recs["bargmann-fock"]["normals"] == recs["bargmann-fock"]["modes"]
+
+
 def test_clustering_command(capsys):
     code, out, _ = run_cli(capsys, "clustering", "--points", "0,0.5,8,8.5",
                            "--partition", "{0,1},{2,3}")

@@ -170,6 +170,13 @@ def _kept(torus):
     return np.r_[0:torus.lo, torus.n - torus.hi:torus.n]
 
 
+def _drawn(torus, s):
+    """Entries of the factor that column s draws: its own band's modes
+    among the kept ones."""
+    (lo, hi), size = torus.spans[s], torus.lo + torus.hi
+    return np.r_[0:lo, size - hi:size]
+
+
 @pytest.mark.parametrize("seed", [0, 123, 2 ** 63 + 5, 2 ** 64 - 1])
 def test_batch_stream_matches_fresh_philox(bf, seed):
     n = 101
@@ -210,16 +217,22 @@ def test_batch_stream_matches_fresh_philox(bf, seed):
 
 
 def test_circulant_stream_layout(cauchy):
-    # r = 2 normals a mode: each pair's row of one fresh stream holds the
-    # first normal of every kept mode in FFT order, then the second; each
-    # channel is B_j[c, 0] zeta_1 + B_j[c, 1] zeta_2 and one inverse FFT
+    # r = 2 columns: each pair's row of one fresh stream holds the first
+    # normal of every mode of the band |j| <= J in FFT order, then the
+    # second normal of every mode of the band |j| <= J2; each channel is
+    # B_j[c, 0] zeta_1 + B_j[c, 1] zeta_2, with zeta_2 = 0 beyond J2, and
+    # one inverse FFT
     seed, first, rows = 77, 3, 4
     spec = SimulationSpec(window_length=4.0, num_samples=2, master_seed=seed)
     sampler = _SpectralSampler(cauchy, spec)
     assert sampler.route == "circulant" and sampler.factor.shape[1] == 2
     kept = _kept(sampler)
-    zeta = _philox_stream(seed, first).standard_normal(
-        rows * 4 * kept.size).view(complex).reshape(rows, 2, kept.size)
+    second = _drawn(sampler, 1)
+    draws = _philox_stream(seed, first).standard_normal(
+        rows * 2 * (kept.size + second.size)).view(complex).reshape(rows, -1)
+    zeta = np.zeros((rows, 2, kept.size), dtype=complex)
+    zeta[:, 0] = draws[:, :kept.size]
+    zeta[:, 1, second] = draws[:, kept.size:]
     got = sampler.sample(seed, range(first, first + rows))
     for g, b in zip(got, sampler.factor):
         coeffs = np.zeros((rows, sampler.n), dtype=complex)
@@ -299,14 +312,17 @@ ERROR_LENGTHS = (4.0, 10.0, 50.0, 100.0, 1000.0)
 
 
 def _weights_covariance(sampler, lags):
-    """Rows cov(f, f), cov(f', f), cov(f', f') of the sampler's kept
+    """Rows cov(f, f), cov(f', f), cov(f', f') of the sampler's drawn
     weights at integer node lags, f' at the later node: direct sums of
-    B_j B_j^H e^{2 pi i j k / n} over the kept modes, with no FFT."""
+    B_j B_j^H e^{2 pi i j k / n}, each column of B_j over its own band,
+    with no FFT."""
     modes = _kept(sampler)
     b = sampler.factor
     phase = np.exp(2j * math.pi / sampler.n
                    * (np.outer(lags, modes) % sampler.n))
-    return np.array([(phase @ (b[c] * b[e].conj()).sum(axis=0)).real
+    cols = [_drawn(sampler, s) for s in range(b.shape[1])]
+    return np.array([sum(phase[:, i] @ (b[c, s, i] * b[e, s, i].conj())
+                         for s, i in enumerate(cols)).real
                      for c, e in ((0, 0), (1, 0), (1, 1))])
 
 
@@ -337,10 +353,10 @@ def test_weights_meet_stated_covariance_error(request, name, length):
     else:
         assert (sampler.route, sampler.n) == ("circulant", nodes)
         assert sampler.factor.shape[1] == 2
-        # fewer normals than the periodization torus's kept modes
+        # fewer normals a pair than the periodization torus's
         periodic = _periodic_torus(model, _periodic_size(model, spec),
                                    spec.grid_step)
-        assert 2 * sampler.modes < periodic.modes
+        assert sampler.normals < periodic.normals
     _assert_stated_error(model, spec, sampler)
     limit = PERIODIC_ERROR[name][ERROR_LENGTHS.index(length)]
     assert sampler.covariance_error <= limit
