@@ -9,10 +9,11 @@ theta, xi and omega are slices of one A K A^T from one `derivs` call (see
 `divdiff`; closed forms for two distinct singletons).  The same context
 serves every Kac-Rice quotient: the intensities on any partition, and the
 vanishing constant on the partition of coincident points.  Monte Carlo
-moments evaluate each normal draw at `_ROTATIONS` seeded rotations of it,
-and are spent in chunks that run on min(chunks, CPU count) threads and are
-reduced in chunk order, so every answer has the same bits for any number
-of cores.
+moments are randomized lattice rules: one rank-1 Korobov point set per
+budget, mapped to normals once per process, evaluated at seeded Haar
+rotations drawn per call.  They are spent in blocks that run on
+min(blocks, CPU count) threads and are reduced in block order, so every
+answer has the same bits for any number of cores.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ __all__ = [
 ]
 
 DEGENERACY_RTOL = 1e-12
-_ROTATIONS = 8  # evaluations per normal draw w: at w, Q_2 w, ..., Q_8 w
-_ROTATION_STREAM = 2 ** 64 - 1  # substream of the Q_r, beyond every chunk index
-_CHUNK = 1 << 16  # evaluations per counter-based substream
-_COLUMNS = 1 << 13  # evaluations per block of products inside a chunk
+_ROTATIONS = 16  # evaluations per lattice point, at least, budget permitting
+_ROTATION_STREAM = 2 ** 64 - 1  # substream of the Q_r
+_BLOCK = 1 << 13  # evaluations per block of the pool
 _BLOCK_THRESHOLD = 0.05  # |correlation| joining two coordinates into a group
 
 
@@ -48,17 +48,17 @@ _BLOCK_THRESHOLD = 0.05  # |correlation| joining two coordinates into a group
 class MonteCarloSpec:
     """Sampling budget and seeding for Monte Carlo moments.
 
-    `samples` counts integrand evaluations.  Each normal draw is evaluated
-    at `_ROTATIONS` = 8 rotations of itself, so a call draws
-    max(2, ceil(samples / 8)) normal vectors; at least two draws are needed
-    to estimate a standard error.  The budget is spent in chunks of
-    `_CHUNK` evaluations, each drawn from its own counter-based substream
-    keyed by (seed, chunk index).  The chunks run on min(chunks, CPU count)
-    threads and their sums are added in chunk order, so estimates do not
-    depend on how chunks are scheduled across workers, nor on how many
-    there are.  The default 2^19 evaluations are 2^16 draws in eight
-    chunks; with the radial factor and the rotations of `_mc_abs_product`
-    they state a smaller error than 10^6 plain samples.
+    `samples` counts integrand evaluations: n lattice points, each at r
+    rotations.  n is the largest power of two <= samples / 16 (from 2 to
+    2^16) and r = samples // n, at least 2, since the error is the spread
+    of the r rotation means.  The point set is built once per process;
+    `seed` keys the counter-based substream of the call's rotations.  The
+    evaluations run in blocks on min(blocks, CPU count) threads and their
+    sums are added in block order, so estimates do not depend on how blocks
+    are scheduled across workers, nor on how many there are.  The default
+    2^19 evaluations are 2^15 points at 16 rotations; with the radial
+    factor of `_mc_abs_product` they state a smaller error than 10^6 plain
+    samples.
     """
 
     samples: int = 1 << 19
@@ -183,91 +183,217 @@ def _cholesky_or_none(u: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _rotations(seed: int, k: int) -> np.ndarray:
-    """Q_1 = I and `_ROTATIONS` - 1 Haar orthogonal k x k matrices, stacked.
+def _rotations(seed: int, k: int, count: int) -> np.ndarray:
+    """`count` i.i.d. Haar orthogonal k x k matrices, stacked.
 
-    The Haar matrices are the Q factors of Gaussian matrices with the signs
-    of R's diagonal moved into Q (Mezzadri, Notices AMS 54, 2007), drawn
-    from the stream `_chunk_rng(seed, _ROTATION_STREAM)`.
+    They are the Q factors of Gaussian matrices with the signs of R's
+    diagonal moved into Q (Mezzadri, Notices AMS 54, 2007), drawn from the
+    stream `_chunk_rng(seed, _ROTATION_STREAM)`.
     """
     rng = _chunk_rng(seed, _ROTATION_STREAM)
-    q, r = np.linalg.qr(rng.standard_normal((_ROTATIONS - 1, k, k)))
+    q, r = np.linalg.qr(rng.standard_normal((count, k, k)))
     q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
-    return np.concatenate([np.eye(k)[None], q])
+    return q
+
+
+# Wichura's AS241 (PPND16), Appl. Stat. 37 (1988): numerators and
+# denominators, lowest degree first, of the central region |p - 1/2| <=
+# 0.425, of r = sqrt(-log min(p, 1 - p)) - 1.6 for r <= 5, and of r - 5
+_AS241 = (
+    ((3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
+      1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
+      3.3430575583588128105e4, 2.5090809287301226727e3),
+     (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2,
+      5.3941960214247511077e3, 2.1213794301586595867e4, 3.9307895800092710610e4,
+      2.8729085735721942674e4, 5.2264952788528545610e3)),
+    ((1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
+      3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
+      2.27238449892691845833e-2, 7.74545014278341407640e-4),
+     (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0,
+      6.89767334985100004550e-1, 1.48103976427480074590e-1, 1.51986665636164571966e-2,
+      5.47593808499534494600e-4, 1.05075007164441684324e-9)),
+    ((6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
+      2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
+      2.71155556874348757815e-5, 2.01033439929228813265e-7),
+     (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
+      1.48753612908506148525e-2, 7.86869131145613259100e-4, 1.84631831751005468180e-5,
+      1.42151175831644588870e-7, 2.04426310338993978564e-15)),
+)
+
+
+def _horner(coeffs, r: np.ndarray) -> np.ndarray:
+    """sum_d coeffs[d] r^d, by Horner's rule.
+
+    Written out because `numpy.polynomial` adds a 3 ms import to a
+    one-shot CLI call.
+    """
+    out = np.full_like(r, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out = out * r + c
+    return out
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF on 0 < p < 1, by Wichura's AS241.
+
+    About 1e-16 relative error over the double range (scipy.special.ndtri
+    is the test reference; the package does not import scipy here).
+    """
+    def ratio(coeffs, r):
+        num, den = (_horner(c, r) for c in coeffs)
+        return num / den
+
+    p = np.asarray(p, dtype=float)
+    q = p - 0.5
+    central = np.abs(q) <= 0.425
+    out = np.empty_like(p)
+    r = 0.180625 - q[central] ** 2
+    out[central] = q[central] * ratio(_AS241[0], r)
+    t = p[~central]
+    r = np.sqrt(-np.log(np.minimum(t, 1.0 - t)))
+    near = r <= 5.0
+    x = np.where(near, ratio(_AS241[1], r - 1.6), ratio(_AS241[2], r - 5.0))
+    out[~central] = np.copysign(x, t - 0.5)
+    return out
+
+
+# Korobov multipliers a by m for the n = 2^m point lattice with coordinates
+# a^j i mod n, j = 0, 1, ...: by exhaustive search, the odd a < n/2 (a and
+# n - a give the same rule) of least
+#   P_2 = -1 + mean_i prod_{j<6} (1 + 0.05 * 2 pi^2 B_2({a^j i / n})),
+# B_2(x) = x^2 - x + 1/6, the squared worst-case error of the rule in the
+# 6-dimensional Korobov space of smoothness 2 with product weights 0.05
+# (Sloan & Joe, Lattice methods for multiple integration, 1994).  The small
+# weights favour low-order projections: unit weights chose a = 12753 at
+# m = 15, which stated 3.7x the worst error of a = 5357 on benchmark matrices
+_KOROBOV = {1: 1, 2: 1, 3: 3, 4: 3, 5: 5, 6: 19, 7: 19, 8: 21, 9: 115, 10: 179,
+            11: 811, 12: 791, 13: 2789, 14: 7475, 15: 5357, 16: 15353}
+_LATTICE: dict[int, np.ndarray] = {}  # n -> normal images, widest k asked so far
+
+
+def _build_lattice(n: int, k: int) -> np.ndarray:
+    """Rows j < k: the inverse normal CDF of (a^j i mod n + 1/2) / n, i < n.
+
+    The half-cell shift keeps every coordinate inside (0, 1); with n even
+    no point maps to the origin, where the radial split divides by |w|.
+    """
+    a = _KOROBOV[n.bit_length() - 1]
+    normals = _ndtri((np.arange(n) + 0.5) / n)
+    index = np.arange(n, dtype=np.int64)  # a^j i mod n, row by row
+    rows = np.empty((k, n))
+    for row in rows:
+        np.take(normals, index, out=row)
+        index *= a
+        index &= n - 1  # mod n
+    return rows
+
+
+def _lattice(n: int, k: int) -> np.ndarray:
+    """The first k rows of the n-point lattice's normals, built on first use.
+
+    One point set per n is kept for the process, for the widest k asked so
+    far: the rows of a narrower k are its first rows.  Concurrent first
+    calls may both build it; they build the same bits.
+    """
+    points = _LATTICE.get(n)
+    if points is None or points.shape[0] < k:
+        points = _LATTICE[n] = _build_lattice(n, k)
+    return points[:k]
+
+
+def _budget(samples: int) -> tuple[int, int]:
+    """(points, rotations) for a budget of `samples` evaluations.
+
+    points n is the largest power of two <= samples / `_ROTATIONS`, within
+    the committed lattices (2 to 2^16), and rotations r = samples // n, at
+    least 2 so that their spread states an error.
+    """
+    m = min(max((samples // _ROTATIONS).bit_length() - 1, 1), max(_KOROBOV))
+    n = 1 << m
+    return n, max(2, samples // n)
 
 
 def _mc_abs_product(L: np.ndarray, mc: MonteCarloSpec,
                     L_control: np.ndarray | None = None,
                     powers: np.ndarray | None = None) -> tuple[float, float]:
-    """Chunked Monte Carlo mean of prod |(L w)_i|^p_i over standard normals w.
+    """Randomized lattice mean of prod |(L w)_i|^p_i over standard normals w.
 
     The integrand is homogeneous of degree q = sum p_i, and |w| ~ chi_k is
     independent of w / |w|, so each evaluation is taken as
     E chi_k^q prod |(L v)_i|^p_i / |w|^q: the radial part is integrated
     exactly (spherical-radial split) and only the direction is sampled.
-    Each draw w is evaluated at v = Q_r w for the `_ROTATIONS` matrices of
-    `_rotations`, drawn once per call (|Q_r w| = |w|; randomly rotated
-    spherical-radial rules, Genz & Monahan, SIAM J. Sci. Comput. 19, 1998).
-    A sample is the mean of a draw's evaluations, and the standard error is
-    taken over these per-draw means, so it holds whatever the correlation
-    between rotations.  With `L_control` set, estimates the mean of the
-    difference of the two products from common normals instead
-    (control-variate correction); the difference has the same degree.  Both
-    factors multiply the same rotated draws: products of L and L_control
-    with each Q_r, rounded apart, would shift the small difference by a
-    fixed amount for the whole call.
+    The w are the n points of the cached lattice (`_lattice`, with n and r
+    from `_budget`), evaluated at v = Q_r w for r i.i.d. Haar rotations
+    Q_r drawn per call (|Q_r w| = |w|; randomly rotated spherical-radial
+    rules, Genz & Monahan, SIAM J. Sci. Comput. 19, 1998).  A rotated
+    point set is a direction set with the lattice's uniformity, so each
+    rotation's mean is unbiased and the r means are independent; the
+    estimate is their mean and the standard error their spread over
+    sqrt(r).  With `L_control` set, estimates the mean of the difference
+    of the two products instead (control-variate correction); the
+    difference has the same degree.  Both factors multiply the same
+    rotated points: products of L and L_control with each Q_r, rounded
+    apart, would shift the small difference by a fixed amount for the
+    whole call.  Leading rows the factors share (a leading group of the
+    split) give one product p_lead, and the difference is taken as
+    p_lead (p_rest - p_rest_control).
 
-    The chunks run on a pool of min(chunks, CPU count) threads, made and
-    joined here.  Each returns its sum and sum of squares, and these are
-    added in chunk order, so the answer has the same bits for any number
-    of workers.  Within a chunk the products are formed in blocks of
-    `_COLUMNS` evaluations, which bounds the temporaries of each chunk in
-    flight.  Workers call only private code and numpy.
+    Blocks of about `_BLOCK` evaluations (one slice of points at every
+    rotation) run on a pool of min(blocks, CPU count) threads, made and
+    joined here; worker j takes blocks j, j + workers, ..., since one task
+    per block costs more in thread hand-offs than a block's numpy work.
+    Each block returns one partial sum per rotation, and these are added in
+    block order, so the answer has the same bits for any number of
+    workers.  The lattice is built on the calling thread; workers call only
+    private code and numpy.
     """
     k = L.shape[0]
     q = float(k if powers is None else powers.sum())
     radial = 2.0 ** (q / 2) * math.gamma((k + q) / 2) / math.gamma(k / 2)
-    draws = max(2, math.ceil(mc.samples / _ROTATIONS))
-    per_chunk, per_block = _CHUNK // _ROTATIONS, _COLUMNS // _ROTATIONS
-    rot = _rotations(mc.seed, k)
-    # rows ordered (i, r), so A @ w reshapes to (k, rotations x draws)
+    n, count = _budget(mc.samples)
+    w = _lattice(n, k)
+    weight = radial / np.einsum("ij,ij->j", w, w) ** (q / 2)
+    if powers is not None:  # row i taken p_i times: a plain product of rows
+        rows = np.repeat(np.arange(k), powers.astype(int))
+        L = L[rows]
+        L_control = None if L_control is None else L_control[rows]
+    rot = _rotations(mc.seed, k, count)
+    # rows ordered (i, r), so A @ w reshapes to (rows, rotations x points)
     A = (rot if L_control is not None else L @ rot).transpose(1, 0, 2)
-    A = A.reshape(k * _ROTATIONS, k)
+    A = A.reshape(-1, k)
+    if L_control is not None:
+        h = L.shape[0]
+        same = np.all(L == L_control, axis=1)
+        lead = h if same.all() else int(same.argmin())
+        both = np.vstack([L, L_control[lead:]])  # rows of L, then the others'
+    width = max(1, _BLOCK // count)
 
-    def chunk(c: int) -> tuple[float, float]:
-        n = min(per_chunk, draws - c * per_chunk)
-        w = _chunk_rng(mc.seed, c).standard_normal((k, n))  # one column per draw
-        vals = np.empty(n)
-        for j in range(0, n, per_block):
-            wb, vb = w[:, j:j + per_block], vals[j:j + per_block]
-            z = (A @ wb).reshape(k, -1)
-            if L_control is None:
-                prods = _abs_product(z, powers)
-            else:
-                prods = _abs_product(L @ z, powers)
-                prods -= _abs_product(L_control @ z, powers)
-            prods.reshape(_ROTATIONS, -1).sum(axis=0, out=vb)
-            vb *= radial / _ROTATIONS / np.einsum("ij,ij->j", wb, wb) ** (q / 2)
-        return float(vals.sum()), float(vals @ vals)
+    def block(start: int) -> np.ndarray:
+        points = w[:, start:start + width]
+        z = (A @ points).reshape(-1, count * points.shape[1])
+        if L_control is None:
+            prods = _abs_product(z)
+        else:
+            z = both @ z
+            prods = _abs_product(z[lead:h]) - _abs_product(z[h:])
+            prods *= _abs_product(z[:lead])
+        return prods.reshape(count, -1) @ weight[start:start + width]
 
-    chunks = math.ceil(draws / per_chunk)
-    with ThreadPoolExecutor(min(chunks, os.cpu_count() or 1)) as pool:
-        sums = list(pool.map(chunk, range(chunks)))
-    total = total_sq = 0.0
-    for s, s2 in sums:  # in chunk order, whatever finished first
-        total += s
-        total_sq += s2
-    mean = total / draws
-    var = max(total_sq / draws - mean * mean, 0.0)
-    return mean, math.sqrt(var / draws)
+    starts = range(0, n, width)
+    workers = min(len(starts), os.cpu_count() or 1)
+    with ThreadPoolExecutor(workers) as pool:
+        sums = list(pool.map(lambda j: [block(s) for s in starts[j::workers]],
+                             range(workers)))
+    means = np.zeros(count)
+    for b in range(len(starts)):  # in block order, whatever finished first
+        means += sums[b % workers][b // workers]
+    means /= n
+    return float(means.mean()), float(means.std(ddof=1) / math.sqrt(count))
 
 
-def _abs_product(z: np.ndarray, powers: np.ndarray | None) -> np.ndarray:
-    """prod_i |z_i|^p_i down each column of z, overwriting z."""
-    np.abs(z, out=z)
-    if powers is not None:
-        z **= powers[:, None]
-    return z.prod(axis=0)
+def _abs_product(z: np.ndarray) -> np.ndarray:
+    """prod_i |z_i| down each column of z, as |prod_i z_i|."""
+    return np.abs(z.prod(axis=0))
 
 
 def _pi2_closed(u11: float, u22: float, u12: float) -> float:
@@ -334,11 +460,12 @@ def pi_k(variance, mc: MonteCarloSpec | None = None, powers=None
     exact too) serves as an exact baseline and a common-random-numbers
     Monte Carlo estimates the (small) coupling correction, so nearly
     block-diagonal covariances are resolved far below the raw Monte Carlo
-    noise floor.  A single strongly coupled group falls back to plain
-    chunked Monte Carlo.  Both samplers integrate the radial part exactly
-    and evaluate each normal draw at eight seeded rotations of it, so the
-    default 2^19 evaluations draw 2^16 normal vectors (see
-    `_mc_abs_product`).
+    noise floor.  A single strongly coupled group falls back to the plain
+    estimate.  Both integrate the radial part exactly and sample directions
+    from the process's cached lattice point set at seeded Haar rotations:
+    the default 2^19 evaluations are 2^15 points at 16 rotations, and the
+    standard error is the spread of the 16 rotation means (see
+    `MonteCarloSpec` and `_mc_abs_product`).
     """
     mc = mc or MonteCarloSpec()
     u = np.asarray(variance, dtype=float)

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from gausszeros import conditioning, densities, models
-from gausszeros.conditioning import (_CHUNK, _ROTATIONS, MonteCarloSpec,
-                                     _mc_abs_product, _pi3_closed, _rotations,
-                                     assemble_context, pi_k)
+from gausszeros.conditioning import (_BLOCK, _KOROBOV, MonteCarloSpec, _budget,
+                                     _lattice, _mc_abs_product, _ndtri,
+                                     _pi3_closed, _rotations, assemble_context,
+                                     pi_k)
 from gausszeros.densities import rho_k, vanishing_constant
 from gausszeros.errors import ConfigError, NotPSD, OrderUnavailable
 from gausszeros.models import tail_norm
@@ -211,7 +212,9 @@ def test_monte_carlo_spec_refuses_tiny_budgets(samples):
 
 @pytest.mark.parametrize("samples", [2, 9])
 def test_tiny_budgets_state_an_error(samples):
-    # ceil(samples / 8) = 1 draw would state a zero error: two are drawn
+    # budgets below 32 take the 2-point lattice at samples // 2 rotations,
+    # and one rotation would state a zero error: two are taken
+    assert _budget(2) == (2, 2) and _budget(9) == (2, 4)
     u = 0.7 * np.eye(4) + 0.3
     for val, err in (_mc_abs_product(np.eye(4), MonteCarloSpec(samples, seed=2)),
                      pi_k(u, MonteCarloSpec(samples, seed=2))):
@@ -259,10 +262,13 @@ def test_common_random_numbers_cancel_to_the_coupling(coupling):
     assert 0.0 < err < coupling
 
 
-def test_default_call_draw_count(monkeypatch):
-    # a default k = 6 call draws 2^16 normal vectors for its 2^19
-    # evaluations, plus 7 Gaussian 6 x 6 matrices for the rotations
-    counts, chunk_rng = [], conditioning._chunk_rng
+def test_default_call_builds_one_point_set(monkeypatch):
+    # a default k = 6 call spends its 2^19 evaluations as 2^15 lattice
+    # points at 16 rotations; the point set is built once per process, and
+    # each call draws only its 16 Gaussian 6 x 6 matrices
+    assert _budget(MonteCarloSpec().samples) == (2 ** 15, 16)
+    builds, counts = [], []
+    build, chunk_rng = conditioning._build_lattice, conditioning._chunk_rng
 
     class Spy:
         def __init__(self, rng):
@@ -272,32 +278,98 @@ def test_default_call_draw_count(monkeypatch):
             counts.append(int(np.prod(size)))
             return self.rng.standard_normal(size)
 
-    def spy(seed, index):
-        return Spy(chunk_rng(seed, index))
-    monkeypatch.setattr(conditioning, "_chunk_rng", spy)
-    pi_k(0.7 * np.eye(6) + 0.3)
-    assert sorted(counts) == [7 * 36] + [6 * _CHUNK // _ROTATIONS] * 8
-    assert sum(counts) == 6 * 2 ** 16 + 7 * 36
+    monkeypatch.setattr(conditioning, "_LATTICE", {})
+    monkeypatch.setattr(conditioning, "_build_lattice",
+                        lambda n, k: builds.append((n, k)) or build(n, k))
+    monkeypatch.setattr(conditioning, "_chunk_rng",
+                        lambda seed, index: Spy(chunk_rng(seed, index)))
+    u = 0.7 * np.eye(6) + 0.3
+    first = pi_k(u)
+    assert builds == [(2 ** 15, 6)] and counts == [16 * 36]
+    assert conditioning._LATTICE[2 ** 15].shape == (6, 2 ** 15)
+    assert pi_k(u) == first
+    pi_k(u[:4, :4])  # a narrower k takes the first rows
+    assert builds == [(2 ** 15, 6)] and counts == [16 * 36] * 2 + [16 * 16]
+    assert pi_k(u, MonteCarloSpec(seed=1))[1] > 0.0
+    assert builds == [(2 ** 15, 6)]
 
 
-def test_rotations_are_orthogonal_and_shared_by_every_chunk():
-    rot = _rotations(5, 6)
-    assert rot.shape == (_ROTATIONS, 6, 6)
-    assert np.array_equal(rot[0], np.eye(6))
+def test_rotations_are_haar_and_recompute_a_call():
+    rot = _rotations(5, 6, 24)
+    assert rot.shape == (24, 6, 6)
     for q in rot:
         assert np.abs(q.T @ q - np.eye(6)).max() <= 1e-14
-    assert not np.allclose(rot[1], rot[2])
-    # recompute a two-chunk call by hand, one set of rotations for both
+    assert not np.allclose(rot[0], rot[1])
+    assert not any(np.allclose(q, np.eye(6)) for q in rot)
+    # the cached points by hand: normals of (a^j i mod n + 1/2) / n
+    from scipy.special import ndtri
+    mc = MonteCarloSpec(samples=3 * 2 ** 13 + 100, seed=5)
+    n, r = _budget(mc.samples)
+    assert (n, r) == (1024, 24)
+    w = _lattice(n, 6)
+    a, i = _KOROBOV[10], np.arange(n)
+    expect = np.array([ndtri(((a ** j * i) % n + 0.5) / n) for j in range(6)])
+    np.testing.assert_allclose(w, expect, rtol=2e-15, atol=0.0)
+    # recompute the call by hand: one mean per rotation over all points
     L = np.linalg.cholesky(0.7 * np.eye(6) + 0.3)
-    mc = MonteCarloSpec(samples=2 * _CHUNK, seed=5)
-    w = np.hstack([conditioning._chunk_rng(5, c).standard_normal(
-        (6, _CHUNK // _ROTATIONS)) for c in (0, 1)])
     evals = np.abs(np.einsum("ij,rjl,ln->rin", L, rot, w)).prod(axis=1)
     radial = 2.0 ** 3 * math.gamma(6) / math.gamma(3)
-    vals = evals.mean(axis=0) * radial / (w * w).sum(axis=0) ** 3
+    means = (evals * radial / (w * w).sum(axis=0) ** 3).mean(axis=1)
     val, err = _mc_abs_product(L, mc)
-    assert val == pytest.approx(vals.mean(), rel=1e-12)
-    assert err == pytest.approx(vals.std() / math.sqrt(vals.size), rel=1e-9)
+    assert val == pytest.approx(means.mean(), rel=1e-12)
+    assert err == pytest.approx(means.std(ddof=1) / math.sqrt(r), rel=1e-9)
+
+
+def test_ndtri_matches_scipy():
+    from scipy.special import ndtri
+    p = np.concatenate([
+        [1e-300, 1e-20, 0.5 - 1e-17, 0.5 + 1e-17, 0.5 - 2 ** -54, 0.5 + 2 ** -53,
+         0.075, 0.925, 1.0 - 2 ** -53],
+        np.logspace(-300, -1, 600), np.linspace(1e-3, 1.0 - 1e-3, 1999),
+        1.0 - np.logspace(-15, -1, 300)])
+    ref, got = ndtri(p), _ndtri(p)
+    assert np.array_equal(got == 0.0, ref == 0.0)
+    nonzero = ref != 0.0
+    assert np.abs(got[nonzero] / ref[nonzero] - 1.0).max() <= 2e-15
+    # every coordinate a committed lattice takes, (c + 1/2) / n
+    for m in _KOROBOV:
+        n = 2 ** m
+        assert np.all(np.isfinite(_ndtri((np.arange(n) + 0.5) / n)))
+
+
+# P_2 of each committed multiplier as the search found it (see _KOROBOV)
+_KOROBOV_P2 = {
+    1: 0.5455490864447268, 2: 0.21417478299426307, 3: 0.08629331947973862,
+    4: 0.034337939805189954, 5: 0.010864320651690962, 6: 0.0037773133921761293,
+    7: 0.0014000925819885879, 8: 0.00047225820269281016,
+    9: 0.00016369388439252397, 10: 6.656599594068169e-05,
+    11: 2.0010681410997933e-05, 12: 6.555867515523062e-06,
+    13: 2.3102144304232297e-06, 14: 6.279094937333696e-07,
+    15: 2.4443911694760345e-07, 16: 7.815908276143091e-08}
+
+
+def _korobov_p2(a: int, n: int, dims: int = 6, gamma: float = 0.05) -> float:
+    """-1 + mean_i prod_{j<dims} (1 + gamma 2 pi^2 B_2({a^j i / n}))."""
+    i, x = np.arange(n), np.arange(n) / n
+    b = 1.0 + gamma * 2.0 * math.pi ** 2 * (x * x - x + 1.0 / 6.0)
+    prod, g = np.ones(n), 1
+    for _ in range(dims):
+        prod *= b[g * i % n]
+        g = g * a % n
+    return float(prod.mean() - 1.0)
+
+
+def test_korobov_multipliers_are_the_searched_ones():
+    rng = np.random.default_rng(6)
+    assert sorted(_KOROBOV) == list(range(1, 17))
+    for m, a in _KOROBOV.items():
+        n = 2 ** m
+        merit = _korobov_p2(a, n)
+        assert merit == pytest.approx(_KOROBOV_P2[m], rel=1e-12), m
+        others = [_korobov_p2(int(b), n) for b in 2 * rng.integers(0, n // 2, 200) + 1]
+        assert merit <= min(others), m
+        if m >= 3:  # from n = 8 on, not every odd multiplier is equivalent
+            assert merit < np.median(others), m
 
 
 def test_pi_k_identity_monte_carlo():
@@ -461,7 +533,7 @@ def test_routes_reported(bf):
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo chunks on a thread pool
+# Monte Carlo blocks on a thread pool
 # ---------------------------------------------------------------------------
 
 def _record_mc_calls(monkeypatch):
@@ -488,7 +560,7 @@ def _record_pool_sizes(monkeypatch):
 
 
 def test_same_bits_for_any_worker_count(bf, cauchy, monkeypatch):
-    odd = MonteCarloSpec(samples=3 * _CHUNK + 12345, seed=8)
+    odd = MonteCarloSpec(samples=3 * _BLOCK + 12345, seed=8)
     u = np.array([[1.0, 0.4, 0.2, 0.1], [0.4, 1.5, 0.3, 0.2],
                   [0.2, 0.3, 0.9, 0.25], [0.1, 0.2, 0.25, 1.2]])
 
@@ -510,14 +582,15 @@ def test_same_bits_for_any_worker_count(bf, cauchy, monkeypatch):
         calls.clear()
         sizes.clear()
         bits[cpus] = answers()
-        chunks = [math.ceil(n / _CHUNK) for *_, n in calls]
-        assert sizes == [min(c, cpus) for c in chunks]
+        blocks = [math.ceil(n / max(1, _BLOCK // r))
+                  for n, r in (_budget(s) for *_, s in calls)]
+        assert sizes == [min(b, cpus) for b in blocks]
     assert bits[1] == bits[2] == bits[4]
     # the cases named above all reached the sampler
     assert {k for k, control, powers, n in calls if not control} >= {4, 5, 6}
     assert any(control for _, control, _, _ in calls)
     assert any(powers for _, _, powers, _ in calls)
-    assert any(n % _CHUNK for *_, n in calls)
+    assert any(math.prod(_budget(n)) != n for *_, n in calls)
 
 
 def test_public_calls_stay_on_the_main_thread(bf, monkeypatch):
@@ -525,7 +598,7 @@ def test_public_calls_stay_on_the_main_thread(bf, monkeypatch):
     # every derivs to run on the calling thread; only private code and numpy
     # may run on the pool's workers
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    seen, workers = [], set()
+    seen, workers, builders = [], set(), set()
 
     def wrap(fn, name):
         def wrapper(*args, **kwargs):
@@ -553,29 +626,35 @@ def test_public_calls_stay_on_the_main_thread(bf, monkeypatch):
         if "derivs" in vars(cls):
             monkeypatch.setattr(cls, "derivs", wrap(vars(cls)["derivs"],
                                                     "models.derivs"))
-    chunk_rng = conditioning._chunk_rng
+    build, abs_product = conditioning._build_lattice, conditioning._abs_product
 
-    def worker_rng(seed, index):
-        # the rotations are drawn on the calling thread, the chunks not
-        if index != conditioning._ROTATION_STREAM:
-            workers.add(threading.get_ident())
-        return chunk_rng(seed, index)
-    monkeypatch.setattr(conditioning, "_chunk_rng", worker_rng)
+    def worker_product(z):
+        workers.add(threading.get_ident())
+        return abs_product(z)
+
+    def builder(n, k):
+        builders.add(threading.get_ident())
+        return build(n, k)
+    # the lattice is built on the calling thread, the blocks run on workers
+    monkeypatch.setattr(conditioning, "_LATTICE", {})
+    monkeypatch.setattr(conditioning, "_build_lattice", builder)
+    monkeypatch.setattr(conditioning, "_abs_product", worker_product)
 
     densities.rho_k(bf, 0.85 * np.arange(6))
     names = {name for name, _ in seen}
     assert {"densities.rho_k", "conditioning.pi_k", "models.derivs"} <= names
     assert {ident for _, ident in seen} == {threading.get_ident()}
+    assert builders == {threading.get_ident()}
     assert workers and threading.get_ident() not in workers
 
 
-def test_chunks_in_flight_bound_memory(monkeypatch):
-    # two chunks in flight at k = 6 hold their draws and block-sized
-    # temporaries: at most 10 MiB for 2^18 samples
+def test_blocks_in_flight_bound_memory(monkeypatch):
+    # two blocks in flight at k = 6 hold their block-sized temporaries: at
+    # most 10 MiB for 2^18 samples
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     L = np.linalg.cholesky(0.7 * np.eye(6) + 0.3)
     mc = MonteCarloSpec(samples=1 << 18, seed=7)
-    _mc_abs_product(L, mc)  # first-call allocations are not the chunks'
+    _mc_abs_product(L, mc)  # the lattice is built on first use, not per call
     tracemalloc.start()
     try:
         _mc_abs_product(L, mc)
