@@ -6,8 +6,9 @@ Carlo verification via exact path simulation.
 """
 
 from .conditioning import KacRiceContext, MonteCarloSpec, assemble_context, pi_k
-from .densities import (DensityResult, VanishingConstant, clustering_ratio,
-                        rho_k, rho_with_partition, vanishing_constant)
+from .densities import (ClusteringDefect, DensityResult, VanishingConstant,
+                        clustering_defect, clustering_ratio, rho_k,
+                        rho_with_partition, vanishing_constant)
 from .divdiff import (divided_diff_vector, double_divided_diff,
                       double_divided_diff_matrix, multiplicities,
                       newton_matrix, snap_configuration)

@@ -150,19 +150,20 @@ def cmd_rho(args) -> int:
             "partition": str(res.partition_used),
             "vandermonde": res.vandermonde_factor,
             "stderr": res.n_stderr,
+            "moment_route": res.moment_route,
             "routes": list(res.routes),
         })
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["points", "rho", "d", "n", "partition", "vandermonde",
-                    "stderr", "routes"])
+                    "stderr", "moment_route", "routes"])
         for r in records:
             w.writerow([" ".join(f"{v:g}" for v in r["points"]),
                         f"{r['rho']:.17g}", f"{r['d']:.17g}",
                         f"{r['n']:.17g}", r["partition"],
                         f"{r['vandermonde']:.17g}", f"{r['stderr']:.17g}",
-                        " ".join(r["routes"])])
+                        r["moment_route"], " ".join(r["routes"])])
         _emit(args, buf.getvalue())
     else:
         _emit(args, "".join(_json_line(r) for r in records))
@@ -262,8 +263,9 @@ def cmd_clustering(args) -> int:
     model = get_model(args.model)
     pts = _parse_points(args.points)
     part = IndexPartition.parse(args.partition)
-    ratio, bound = densities.clustering_ratio(model, pts, part, _mc_spec(args))
-    _emit(args, _json_line({"ratio": ratio, "bound": bound,
+    res = densities.clustering_defect(model, pts, part, _mc_spec(args))
+    _emit(args, _json_line({"ratio": res.ratio, "defect": res.defect,
+                            "error": res.error, "bound": res.bound,
                             "partition": str(part)}))
     return 0
 
@@ -274,6 +276,7 @@ def cmd_vanishing(args) -> int:
     pts = _parse_points(args.points)
     res = densities.vanishing_constant(model, pts, _mc_spec(args))
     _emit(args, _json_line({"ell": res.value, "stderr": res.stderr,
+                            "moment_route": res.moment_route,
                             "partition": str(res.partition)}))
     return 0
 
@@ -282,8 +285,15 @@ def cmd_vanishing(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, *options):
-    """Options every command reads, then the named ones this command reads."""
+# --seed of the commands whose only random numbers are those of pi_k
+_MOMENT_SEED = dict(help="seed of the sampled moments: only pi_k calls with 6 or "
+                         "more coordinates sample (a lattice rule at seeded "
+                         "rotations); smaller ones are deterministic")
+
+
+def _add_common(sub, *options, **helps):
+    """Options every command reads, then the named ones this command reads;
+    `helps` overrides an option's help text."""
     sub.add_argument("--model", default="bargmann-fock",
                      help="preset name or spectral-table JSON path")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
@@ -291,7 +301,8 @@ def _add_common(sub, *options):
                      help="JSON config produced by --dump-config")
     sub.add_argument("--dump-config", action="store_true")
     specs = {
-        "seed": dict(type=int, default=None),
+        "seed": dict(type=int, default=None,
+                     help="master seed of the sampled paths"),
         "threads": dict(type=int, default=os.cpu_count() or 1,
                         help="sampler threads, at most the batch and CPU "
                              "counts (default: CPU count)"),
@@ -303,7 +314,7 @@ def _add_common(sub, *options):
                     help="indicator:a,b | gaussian:center,width | table:path"),
     }
     for name in options:
-        sub.add_argument(f"--{name}", **specs[name])
+        sub.add_argument(f"--{name}", **{**specs[name], **helps.get(name, {})})
 
 
 def _require(args, *names):
@@ -333,7 +344,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--points",
                    help="comma-separated configuration; ';' separates several")
     p.add_argument("--partition", default=None, help='e.g. "{0,1},{2}"')
-    _add_common(p, "seed", "format")
+    _add_common(p, "seed", "format", seed=_MOMENT_SEED)
     p.set_defaults(func=cmd_rho)
 
     p = registry["sigma2"] = subs.add_parser(
@@ -367,16 +378,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=cmd_moments)
 
     p = registry["clustering"] = subs.add_parser(
-        "clustering", help="block factorization ratio and bound")
+        "clustering", help="block factorization ratio, defect, error and bound")
     p.add_argument("--points")
     p.add_argument("--partition")
-    _add_common(p, "seed")
+    _add_common(p, "seed", seed=_MOMENT_SEED)
     p.set_defaults(func=cmd_clustering)
 
     p = registry["vanishing"] = subs.add_parser(
         "vanishing", help="diagonal vanishing-order constant")
     p.add_argument("--points")
-    _add_common(p, "seed")
+    _add_common(p, "seed", seed=_MOMENT_SEED)
     p.set_defaults(func=cmd_vanishing)
 
     return parser, registry

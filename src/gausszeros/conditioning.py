@@ -8,18 +8,22 @@ lambda, and evaluates E prod |Z_i|^p_i for centered Gaussian vectors Z.
 theta, xi and omega are slices of one A K A^T from one `derivs` call (see
 `divdiff`; closed forms for two distinct singletons).  The same context
 serves every Kac-Rice quotient: the intensities on any partition, and the
-vanishing constant on the partition of coincident points.  Monte Carlo
-moments are randomized lattice rules: one rank-1 Korobov point set per
-budget, mapped to normals once per process, evaluated at seeded Haar
-rotations drawn per call.  They are spent in blocks that run on
-min(blocks, CPU count) threads and are reduced in block order, so every
-answer has the same bits for any number of cores.
+vanishing constant on the partition of coincident points.  Moments of up
+to 5 coordinates are deterministic: closed forms, or Gaussian integration
+by parts down to sign moments, which tanh-sinh quadrature evaluates.  Only
+moments of 6 or more coordinates sample, by randomized lattice rules: one
+rank-1 Korobov point set per budget, mapped to normals once per process,
+evaluated at seeded Haar rotations drawn per call.  They are spent in
+blocks that run on min(blocks, CPU count) threads and are reduced in block
+order, so every answer has the same bits for any number of cores.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -42,13 +46,20 @@ _ROTATIONS = 16  # evaluations per lattice point, at least, budget permitting
 _ROTATION_STREAM = 2 ** 64 - 1  # substream of the Q_r
 _BLOCK = 1 << 13  # evaluations per block of the pool
 _BLOCK_THRESHOLD = 0.05  # |correlation| joining two coordinates into a group
+_RECURSION_MAX_K = 5  # the widest pi_k by integration by parts; wider ones sample
+_EPS = sys.float_info.epsilon
+_ZERO_VARIANCE = 64 * _EPS  # conditional variance, per unit variance, taken as 0
+_TS_HALF = 40  # tanh-sinh nodes on each side of the midpoint at step h/2
+_TS_REACH = 3.5  # |x| of the outermost node, where 1 - t = 2.6e-23
 
 
 @dataclass(frozen=True)
 class MonteCarloSpec:
     """Sampling budget and seeding for Monte Carlo moments.
 
-    `samples` counts integrand evaluations: n lattice points, each at r
+    Only `pi_k` calls with 6 or more coordinates (of positive power)
+    sample; smaller ones are deterministic and ignore the spec.  `samples`
+    counts integrand evaluations: n lattice points, each at r
     rotations.  n is the largest power of two <= samples / 16 (from 2 to
     2^16) and r = samples // n, at least 2, since the error is the spread
     of the r rotation means.  The point set is built once per process;
@@ -433,39 +444,267 @@ def _pi3_closed(u: np.ndarray) -> float:
     return (2.0 / math.pi) ** 1.5 * scale * total
 
 
-def _correlation_clusters(u: np.ndarray, threshold: float) -> list[list[int]]:
-    k = u.shape[0]
-    d = np.sqrt(np.clip(np.diag(u), 0.0, None))
-    denom = np.outer(d, d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = np.where(denom > 0, np.abs(u) / denom, 0.0)
-    # transitive closure of the adjacency by repeated squaring; groups come
-    # in order of their smallest index, which fixes each group's seed offset
-    reach = (corr >= threshold) | np.eye(k, dtype=bool)
+# ---------------------------------------------------------------------------
+# Gaussian integration by parts
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _tanh_sinh() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes t, 1 - t and weights of the tanh-sinh rule on [0, 1] at step h/2.
+
+    t = 1 / (1 + exp(-pi sinh x)) at x = j h/2, |x| <= `_TS_REACH`, with
+    weights (h/2) pi cosh(x) t (1 - t) (Takahasi & Mori, Publ. RIMS 9,
+    1974).  Every other node, at twice the weight, is the rule at step h.
+    1 - t is formed directly, so factors singular at t = 1 stay exact there.
+    """
+    x = np.linspace(-_TS_REACH, _TS_REACH, 2 * _TS_HALF + 1)
+    e = np.exp(math.pi * np.sinh(x))
+    t, s = e / (1.0 + e), 1.0 / (1.0 + e)
+    return t, s, (x[1] - x[0]) * math.pi * np.cosh(x) * t * s
+
+
+# the pairings of four coordinates as orderings, pairs (0, 1) and (2, 3)
+_PAIRINGS = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2]])
+# the pairs (i, j) off the pairing (0, 1), (2, 3), and their complements (k, m)
+_OFF_PAIRS = np.array([[0, 0, 1, 1], [2, 3, 2, 3], [1, 1, 0, 0], [3, 2, 3, 2]])
+
+
+def _four_signs(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E s_1 s_2 s_3 s_4, s = sign(X), for each correlation matrix of R (n, 4, 4),
+    with |I(h) - I(h/2)| of its quadrature.
+
+    Plackett's reduction (Biometrika 41, 1954): d E / d r_ij = 4 phi_2(0, 0;
+    r_ij) E[s_k s_l | X_i = X_j = 0], and two signs give (2/pi) asin of
+    their (partial) correlation.  The derivative is integrated along the
+    straight path to R from the pairing that holds the largest |r_ij|,
+    where E is the product of two arcsines; on the path the pairing's
+    entries stay and the other four scale by t.  The conditional
+    covariances are cubics in 1 - t, with coefficients formed once, so
+    their rounding is the same at every node: near t = 1 a nearly singular
+    R would otherwise make the integrand noise.  A conditional variance of
+    0 gives a sign of 0.
+    """
+    n = R.shape[0]
+    best = np.abs(R[:, [0, 0, 0, 2, 1, 1], [1, 2, 3, 3, 3, 2]]).reshape(n, 2, 3)
+    perm = _PAIRINGS[best.max(axis=1).argmax(axis=1)]
+    R = R[np.arange(n)[:, None, None], perm[:, :, None], perm[:, None, :]]
+    t, s, w = _tanh_sinh()
+
+    # entries of R(t) as cubics in 1 - t, coefficient arrays (n, pairs, 4)
+    # lowest degree first, for each off-pairing pair (i, j) and its
+    # complement (k, m); no product below exceeds degree 3
+    def entry(p, q):
+        r = R[:, p, q]
+        c = np.zeros(r.shape + (4,))
+        c[..., 0] = r
+        c[..., 1] = np.where(p // 2 == q // 2, 0.0, -r)
+        return c
+
+    def mul(f, g):
+        out = f * g[..., :1]
+        for d in range(1, 4):
+            out[..., d:] += f[..., :4 - d] * g[..., d, None]
+        return out
+
+    i, j, k, m = _OFF_PAIRS
+    a, xi, xj, yi, yj = (entry(p, q) for p, q in ((i, j), (k, i), (k, j), (m, i), (m, j)))
+    r = R[:, i, j]
+    det = np.zeros_like(a)  # 1 - a^2 for a = r t
+    det[..., 0], det[..., 1], det[..., 2] = (1.0 - r) * (1.0 + r), 2.0 * r * r, -r * r
+    # the conditional covariance of (X_k, X_m) given X_i = X_j = 0, times det
+    ckm = (mul(entry(k, m), det) - mul(xi, yi) - mul(xj, yj)
+           + mul(a, mul(xi, yj) + mul(xj, yi)))
+    ckk, cmm = (det - mul(x, x) - mul(y, y) + 2.0 * mul(a, mul(x, y))
+                for x, y in ((xi, xj), (yi, yj)))
+    # at the nodes 1 - t = s by Horner's rule: (n, pairs, nodes)
+    ckm, ckk, cmm, det = (((f[..., 3, None] * s + f[..., 2, None]) * s
+                           + f[..., 1, None]) * s + f[..., 0, None]
+                          for f in (ckm, ckk, cmm, det))
+    live = (ckk > _ZERO_VARIANCE * det) & (cmm > _ZERO_VARIANCE * det)
+    rho = np.clip(ckm / np.sqrt(np.where(live, ckk * cmm, 1.0)), -1.0, 1.0)
+    integrand = np.einsum("np,npt->nt", r, np.where(live, np.arcsin(rho), 0.0)
+                          / np.sqrt(det))
+    integrand *= 4.0 / math.pi ** 2
+    fine, coarse = integrand @ w, 2.0 * (integrand[:, ::2] @ w[::2])
+    base = (2.0 / math.pi) ** 2 * np.arcsin(R[:, 0, 1]) * np.arcsin(R[:, 2, 3])
+    return base + fine, np.abs(fine - coarse)
+
+
+def _ibp_moment(u: np.ndarray, p: np.ndarray) -> tuple[float, float]:
+    """E prod_i |X_i|^p_i for X ~ N(0, u), p_i > 0, by Gaussian integration
+    by parts.
+
+    Uncorrelated groups of coordinates are independent, and their moments
+    (from `pi_k`) multiply.  Otherwise coordinates are scaled to unit
+    variance, and |X_i|^p_i is carried as X_i^a_i s_i^b_i with s = sign(X).
+    Stein's identity (Ann. Stat. 9, 1981), E[X_w H] = sum_m C_wm E[d_m H],
+    lowers a_w by one; d_m X_m^a = a X_m^(a-1), and d_m s_m = 2 delta(X_m)
+    conditions on X_m = 0 at the density 1 / sqrt(2 pi C_mm).  A state
+    (conditioned set, a, b) is evaluated once, on the covariance C
+    conditioned on its set, in which a conditional variance below
+    `_ZERO_VARIANCE` makes that coordinate's factors 0.  What remains are
+    sign moments: none give 1, two an arcsine, four `_four_signs`, all
+    four-sign moments of one call in one batch.  Every step keeps
+    sum_i (a_i + b_i) even, so with at most 5 coordinates the signs left
+    number 0, 2 or 4.
+
+    The stated error is the quadrature's |I(h) - I(h/2)| plus k eps times
+    the summed |terms|, both carried through the recursion by |coefficient|.
+    """
+    groups = _components(u != 0.0)
+    if len(groups) > 1:  # independent groups: the product of their moments
+        parts = [pi_k(u[np.ix_(g, g)], powers=p[g]) for g in groups]
+        err = sum(e * math.prod(abs(v) for j, (v, _) in enumerate(parts) if j != i)
+                  for i, (_, e) in enumerate(parts))
+        return math.prod(v for v, _ in parts), err
+    k = p.size
+    sd = np.sqrt(np.clip(np.diag(u), 0.0, None))
+    if np.any(sd == 0.0):
+        return 0.0, 0.0
+    R = np.clip(u / np.outer(sd, sd), -1.0, 1.0)
+    np.fill_diagonal(R, 1.0)
+    covs = {0: (R.tolist(), 0)}  # conditioned set -> (C, mask of zero variances)
+
+    def conditioned(cond: int):
+        got = covs.get(cond)
+        if got is None:
+            m = cond.bit_length() - 1
+            C = conditioned(cond ^ (1 << m))[0]
+            cm, d = C[m], C[m][m]
+            C = [[cij - ci * cmj / d for cij, cmj in zip(row, cm)]
+                 for row, ci in zip(C, cm)]
+            zero = 0
+            for i in range(k):
+                if C[i][i] <= _ZERO_VARIANCE:
+                    zero |= 1 << i
+            got = covs[cond] = (C, zero)
+        return got
+
+    index: dict = {}  # state -> position in `nodes`
+    nodes: list = []  # children before parents: a float, a leaf number or terms
+    leaves: list = []  # (C, coordinates) of the four-sign moments
+
+    def visit(cond: int, a: tuple, b: int) -> int:
+        key = (cond, a, b)
+        at = index.get(key)
+        if at is not None:
+            return at
+        C, zero = conditioned(cond)
+        w = next((i for i in range(k) if a[i]), -1)
+        if zero & b or any(a[i] and zero >> i & 1 for i in range(k)):
+            node = 0.0
+        elif w < 0:  # signs only
+            signs = [i for i in range(k) if b >> i & 1]
+            if not signs:
+                node = 1.0
+            elif len(signs) == 2:
+                i, j = signs
+                r = C[i][j] / math.sqrt(C[i][i] * C[j][j])
+                node = 2.0 / math.pi * math.asin(min(1.0, max(-1.0, r)))
+            else:
+                node = len(leaves)
+                leaves.append((C, signs))
+        else:
+            lower = list(a)
+            lower[w] -= 1
+            node = []
+            for m, c in enumerate(C[w]):
+                if c == 0.0:
+                    continue
+                if lower[m]:
+                    child = list(lower)
+                    child[m] -= 1
+                    node.append((c * lower[m], visit(cond, tuple(child), b)))
+                elif b >> m & 1:
+                    node.append((c * 2.0 / math.sqrt(2.0 * math.pi * C[m][m]),
+                                 visit(cond | 1 << m, tuple(lower), b ^ 1 << m)))
+        index[key] = len(nodes)
+        nodes.append(node)
+        return index[key]
+
+    visit(0, tuple(int(q) for q in p), sum(1 << i for i in range(k) if p[i] % 2))
+    if leaves:
+        corr = np.empty((len(leaves), 4, 4))
+        for n, (C, signs) in enumerate(leaves):
+            block = np.array([[C[i][j] for j in signs] for i in signs])
+            sd4 = np.sqrt(np.diag(block))
+            corr[n] = np.clip(block / np.outer(sd4, sd4), -1.0, 1.0)
+        leaf_value, leaf_err = (v.tolist() for v in _four_signs(corr))
+    value, size, err = [], [], []
+    for node in nodes:
+        if type(node) is float:
+            v, e = node, 0.0
+            m = abs(v)
+        elif type(node) is int:
+            v, e = leaf_value[node], leaf_err[node]
+            m = abs(v)
+        else:
+            v = m = e = 0.0
+            for c, j in node:
+                v += c * value[j]
+                m += abs(c) * size[j]
+                e += abs(c) * err[j]
+        value.append(v)
+        size.append(m)
+        err.append(e)
+    scale = float(np.prod(sd ** p))
+    return scale * value[-1], scale * (err[-1] + k * _EPS * size[-1])
+
+
+def _components(adjacent: np.ndarray) -> list[list[int]]:
+    """Connected components of a symmetric boolean adjacency, in order of
+    their smallest index."""
+    # transitive closure by repeated squaring
+    k = adjacent.shape[0]
+    reach = adjacent | np.eye(k, dtype=bool)
     for _ in range((k - 1).bit_length()):
         reach = reach @ reach
     first = reach.argmax(axis=1)
     return [np.flatnonzero(first == s).tolist() for s in np.unique(first)]
 
 
+def _correlation_clusters(u: np.ndarray, threshold: float) -> list[list[int]]:
+    d = np.sqrt(np.clip(np.diag(u), 0.0, None))
+    denom = np.outer(d, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = np.where(denom > 0, np.abs(u) / denom, 0.0)
+    # the group order fixes each group's seed offset
+    return _components(corr >= threshold)
+
+
+def _moment_route(powers) -> str:
+    """How `pi_k` evaluates the coordinates of positive `powers`:
+    "closed-form", "recursion" (`_ibp_moment`) or "lattice" (sampled)."""
+    live = [q for q in powers if q > 0]
+    if len(live) <= 1 or (len(live) <= 3 and all(q == 1 for q in live)):
+        return "closed-form"
+    return "recursion" if len(live) <= _RECURSION_MAX_K else "lattice"
+
+
 def pi_k(variance, mc: MonteCarloSpec | None = None, powers=None
          ) -> tuple[float, float]:
-    """E prod_i |X_i|^p_i for X ~ N(0, variance), with a standard error.
+    """E prod_i |X_i|^p_i for X ~ N(0, variance), with its stated error.
 
-    `powers` holds one integer p_i >= 0 per coordinate (default all 1).  One
-    coordinate, and two or three coordinates with unit powers, use closed
-    forms (zero error; three is Nabeya's arcsine form).  Otherwise the
-    coordinates split into weakly correlated groups: the product of the
-    group values (each group with its own powers, so a size-3 group is
-    exact too) serves as an exact baseline and a common-random-numbers
-    Monte Carlo estimates the (small) coupling correction, so nearly
-    block-diagonal covariances are resolved far below the raw Monte Carlo
-    noise floor.  A single strongly coupled group falls back to the plain
-    estimate.  Both integrate the radial part exactly and sample directions
-    from the process's cached lattice point set at seeded Haar rotations:
-    the default 2^19 evaluations are 2^15 points at 16 rotations, and the
-    standard error is the spread of the 16 rotation means (see
-    `MonteCarloSpec` and `_mc_abs_product`).
+    `powers` holds one integer p_i >= 0 per coordinate (default all 1);
+    coordinates of power 0 are dropped.  The route (`_moment_route`) goes
+    by the number k of coordinates left:
+    - one coordinate, and two or three with unit powers: closed forms
+      (zero error; three is Nabeya's arcsine form);
+    - k <= 5 at any powers: Gaussian integration by parts down to sign
+      moments (`_ibp_moment`), deterministic, with a quadrature and
+      rounding bound as its error;
+    - k >= 6, the only calls that sample (and read `mc`): the coordinates
+      split into weakly correlated groups, the product of the group values
+      (each by the routes above) serves as an exact baseline, and a
+      common-random-numbers Monte Carlo estimates the (small) coupling
+      correction, so nearly block-diagonal covariances are resolved far
+      below the raw Monte Carlo noise floor.  A single strongly coupled
+      group falls back to the plain estimate.  Both integrate the radial
+      part exactly and sample directions from the process's cached lattice
+      point set at seeded Haar rotations: the default 2^19 evaluations are
+      2^15 points at 16 rotations, and the standard error is the spread of
+      the 16 rotation means (see `MonteCarloSpec` and `_mc_abs_product`).
+    The PSD check runs in front of every route.
     """
     mc = mc or MonteCarloSpec()
     u = np.asarray(variance, dtype=float)
@@ -476,14 +715,20 @@ def pi_k(variance, mc: MonteCarloSpec | None = None, powers=None
         raise ConfigError("one integer power >= 0 per coordinate required, "
                           f"got {p.tolist()}")
     p = p.astype(int)
+    route = _moment_route(p)
+    if route != "lattice":  # E|X_i|^0 = 1: drop the coordinate
+        u, p = u[np.ix_(p > 0, p > 0)], p[p > 0]
+        k = p.size
+    if route == "closed-form":
+        if k == 0:
+            return 1.0, 0.0
+        if k == 1:  # E|Z|^q for Z ~ N(0, var)
+            var, q = max(u[0, 0], 0.0), int(p[0])
+            return (2.0 * var) ** (q / 2) * math.gamma((q + 1) / 2) / math.sqrt(math.pi), 0.0
+        return (_pi2_closed(u[0, 0], u[1, 1], u[0, 1]) if k == 2 else _pi3_closed(u)), 0.0
+    if route == "recursion":
+        return _ibp_moment(u, p)
     unit = bool(np.all(p == 1))
-    if k == 1:  # E|Z|^q for Z ~ N(0, var)
-        var, q = max(u[0, 0], 0.0), int(p[0])
-        return (2.0 * var) ** (q / 2) * math.gamma((q + 1) / 2) / math.sqrt(math.pi), 0.0
-    if k == 2 and unit:
-        return _pi2_closed(u[0, 0], u[1, 1], u[0, 1]), 0.0
-    if k == 3 and unit:
-        return _pi3_closed(u), 0.0
     mc_powers = None if unit else p.astype(float)
 
     groups = _correlation_clusters(u, _BLOCK_THRESHOLD)

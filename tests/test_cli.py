@@ -204,6 +204,10 @@ def test_clustering_command(capsys):
     assert code == 0
     rec = json.loads(out)
     assert abs(rec["ratio"] - 1.0) <= 10.0 * rec["bound"] + 1e-9
+    # bargmann-fock correlations fall like exp(-t^2 / 2): at t = 8 the
+    # defect is rounding, and its stated error says so
+    assert rec["defect"] == rec["ratio"] - 1.0
+    assert abs(rec["defect"]) <= rec["error"] < 1e-12
 
 
 def test_clustering_separation_exit(capsys):
@@ -345,7 +349,7 @@ def test_format_overrides(capsys):
     code, out, _ = run_cli(capsys, "rho", "--points", "0", "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == \
-        "points,rho,d,n,partition,vandermonde,stderr,routes"
+        "points,rho,d,n,partition,vandermonde,stderr,moment_route,routes"
     code, out, _ = run_cli(capsys, "fcurve", "--zmax", "0.05", "--step",
                            "0.01", "--format", "json")
     assert code == 0
@@ -555,9 +559,24 @@ def test_rho_reports_stderr_and_routes(capsys):
     assert [r["routes"] for r in recs] == [
         ["taylor", "newton"], ["closed-form", "closed-form"], ["newton"],
         ["newton"]]
-    # three points have a closed-form moment; four sample
+    # three points have a closed-form moment; four take the recursion,
+    # whose stated error is its quadrature and rounding bound
+    assert [r["moment_route"] for r in recs] == ["closed-form"] * 3 + ["recursion"]
     assert [r["stderr"] == 0.0 for r in recs] == [True, True, True, False]
-    assert recs[3]["stderr"] > 0.0
+    assert 0.0 < recs[3]["stderr"] < 1e-10 * recs[3]["rho"]
+
+
+@pytest.mark.parametrize("k, route", [(3, "closed-form"), (4, "recursion"),
+                                      (6, "lattice")])
+def test_moment_route_reported(capsys, k, route):
+    points = ",".join(str(0.5 * i) for i in range(k))
+    code, out, _ = run_cli(capsys, "rho", "--points", points)
+    assert code == 0 and json.loads(out)["moment_route"] == route
+    # the same configuration's vanishing constant: one coordinate per point
+    code, out, _ = run_cli(capsys, "vanishing", "--points", points)
+    assert code == 0 and json.loads(out)["moment_route"] == route
+    code, out, _ = run_cli(capsys, "rho", "--points", points, "--format", "csv")
+    assert code == 0 and next(csv.DictReader(io.StringIO(out)))["moment_route"] == route
 
 
 def test_table_far_point_refused(tmp_path, capsys):

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausszeros import conditioning, densities, models
 from gausszeros.conditioning import (_BLOCK, _KOROBOV, MonteCarloSpec, _budget,
@@ -85,11 +87,12 @@ def test_pi_k_powers_group_split():
     expect = 2.0 ** 2.5 * math.sqrt(3.0) * 2.0 / math.pi
     assert err == 0.0
     assert val == pytest.approx(expect, rel=1e-14)
-    # a coupled pair samples: E X^2 Y^2 = u11 u22 + 2 u12^2
+    # a coupled pair is a polynomial moment, exact by the recursion:
+    # E X^2 Y^2 = u11 u22 + 2 u12^2
     pair = np.array([[1.0, 0.4], [0.4, 2.0]])
     val, err = pi_k(pair, MonteCarloSpec(samples=400_000, seed=4), [2, 2])
-    assert 0.0 < err < 0.02
-    assert abs(val - 2.32) < 4.0 * err
+    assert val == pytest.approx(2.32, rel=1e-14)
+    assert 0.0 <= err < 1e-14
 
 
 def _pi3_reference(u) -> float:
@@ -196,11 +199,13 @@ def _plain_stderr(u, samples, seed):
 
 def test_default_budget_beats_a_million_plain_samples(bf, sinc):
     # one coupled group each: a 6-point spread bargmann-fock configuration
-    # and a 4-point sinc one
+    # through pi_k, and a 4-point sinc one through the sampler itself, since
+    # pi_k takes 4 coordinates by the recursion
     for model, k in ((bf, 6), (sinc, 4)):
         x = 0.85 * np.arange(k)
         u = assemble_context(model, x, cluster_partition(x, 1.0)).lam
-        val, err = pi_k(u)
+        val, err = (pi_k(u) if k == 6 else
+                    _mc_abs_product(np.linalg.cholesky(u), MonteCarloSpec()))
         assert 0.0 < err <= _plain_stderr(u, 1_000_000, seed=k)
 
 
@@ -215,7 +220,7 @@ def test_tiny_budgets_state_an_error(samples):
     # budgets below 32 take the 2-point lattice at samples // 2 rotations,
     # and one rotation would state a zero error: two are taken
     assert _budget(2) == (2, 2) and _budget(9) == (2, 4)
-    u = 0.7 * np.eye(4) + 0.3
+    u = 0.7 * np.eye(6) + 0.3  # 6 coordinates: pi_k samples
     for val, err in (_mc_abs_product(np.eye(4), MonteCarloSpec(samples, seed=2)),
                      pi_k(u, MonteCarloSpec(samples, seed=2))):
         assert math.isfinite(val) and math.isfinite(err) and err > 0.0
@@ -288,7 +293,8 @@ def test_default_call_builds_one_point_set(monkeypatch):
     assert builds == [(2 ** 15, 6)] and counts == [16 * 36]
     assert conditioning._LATTICE[2 ** 15].shape == (6, 2 ** 15)
     assert pi_k(u) == first
-    pi_k(u[:4, :4])  # a narrower k takes the first rows
+    # a narrower k takes the first rows (pi_k takes k = 4 by the recursion)
+    _mc_abs_product(np.linalg.cholesky(u[:4, :4]), MonteCarloSpec())
     assert builds == [(2 ** 15, 6)] and counts == [16 * 36] * 2 + [16 * 16]
     assert pi_k(u, MonteCarloSpec(seed=1))[1] > 0.0
     assert builds == [(2 ** 15, 6)]
@@ -533,6 +539,147 @@ def test_routes_reported(bf):
 
 
 # ---------------------------------------------------------------------------
+# Integration by parts (k <= 5)
+# ---------------------------------------------------------------------------
+
+def _corr_min_eig(u) -> float:
+    d = np.sqrt(np.diag(u))
+    return float(np.linalg.eigvalsh(u / np.outer(d, d))[0])
+
+
+def test_recursion_matches_nabeya_at_k3(rng):
+    # three coordinates at powers (1, 1, 1) by the recursion itself; the
+    # closed form and the recursion both lose digits to the input's
+    # rounding as the correlation matrix nears singular, so the 1e-14 is
+    # checked down to a smallest eigenvalue of 1e-4
+    checked = 0
+    while checked < 100:
+        a = rng.standard_normal((3, 3))
+        u = a @ a.T / 3
+        if _corr_min_eig(u) < 1e-4:
+            continue
+        val, err = conditioning._ibp_moment(u, np.ones(3, dtype=int))
+        assert val == pytest.approx(_pi3_closed(u), rel=1e-14)
+        assert 0.0 < err < 1e-14 * val
+        checked += 1
+
+
+def test_recursion_polynomial_moments():
+    # E X^2 Y^2 Z^2 by Isserlis, and E Y^4 = 3 u22^2 with powers 0 dropped
+    u = np.array([[1.0, 0.4, -0.3], [0.4, 2.0, 0.5], [-0.3, 0.5, 1.5]])
+    isserlis = (u[0, 0] * u[1, 1] * u[2, 2] + 8 * u[0, 1] * u[1, 2] * u[0, 2]
+                + 2 * (u[0, 0] * u[1, 2] ** 2 + u[1, 1] * u[0, 2] ** 2
+                       + u[2, 2] * u[0, 1] ** 2))
+    assert pi_k(u, powers=[2, 2, 2])[0] == pytest.approx(isserlis, rel=1e-14)
+    assert pi_k(u, powers=[0, 4, 0])[0] == pytest.approx(3 * 4.0, rel=1e-14)
+
+
+def test_recursion_zero_conditional_variance():
+    # a repeated coordinate has conditional variance 0 once its twin is
+    # conditioned on: E|X1 X2 X1 X3| = E X1^2 |X2| |X3|
+    v = np.array([[1.0, 0.3, -0.2], [0.3, 1.2, 0.4], [-0.2, 0.4, 0.8]])
+    u = v[np.ix_([0, 1, 0, 2], [0, 1, 0, 2])]
+    expect = pi_k(v, powers=[2, 1, 1])
+    got = pi_k(u)
+    assert got[0] == pytest.approx(expect[0], rel=1e-13)
+    assert got[1] < 1e-13 * got[0]
+    # a coordinate of variance 0 makes the moment 0
+    w = np.zeros((4, 4))
+    w[:3, :3] = v
+    assert pi_k(w) == (0.0, 0.0)
+    assert pi_k(w, powers=[1, 1, 1, 0]) == pi_k(v)
+
+
+def _lattice_reference(u, seed):
+    """The lattice at 2^23 evaluations (2^16 points at 128 rotations)."""
+    return _mc_abs_product(conditioning._check_psd_and_factor(u),
+                           MonteCarloSpec(1 << 23, seed))
+
+
+def _workload_lams(presets, rng):
+    """lam of every preset at k = 4, 5 in the benchmark's three shapes."""
+    out = []
+    for model in presets.values():
+        for k in (4, 5):
+            for shape in ("tight", "spread", "two-cluster"):
+                x = _shape(rng, k, shape)
+                out.append(assemble_context(model, x, cluster_partition(x, 1.0)).lam)
+    return out
+
+
+def test_recursion_agrees_with_the_lattice(presets, sinc, rng):
+    # 20 random matrices per k, the benchmark's k = 4, 5 lams, and sinc's
+    # tight 5-point lam, whose eigenvalues run from below 1e-18 to 1e-4:
+    # within 4 lattice SE at 2^23 evaluations
+    cases = [_random_psd(rng, k) for k in (4, 5) for _ in range(20)]
+    cases += _workload_lams(presets, rng)
+    x = np.linspace(0.0, 0.4, 5)
+    tight = assemble_context(sinc, x, cluster_partition(x, 1.0)).lam
+    w = np.linalg.eigvalsh(tight)
+    assert abs(w[0]) < 1e-15 and w[-1] < 1e-3
+    cases.append(tight)
+    for n, u in enumerate(cases):
+        val, err = pi_k(u)
+        ref, se = _lattice_reference(u, seed=n)
+        assert 0.0 < err < 1e-5 * val
+        assert abs(val - ref) <= 4.0 * se, (n, val, ref, se)
+
+
+def test_stated_error_covers_twice_the_nodes(presets, sinc, rng, monkeypatch):
+    cases = [_random_psd(rng, k) for k in (4, 5) for _ in range(10)]
+    cases += _workload_lams(presets, rng)
+    x = np.linspace(0.0, 0.4, 5)
+    cases.append(assemble_context(sinc, x, cluster_partition(x, 1.0)).lam)
+    first = [pi_k(u) for u in cases]
+    monkeypatch.setattr(conditioning, "_TS_HALF", 2 * conditioning._TS_HALF)
+    conditioning._tanh_sinh.cache_clear()
+    try:
+        for u, (val, err) in zip(cases, first):
+            assert abs(pi_k(u)[0] - val) <= err
+    finally:
+        monkeypatch.undo()
+        conditioning._tanh_sinh.cache_clear()
+
+
+@st.composite
+def _covariances(draw):
+    k = draw(st.integers(2, 5))
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=k * k, max_size=k * k))
+    a = np.array(entries).reshape(k, k) + 0.3 * np.eye(k)
+    powers = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    return a @ a.T, np.array(powers)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(case=_covariances(), data=st.data())
+def test_recursion_properties(case, data):
+    u, p = case
+    k = len(p)
+    val, err = pi_k(u, powers=p)
+    assert val > 0.0 and 0.0 <= err < 1e-8 * val
+    # permuting the coordinates permutes nothing in the answer
+    perm = np.array(data.draw(st.permutations(range(k))))
+    assert pi_k(u[np.ix_(perm, perm)], powers=p[perm])[0] == pytest.approx(val, rel=1e-12)
+    # scaling coordinate i by c_i scales the moment by prod |c_i|^p_i
+    c = np.array(data.draw(st.lists(st.sampled_from([-3.0, -0.5, 0.25, 2.0, 7.0]),
+                                    min_size=k, max_size=k)))
+    scaled = pi_k(u * np.outer(c, c), powers=p)[0]
+    assert scaled == pytest.approx(val * np.prod(np.abs(c) ** p), rel=1e-12)
+    # a block-diagonal covariance gives the product of its blocks, and a
+    # coupling of 1e-9 between them moves it by its square only
+    if k >= 4:
+        cut = data.draw(st.integers(2, k - 2))
+        block = np.zeros_like(u)
+        block[:cut, :cut], block[cut:, cut:] = u[:cut, :cut], u[cut:, cut:]
+        product = pi_k(block[:cut, :cut], powers=p[:cut])[0] * \
+            pi_k(block[cut:, cut:], powers=p[cut:])[0]
+        assert pi_k(block, powers=p)[0] == pytest.approx(product, rel=1e-12)
+        coupled = block.copy()
+        coupled[0, -1] = coupled[-1, 0] = 1e-9 * math.sqrt(u[0, 0] * u[-1, -1])
+        assert pi_k(coupled, powers=p)[0] == pytest.approx(product, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo blocks on a thread pool
 # ---------------------------------------------------------------------------
 
@@ -559,20 +706,19 @@ def _record_pool_sizes(monkeypatch):
     return sizes
 
 
-def test_same_bits_for_any_worker_count(bf, cauchy, monkeypatch):
+def test_same_bits_for_any_worker_count(bf, monkeypatch):
+    # only 6 or more coordinates sample: every case here has 6
     odd = MonteCarloSpec(samples=3 * _BLOCK + 12345, seed=8)
-    u = np.array([[1.0, 0.4, 0.2, 0.1], [0.4, 1.5, 0.3, 0.2],
-                  [0.2, 0.3, 0.9, 0.25], [0.1, 0.2, 0.25, 1.2]])
+    u = 0.6 * np.eye(6) + 0.2 + 0.2 * np.diag(np.linspace(0.0, 1.0, 6))
 
     def answers():
-        out = []
-        for k in (4, 5, 6):  # spread: one coupled group, plain Monte Carlo
-            r = rho_k(bf, 0.85 * np.arange(k), MonteCarloSpec(seed=k))
-            out += [r.rho, r.n_stderr]
-        two = rho_k(bf, [0.0, 0.3, 8.0, 8.4], MonteCarloSpec(seed=3))
-        v = vanishing_constant(cauchy, [0.0, 0.0, 2.0, 2.0], MonteCarloSpec(seed=4))
-        return [float(x).hex() for x in (*out, two.rho, two.n_stderr, v.value,
-                                         v.stderr, *pi_k(u, odd))]
+        # spread: one coupled group, plain Monte Carlo
+        r = rho_k(bf, 0.85 * np.arange(6), MonteCarloSpec(seed=6))
+        # two clusters: exact groups and a coupling correction
+        two = rho_k(bf, [0.0, 0.15, 0.3, 8.0, 8.15, 8.3], MonteCarloSpec(seed=3))
+        powered = pi_k(u, MonteCarloSpec(seed=4), [2, 1, 1, 1, 1, 3])
+        return [float(x).hex() for x in (r.rho, r.n_stderr, two.rho, two.n_stderr,
+                                         *powered, *pi_k(u, odd))]
 
     calls = _record_mc_calls(monkeypatch)
     sizes = _record_pool_sizes(monkeypatch)
@@ -587,7 +733,7 @@ def test_same_bits_for_any_worker_count(bf, cauchy, monkeypatch):
         assert sizes == [min(b, cpus) for b in blocks]
     assert bits[1] == bits[2] == bits[4]
     # the cases named above all reached the sampler
-    assert {k for k, control, powers, n in calls if not control} >= {4, 5, 6}
+    assert {k for k, control, powers, n in calls if not control} == {6}
     assert any(control for _, control, _, _ in calls)
     assert any(powers for _, _, powers, _ in calls)
     assert any(math.prod(_budget(n)) != n for *_, n in calls)

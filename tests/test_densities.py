@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from gausszeros.cli import main
 from gausszeros.conditioning import MonteCarloSpec, assemble_context
-from gausszeros.densities import (clustering_ratio, rho_k, rho_with_partition,
+from gausszeros.densities import (clustering_defect, clustering_ratio, rho_k,
+                                  rho_with_partition,
                                   vanishing_constant)
 from gausszeros.errors import (DegenerateConfiguration, DomainError,
                                OrderUnavailable, SeparationTooSmall)
-from gausszeros.models import get_model
+from gausszeros.models import get_model, tail_norm
 from gausszeros.partitions import (IndexPartition, cluster_partition,
                                    enumerate_partitions)
 
@@ -188,6 +189,21 @@ def test_clustering_ratio_two_pairs(bf):
     part = IndexPartition.from_blocks([(0, 1), (2, 3)])
     ratio, bound = clustering_ratio(bf, [0.0, 0.5, 6.0, 6.5], part)
     assert abs(ratio - 1.0) <= 10.0 * bound
+
+
+def test_clustering_defect_at_its_sharp_rate(cauchy):
+    # cauchy [0, 0.5, t, t + 0.5]: every moment is deterministic, so the
+    # defect is resolved to its stated error, and it is quadratic in the
+    # correlation across the gap: defect / tail_norm^2 settles near -0.23
+    part = IndexPartition.from_blocks([(0, 1), (2, 3)])
+    for t in (8.0, 16.0, 32.0, 64.0):
+        res = clustering_defect(cauchy, [0.0, 0.5, t, t + 0.5], part)
+        assert res.defect == res.ratio - 1.0
+        assert 0.0 < res.error < abs(res.defect) / 10.0, t
+        scaled = res.defect / tail_norm(cauchy, 4, t - 0.5) ** 2
+        assert -0.3 <= scaled <= -0.13, (t, scaled)
+        assert (res.ratio, res.bound) == clustering_ratio(
+            cauchy, [0.0, 0.5, t, t + 0.5], part)
 
 
 def test_clustering_separation_guard(bf):
