@@ -14,23 +14,23 @@ by parts down to sign moments, which tanh-sinh quadrature evaluates.  Only
 moments of 6 or more coordinates sample, by randomized lattice rules: one
 rank-1 Korobov point set per budget, mapped to normals once per process,
 evaluated at seeded Haar rotations drawn per call.  They are spent in
-blocks that run on min(blocks, CPU count) threads and are reduced in block
-order, so every answer has the same bits for any number of cores.
+blocks of about 2^13 evaluations, one after another on the calling thread:
+a block is about 50 us of numpy, too little for threads to repay their
+start and hand-offs.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
+import operator
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import divdiff
-from .errors import ConfigError, NotPSD, OrderUnavailable
+from .errors import ConfigError, NotPSD, OrderUnavailable, SizeCap
 from .partitions import IndexPartition
 
 __all__ = [
@@ -44,7 +44,8 @@ __all__ = [
 DEGENERACY_RTOL = 1e-12
 _ROTATIONS = 16  # evaluations per lattice point, at least, budget permitting
 _ROTATION_STREAM = 2 ** 64 - 1  # substream of the Q_r
-_BLOCK = 1 << 13  # evaluations per block of the pool
+_BLOCK = 1 << 13  # evaluations per block
+_MAX_ROTATIONS = 1 << 12  # rotations per call, drawn at once
 _BLOCK_THRESHOLD = 0.05  # |correlation| joining two coordinates into a group
 _RECURSION_MAX_K = 5  # the widest pi_k by integration by parts; wider ones sample
 _EPS = sys.float_info.epsilon
@@ -63,22 +64,31 @@ class MonteCarloSpec:
     rotations.  n is the largest power of two <= samples / 16 (from 2 to
     2^16) and r = samples // n, at least 2, since the error is the spread
     of the r rotation means.  The point set is built once per process;
-    `seed` keys the counter-based substream of the call's rotations.  The
-    evaluations run in blocks on min(blocks, CPU count) threads and their
-    sums are added in block order, so estimates do not depend on how blocks
-    are scheduled across workers, nor on how many there are.  The default
-    2^19 evaluations are 2^15 points at 16 rotations; with the radial
-    factor of `_mc_abs_product` they state a smaller error than 10^6 plain
-    samples.
+    `seed` keys the counter-based substream of the call's rotations.  A
+    call draws all r rotations at once, so r is capped at 2^12: budgets
+    from (2^12 + 1) 2^16 evaluations on raise `SizeCap`.  The default 2^19
+    evaluations are 2^15 points at 16 rotations; with the radial factor of
+    `_mc_abs_product` they state a smaller error than 10^6 plain samples.
+    Both fields take Python or numpy integers only.
     """
 
     samples: int = 1 << 19
     seed: int = 190406
 
     def __post_init__(self):
+        for name in ("samples", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ConfigError(f"Monte Carlo {name} must be an integer, "
+                                  f"got {value!r}") from None
         if self.samples < 2:
             raise ConfigError(
                 f"Monte Carlo needs at least 2 samples, got {self.samples}")
+        if _budget(self.samples)[1] > _MAX_ROTATIONS:
+            raise SizeCap(f"{self.samples} Monte Carlo samples need more than "
+                          f"{_MAX_ROTATIONS} rotations of the largest lattice")
 
 
 @dataclass(frozen=True)
@@ -350,13 +360,8 @@ def _mc_abs_product(L: np.ndarray, mc: MonteCarloSpec,
     p_lead (p_rest - p_rest_control).
 
     Blocks of about `_BLOCK` evaluations (one slice of points at every
-    rotation) run on a pool of min(blocks, CPU count) threads, made and
-    joined here; worker j takes blocks j, j + workers, ..., since one task
-    per block costs more in thread hand-offs than a block's numpy work.
-    Each block returns one partial sum per rotation, and these are added in
-    block order, so the answer has the same bits for any number of
-    workers.  The lattice is built on the calling thread; workers call only
-    private code and numpy.
+    rotation) run in turn on the calling thread, and their per-rotation
+    sums are added in block order.
     """
     k = L.shape[0]
     q = float(k if powers is None else powers.sum())
@@ -378,8 +383,8 @@ def _mc_abs_product(L: np.ndarray, mc: MonteCarloSpec,
         lead = h if same.all() else int(same.argmin())
         both = np.vstack([L, L_control[lead:]])  # rows of L, then the others'
     width = max(1, _BLOCK // count)
-
-    def block(start: int) -> np.ndarray:
+    means = np.zeros(count)
+    for start in range(0, n, width):
         points = w[:, start:start + width]
         z = (A @ points).reshape(-1, count * points.shape[1])
         if L_control is None:
@@ -388,16 +393,7 @@ def _mc_abs_product(L: np.ndarray, mc: MonteCarloSpec,
             z = both @ z
             prods = _abs_product(z[lead:h]) - _abs_product(z[h:])
             prods *= _abs_product(z[:lead])
-        return prods.reshape(count, -1) @ weight[start:start + width]
-
-    starts = range(0, n, width)
-    workers = min(len(starts), os.cpu_count() or 1)
-    with ThreadPoolExecutor(workers) as pool:
-        sums = list(pool.map(lambda j: [block(s) for s in starts[j::workers]],
-                             range(workers)))
-    means = np.zeros(count)
-    for b in range(len(starts)):  # in block order, whatever finished first
-        means += sums[b % workers][b // workers]
+        means += prods.reshape(count, -1) @ weight[start:start + width]
     means /= n
     return float(means.mean()), float(means.std(ddof=1) / math.sqrt(count))
 

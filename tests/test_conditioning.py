@@ -1,6 +1,5 @@
 import inspect
 import math
-import os
 import sys
 import threading
 import tracemalloc
@@ -16,7 +15,7 @@ from gausszeros.conditioning import (_BLOCK, _KOROBOV, MonteCarloSpec, _budget,
                                      _pi3_closed, _rotations, assemble_context,
                                      pi_k)
 from gausszeros.densities import rho_k, vanishing_constant
-from gausszeros.errors import ConfigError, NotPSD, OrderUnavailable
+from gausszeros.errors import ConfigError, NotPSD, OrderUnavailable, SizeCap
 from gausszeros.models import tail_norm
 from gausszeros.partitions import IndexPartition, cluster_partition
 
@@ -215,6 +214,32 @@ def test_monte_carlo_spec_refuses_tiny_budgets(samples):
         MonteCarloSpec(samples=samples)
 
 
+@pytest.mark.parametrize("field, value", [("samples", 1e6), ("samples", "4096"),
+                                          ("samples", np.float64(4096.0)),
+                                          ("seed", 1.5), ("seed", None)])
+def test_monte_carlo_spec_refuses_non_integers(field, value):
+    with pytest.raises(ConfigError, match=field):
+        MonteCarloSpec(**{field: value})
+
+
+def test_monte_carlo_spec_takes_numpy_integers():
+    mc = MonteCarloSpec(samples=np.int64(1 << 15), seed=np.uint32(12))
+    assert type(mc.samples) is int and type(mc.seed) is int
+    assert mc == MonteCarloSpec(samples=1 << 15, seed=12)
+
+
+def test_monte_carlo_spec_refuses_budgets_beyond_the_rotation_cap():
+    # a call draws all its rotations at once: 2^12 at most, the largest
+    # lattice's 2^16 points each; only the construction is tried, since a
+    # far larger budget would draw gigabytes of rotations
+    cap = conditioning._MAX_ROTATIONS
+    assert _budget(cap * 2 ** 16) == (2 ** 16, cap)
+    MonteCarloSpec(samples=(cap + 1) * 2 ** 16 - 1)
+    with pytest.raises(SizeCap):
+        MonteCarloSpec(samples=(cap + 1) * 2 ** 16)
+    assert _budget(MonteCarloSpec(samples=1 << 23).samples) == (2 ** 16, 128)
+
+
 @pytest.mark.parametrize("samples", [2, 9])
 def test_tiny_budgets_state_an_error(samples):
     # budgets below 32 take the 2-point lattice at samples // 2 rotations,
@@ -403,6 +428,24 @@ def test_pi_k_block_diagonal_is_exact():
     assert err < 1e-12
     assert val == pytest.approx(pi_k(v[:3, :3])[0] * pi_k(v[3:, 3:])[0],
                                 rel=1e-12)
+
+
+def test_pi_k_falls_back_when_a_cholesky_fails():
+    # two uncoupled groups of 3, the first repeating a coordinate: the PSD
+    # gate passes, both the full and the control Cholesky fail, and the
+    # plain estimate on the eigen-factor is returned
+    u = np.zeros((6, 6))
+    u[:3, :3] = [[1.0, 1.0, 0.4], [1.0, 1.0, 0.4], [0.4, 0.4, 1.3]]
+    u[3:, 3:] = [[0.9, -0.3, 0.2], [-0.3, 1.1, 0.5], [0.2, 0.5, 0.8]]
+    groups = conditioning._correlation_clusters(u, conditioning._BLOCK_THRESHOLD)
+    assert groups == [[0, 1, 2], [3, 4, 5]]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(u)
+    mc = MonteCarloSpec(seed=21)
+    val, err = pi_k(u, mc)
+    assert (val, err) == _mc_abs_product(conditioning._check_psd_and_factor(u), mc)
+    exact = pi_k(u[:3, :3])[0] * pi_k(u[3:, 3:])[0]
+    assert 0.0 < err and abs(val - exact) <= 4.0 * err
 
 
 def test_pi_k_determinism():
@@ -680,7 +723,7 @@ def test_recursion_properties(case, data):
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo blocks on a thread pool
+# Monte Carlo blocks on the calling thread
 # ---------------------------------------------------------------------------
 
 def _record_mc_calls(monkeypatch):
@@ -695,43 +738,24 @@ def _record_mc_calls(monkeypatch):
     return calls
 
 
-def _record_pool_sizes(monkeypatch):
-    sizes = []
-
-    class Pool(conditioning.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
-    monkeypatch.setattr(conditioning, "ThreadPoolExecutor", Pool)
-    return sizes
-
-
-def test_same_bits_for_any_worker_count(bf, monkeypatch):
+def test_sampled_answers_keep_their_bits(bf, monkeypatch):
     # only 6 or more coordinates sample: every case here has 6
     odd = MonteCarloSpec(samples=3 * _BLOCK + 12345, seed=8)
     u = 0.6 * np.eye(6) + 0.2 + 0.2 * np.diag(np.linspace(0.0, 1.0, 6))
-
-    def answers():
-        # spread: one coupled group, plain Monte Carlo
-        r = rho_k(bf, 0.85 * np.arange(6), MonteCarloSpec(seed=6))
-        # two clusters: exact groups and a coupling correction
-        two = rho_k(bf, [0.0, 0.15, 0.3, 8.0, 8.15, 8.3], MonteCarloSpec(seed=3))
-        powered = pi_k(u, MonteCarloSpec(seed=4), [2, 1, 1, 1, 1, 3])
-        return [float(x).hex() for x in (r.rho, r.n_stderr, two.rho, two.n_stderr,
-                                         *powered, *pi_k(u, odd))]
-
     calls = _record_mc_calls(monkeypatch)
-    sizes = _record_pool_sizes(monkeypatch)
-    bits = {}
-    for cpus in (1, 2, 4):
-        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
-        calls.clear()
-        sizes.clear()
-        bits[cpus] = answers()
-        blocks = [math.ceil(n / max(1, _BLOCK // r))
-                  for n, r in (_budget(s) for *_, s in calls)]
-        assert sizes == [min(b, cpus) for b in blocks]
-    assert bits[1] == bits[2] == bits[4]
+    # spread: one coupled group, plain Monte Carlo
+    r = rho_k(bf, 0.85 * np.arange(6), MonteCarloSpec(seed=6))
+    # two clusters: exact groups and a coupling correction
+    two = rho_k(bf, [0.0, 0.15, 0.3, 8.0, 8.15, 8.3], MonteCarloSpec(seed=3))
+    powered = pi_k(u, MonteCarloSpec(seed=4), [2, 1, 1, 1, 1, 3])
+    bits = [float(x).hex() for x in (r.rho, r.n_stderr, two.rho, two.n_stderr,
+                                     *powered, *pi_k(u, odd))]
+    # as a thread pool that summed the same blocks in block order gave them
+    # (numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64, BLAS on 1 or 2 threads)
+    assert bits == ["0x1.8c7db4d85f2cbp-16", "0x1.1f89ab6931922p-26",
+                    "0x1.27e945970366ap-28", "0x1.c772eaf352e90p-66",
+                    "0x1.4b1817d29080dp+0", "0x1.048f959073793p-9",
+                    "0x1.43aaba649a184p-2", "0x1.378e983175ad7p-8"]
     # the cases named above all reached the sampler
     assert {k for k, control, powers, n in calls if not control} == {6}
     assert any(control for _, control, _, _ in calls)
@@ -741,10 +765,9 @@ def test_same_bits_for_any_worker_count(bf, monkeypatch):
 
 def test_public_calls_stay_on_the_main_thread(bf, monkeypatch):
     # the benchmark's span accounting needs every public layer function and
-    # every derivs to run on the calling thread; only private code and numpy
-    # may run on the pool's workers
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    seen, workers, builders = [], set(), set()
+    # every derivs to run on the calling thread; the lattice and the blocks'
+    # products run there too
+    seen, products, builders = [], set(), set()
 
     def wrap(fn, name):
         def wrapper(*args, **kwargs):
@@ -774,30 +797,42 @@ def test_public_calls_stay_on_the_main_thread(bf, monkeypatch):
                                                     "models.derivs"))
     build, abs_product = conditioning._build_lattice, conditioning._abs_product
 
-    def worker_product(z):
-        workers.add(threading.get_ident())
+    def product(z):
+        products.add(threading.get_ident())
         return abs_product(z)
 
     def builder(n, k):
         builders.add(threading.get_ident())
         return build(n, k)
-    # the lattice is built on the calling thread, the blocks run on workers
     monkeypatch.setattr(conditioning, "_LATTICE", {})
     monkeypatch.setattr(conditioning, "_build_lattice", builder)
-    monkeypatch.setattr(conditioning, "_abs_product", worker_product)
+    monkeypatch.setattr(conditioning, "_abs_product", product)
 
     densities.rho_k(bf, 0.85 * np.arange(6))
     names = {name for name, _ in seen}
     assert {"densities.rho_k", "conditioning.pi_k", "models.derivs"} <= names
     assert {ident for _, ident in seen} == {threading.get_ident()}
-    assert builders == {threading.get_ident()}
-    assert workers and threading.get_ident() not in workers
+    assert builders == products == {threading.get_ident()}
 
 
-def test_blocks_in_flight_bound_memory(monkeypatch):
-    # two blocks in flight at k = 6 hold their block-sized temporaries: at
+def test_sampled_calls_start_no_thread(bf, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    calls = _record_mc_calls(monkeypatch)
+    x = 0.85 * np.arange(6)
+    mc = MonteCarloSpec(samples=1 << 15, seed=12)
+    assert pi_k(0.7 * np.eye(6) + 0.3, mc)[1] > 0.0
+    assert rho_k(bf, x, mc).n_stderr > 0.0
+    assert vanishing_constant(bf, x, mc).stderr > 0.0
+    clustered = np.array([0.0, 0.15, 0.3, 8.0, 8.15, 8.3])
+    densities.clustering_ratio(bf, clustered, cluster_partition(clustered, 1.0), mc)
+    assert len(calls) == 4 and {k for k, *_ in calls} == {6}
+
+
+def test_blocks_in_flight_bound_memory():
+    # the one block in flight at k = 6 holds its block-sized temporaries: at
     # most 10 MiB for 2^18 samples
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     L = np.linalg.cholesky(0.7 * np.eye(6) + 0.3)
     mc = MonteCarloSpec(samples=1 << 18, seed=7)
     _mc_abs_product(L, mc)  # the lattice is built on first use, not per call
