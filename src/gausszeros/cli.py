@@ -80,13 +80,14 @@ def _sim_spec(args) -> simulation.SimulationSpec:
 
 
 def _torus_fields(model, spec: simulation.SimulationSpec) -> dict:
-    """The sampler's weight rule, torus nodes, kept modes, complex normals
-    a pair draws and covariance error over the window's lags (for a
-    periodic torus a `derivs` call on every lag, which only the CLI
-    pays)."""
+    """The sampler's weight rule, torus nodes, window evaluator ("fft" or
+    "product"), kept modes, complex normals a pair draws and covariance
+    error over the window's lags (for a periodic torus a `derivs` call on
+    every lag, which only the CLI pays)."""
     sampler = simulation._SpectralSampler(model, spec)
     return {"route": sampler.route, "nodes": sampler.n,
-            "modes": sampler.modes, "normals": sampler.normals,
+            "window": sampler.window, "modes": sampler.modes,
+            "normals": sampler.normals,
             "covariance_error": sampler.covariance_error}
 
 

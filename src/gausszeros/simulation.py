@@ -2,27 +2,29 @@
 
 Paths are sampled with their derivative on a uniform grid by one spectral
 machine: per FFT mode j of a torus of n nodes a 2 x r factor B_j maps up
-to r complex normals to the coefficients of f and f', and one inverse FFT
-per channel gives the path.  Two weight rules feed it.  The periodic rule
-(every model, r = 1) takes the model's spectral density at the FFT
-frequencies on a period P >= L + reach, with f' the same draw times
-i*omega.  The circulant rule (r = 2) factors, mode by mode, the DFT of the
-(f, f') covariance wrapped on a smaller torus; it is tried only for models
-whose reach is capped (cauchy, sinc) and kept when it draws fewer normals
-at no larger covariance error.  Each sampler states that error: the
-largest gap between the covariances its weights imply and kappa, kappa',
--kappa'' over the window's lags.  Column s of B_j is drawn only on its
-own band |j| <= J_s (the cuts in `_band`): J for the first column and,
-for the circulant second column, which carries little mass, a far
-narrower J2.  The rest of the spectrum is zero padding in buffers that
-each pool thread reuses across its batches.  The real and imaginary parts
-of one draw are two independent replicates.  Batches hold 2 max(1, 2^18
-// (r n)) replicates, and each draws the banded normals of all its pairs,
-pair after pair, from one counter-based stream keyed by (master_seed,
-first pair of the batch).  So runs are reproducible bit-for-bit for any
-thread count, and replicate i depends on the seed, model, L and h but not
-on the number of replicates: a short last batch draws a prefix of a full
-batch's stream.
+to r complex normals to the coefficients of f and f', and the window's M
+nodes are read off them per channel by one inverse FFT over the whole
+torus or, for short windows, by one product of the draws with the window's
+DFT rows (`_SpectralSampler.window`).  Two weight rules feed it.  The
+periodic rule (every model, r = 1) takes the model's spectral density at
+the FFT frequencies on a period P >= L + reach, with f' the same draw
+times i*omega.  The circulant rule (r = 2) factors, mode by mode, the DFT
+of the (f, f') covariance wrapped on a smaller torus; it is tried only for
+models whose reach is capped (cauchy, sinc) and kept when it draws fewer
+normals at no larger covariance error.  Each sampler states that error:
+the largest gap between the covariances its weights imply and kappa,
+kappa', -kappa'' over the window's lags.  Column s of B_j is drawn only on
+its own band |j| <= J_s (the cuts in `_band`): J for the first column and,
+for the circulant second column, which carries little mass, a far narrower
+J2.  For the FFT the rest of the spectrum is zero padding in buffers that
+each pool thread reuses across its batches; the product needs no spectrum.
+The real and imaginary parts of one draw are two independent replicates.
+Batches hold 2 max(1, 2^18 // (r n)) replicates, and each draws the banded
+normals of all its pairs, pair after pair, from one counter-based stream
+keyed by (master_seed, first pair of the batch).  So runs are reproducible
+bit-for-bit for any thread count, and replicate i depends on the seed,
+model, L and h but not on the number of replicates: a short last batch
+draws a prefix of a full batch's stream.
 Zeros are located by sign changes and polished on the cubic Hermite
 interpolant of (f, f') over the bracketing cell by a safeguarded Newton
 iteration that never leaves the cell's sign-change bracket; cells whose
@@ -97,6 +99,14 @@ _NODE_BUDGET = 1 << 23
 # would raise the peak (cauchy L = 100, 2000 replicates on 2 threads:
 # 30-32 against 15-16 MiB traced)
 _BATCH_NODES = 1 << 18
+# window evaluator: a product term (normals x M per pair and channel) costs
+# 1 / _PRODUCT_SPEED of an FFT operation (n log2 n).  `zero_samples` on 2
+# threads (2-core AVX-512 host, numpy 2.4, OpenBLAS 0.3.31), FFT against
+# product, by normals M / (n log2 n): bargmann-fock 1.4 (L = 4) 75 -> 54 ms,
+# 3.9 (L = 12) 54 -> 42 ms, 6.2 (L = 20) 42 -> 50 ms; tables 1.6 (L = 10)
+# 41 -> 24 ms, 3.0 (L = 20) 21 -> 24 ms.  Alone, one product term took
+# 0.5-0.6 ns and one FFT operation 1.8-2.5 ns.
+_PRODUCT_SPEED = 3.0
 
 
 @dataclass(frozen=True)
@@ -408,16 +418,35 @@ class _SpectralSampler:
     and negative circulant eigenvalues are clipped, so no embedding can
     fail.
 
-    A batch of pairs draws all its normals with one fill of one stream,
-    `_chunk_rng(master_seed, first pair)`, pair-major: each pair takes the
-    next 2 sum_s (2 J_s + 1) normals, the real and imaginary parts of the
-    first normal of every mode of the band J in FFT order, j = 0..J, then
-    -J..-1, then of the second normal of every mode of the band J2 in the
-    same order.  When no mode can be dropped, all n modes are drawn in FFT
-    order.  The products B_j zeta_j fill the band of a zero-padded (pairs,
-    n) spectrum, transformed by one inverse FFT into a second buffer per
-    channel; both, and the draws, are made once per thread and reused,
-    and the part of the spectrum outside the band is never written.
+    A batch of `pairs` pairs draws all its normals with one fill of one
+    stream, `_chunk_rng(master_seed, first pair)`, pair-major: each pair
+    takes the next 2 sum_s (2 J_s + 1) normals, the real and imaginary
+    parts of the first normal of every mode of the band J in FFT order, j
+    = 0..J, then -J..-1, then of the second normal of every mode of the
+    band J2 in the same order.  When no mode can be dropped, all n modes
+    are drawn in FFT order.  The draws are a buffer made once per thread
+    and reused.  Two evaluators turn them into the window's fields; which
+    one runs is `window`, fixed at construction:
+
+    - "fft": the products B_j zeta_j fill the band of a zero-padded
+      (pairs, n) spectrum, transformed by one inverse FFT into a second
+      buffer per channel.  Both are made once per thread and reused, and
+      the part of the spectrum outside the band is never written.
+    - "product": one real matrix product per channel, the draws (pairs, 2
+      normals) times the window matrix E_c (2 normals, 2 M) with E_c[k, t]
+      = B_j[c, s] e^{2 pi i j t / n} for draw k (column s of mode j), in
+      real form, so that each pair's output row [Re | Im] is already
+      replicates 2 p and 2 p + 1.  No spectrum, no FFT output, no
+      interleaving copy.  Its bits do not depend on the pool's thread
+      count, but like any BLAS product they may on the BLAS build and on
+      its own thread setting: with OPENBLAS_NUM_THREADS=1, a sinc batch at
+      L = 4 moved 64 % of its values by up to 1.8e-15.
+
+    The product runs when it costs fewer operations (`normals` x M
+    against n log2 n, weighed by _PRODUCT_SPEED) and its two matrices
+    take no more memory than the FFT's two buffers: short windows of
+    banded spectra, such as tables at L = 2 (41 of 1250 nodes) and the
+    k-point window at L = 4.  Long windows keep the FFT.
     """
 
     def __init__(self, model, spec: SimulationSpec):
@@ -437,6 +466,11 @@ class _SpectralSampler:
         self.route, self.n, self.lo, self.hi, self.factor, self.spans = (
             torus.route, torus.n, torus.lo, torus.hi, torus.factor,
             torus.spans)
+        # pairs per batch: 2^18 // (r n), at least one
+        self.pairs = max(1, _BATCH_NODES // (self.n * self.factor.shape[1]))
+        self.window = "product" if self._product_pays() else "fft"
+        self._matrix = (self._window_matrix() if self.window == "product"
+                        else None)
         self._local = threading.local()
 
     @property
@@ -488,6 +522,44 @@ class _SpectralSampler:
             scale *= 2
         return periodic
 
+    def _product_pays(self) -> bool:
+        """Whether the window product costs fewer operations than the FFT
+        and its two matrices take no more memory than the FFT buffers.
+
+        Per pair and channel the product takes `normals` x M complex
+        multiply-adds, the FFT about n log2 n operations; one of the
+        former costs 1 / _PRODUCT_SPEED of one of the latter.  The matrices
+        are 2 x (2 normals, 2 M) doubles, the buffers two complex (pairs,
+        n) arrays: 64 normals M against 32 pairs n bytes."""
+        work = self.normals * self.m
+        return (2 * work <= self.pairs * self.n
+                and work < _PRODUCT_SPEED * self.n * math.log2(self.n))
+
+    def _window_matrix(self) -> np.ndarray:
+        """(2, 2 normals, 2 M): channel c's field from a pair's draws.
+
+        Entry k of a pair's draws, column s of the mode j, adds zeta_k
+        E[k, t], E[k, t] = B_j[c, s] e^{2 pi i j t / n}, to the field at
+        node t.  In real form on the interleaved draws (Re zeta_k, Im
+        zeta_k), the real part of the field fills columns 0..M-1 and its
+        imaginary part columns M..2M-1: row 2 k is [Re E_k | Im E_k] and
+        row 2 k + 1 is [-Im E_k | Re E_k]."""
+        n, m, size = self.n, self.m, self.modes
+        cols, entries, modes = [], [], []
+        for s, (lo, hi) in enumerate(self.spans):
+            cols.append(np.full(lo + hi, s))
+            entries.append(np.r_[0:lo, size - hi:size])
+            modes.append(np.r_[0:lo, n - hi:n])
+        cols, entries, modes = (np.concatenate(a)
+                                for a in (cols, entries, modes))
+        # j t mod n in integers: the phase angle is exact to its rounding
+        phase = np.exp(2j * math.pi / n * (np.outer(modes, np.arange(m)) % n))
+        e = self.factor[:, cols, entries][:, :, None] * phase
+        w = np.empty((2, cols.size, 2, 2, m))
+        w[:, :, 0, 0], w[:, :, 1, 0] = e.real, -e.imag
+        w[:, :, 0, 1], w[:, :, 1, 1] = e.imag, e.real
+        return w.reshape(2, 2 * cols.size, 2 * m)
+
     def sample(self, master_seed: int, pairs: range
                ) -> tuple[np.ndarray, np.ndarray]:
         """Fields of a batch of consecutive pairs: arrays (2 len(pairs), m).
@@ -497,27 +569,50 @@ class _SpectralSampler:
         pair p are row i of one fill of `_chunk_rng(master_seed,
         pairs.start)`, `normals` complex values in the layout of the class
         docstring, so a shorter range from the same start gives a prefix
-        of the same rows.
+        of the same rows.  The `window` evaluator turns the draws into
+        fields: one inverse FFT per channel ("fft"), or one product per
+        channel with the window matrix ("product").  The product's row
+        bits depend on its row count (numpy/OpenBLAS), so it is always
+        taken on blocks of `pairs` rows, the rows past the range padded:
+        row i of any range is computed at the same place of the same
+        shape.
         """
-        zeta, coeffs, field = self._buffers(len(pairs))
+        rows = len(pairs)
+        zeta = self._draws(rows)
         _chunk_rng(master_seed, pairs.start).standard_normal(
-            out=zeta.view(float))
-        return (self._window(self.factor[0], zeta, coeffs, field),
-                self._window(self.factor[1], zeta, coeffs, field))
+            out=zeta[:rows].view(float))
+        if self.window == "fft":
+            coeffs, field = self._fft_buffers(rows)
+            return (self._fft_window(self.factor[0], zeta, coeffs, field),
+                    self._fft_window(self.factor[1], zeta, coeffs, field))
+        blocks = zeta.view(float).reshape(-1, self.pairs, 2 * self.normals)
+        return tuple(np.matmul(blocks, w).reshape(-1, self.m)[:2 * rows]
+                     for w in self._matrix)
 
-    def _buffers(self, rows: int):
-        """The calling thread's draws, zero-padded spectrum and FFT output,
-        made at the first call that needs `rows` rows and reused after.
-        Only the band of the spectrum is ever written."""
-        bufs = getattr(self._local, "bufs", None)
+    def _draws(self, rows: int) -> np.ndarray:
+        """The calling thread's draws buffer, made at the first call that
+        needs `rows` rows and reused after: `rows` rows for the FFT, whole
+        blocks of `pairs` rows for the product.  Made zero-filled, so the
+        product's padding rows are finite."""
+        if self.window == "product":
+            rows = -(-rows // self.pairs) * self.pairs
+        zeta = getattr(self._local, "zeta", None)
+        if zeta is None or zeta.shape[0] < rows:
+            zeta = self._local.zeta = np.zeros((rows, self.normals),
+                                               dtype=complex)
+        return zeta[:rows]
+
+    def _fft_buffers(self, rows: int):
+        """The calling thread's zero-padded spectrum and FFT output, made
+        at the first call that needs `rows` rows and reused after.  Only
+        the band of the spectrum is ever written."""
+        bufs = getattr(self._local, "fft", None)
         if bufs is None or bufs[0].shape[0] < rows:
-            bufs = (np.empty((rows, self.normals), dtype=complex),
-                    np.zeros((rows, self.n), dtype=complex),
-                    np.empty((rows, self.n), dtype=complex))
-            self._local.bufs = bufs
+            bufs = self._local.fft = (np.zeros((rows, self.n), dtype=complex),
+                                      np.empty((rows, self.n), dtype=complex))
         return tuple(b[:rows] for b in bufs)
 
-    def _window(self, b, zeta, coeffs, field) -> np.ndarray:
+    def _fft_window(self, b, zeta, coeffs, field) -> np.ndarray:
         n, size, (lo, hi) = self.n, self.modes, self.spans[0]
         np.multiply(b[0, :lo], zeta[:, :lo], out=coeffs[:, :lo])
         np.multiply(b[0, lo:], zeta[:, lo:size], out=coeffs[:, n - hi:])
@@ -647,16 +742,18 @@ def _zeros_from_batch(f: np.ndarray, fp: np.ndarray, spec: SimulationSpec
 def zero_samples(model, spec: SimulationSpec, threads: int = 1) -> ZeroSets:
     """Zero sets of all replicates, batched over a pool of threads.
 
-    Batches hold 2 max(1, _BATCH_NODES // (r n)) replicates for an FFT of
-    n nodes and a factor of r columns, and start at even replicates, so
-    each holds whole pairs; with an odd `num_samples` the last pair gives
-    only its real part.  The pool has min(threads, batches, CPU count)
-    workers, each with its own FFT buffers; the bits do not depend on it.
+    Batches hold 2 `pairs` = 2 max(1, _BATCH_NODES // (r n)) replicates
+    for a torus of n nodes and a factor of r columns, and start at even
+    replicates, so each holds whole pairs; with an odd `num_samples` the
+    last pair gives only its real part.  The pool has min(threads,
+    batches, CPU count) workers, each with its own draws buffer (and FFT
+    buffers if the window is read off the FFT); the bits do not depend on
+    it.
     """
     if threads < 1:
         raise ConfigError(f"need at least one thread, got {threads}")
     sampler = _SpectralSampler(model, spec)
-    batch = 2 * max(1, _BATCH_NODES // (sampler.n * sampler.factor.shape[1]))
+    batch = 2 * sampler.pairs
     batches = [range(s, min(s + batch, spec.num_samples))
                for s in range(0, spec.num_samples, batch)]
 

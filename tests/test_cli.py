@@ -172,6 +172,7 @@ def test_sampling_commands_report_torus(capsys, model, route, nodes):
     assert code == 0
     rec = json.loads(out)
     assert (rec["route"], rec["nodes"]) == (route, nodes)
+    assert rec["window"] == "fft"  # long windows keep the FFT
     assert 0 < rec["modes"] < nodes
     assert 0.0 < rec["covariance_error"] < (1e-15 if model ==
                                             "bargmann-fock" else 1e-2)
@@ -179,9 +180,26 @@ def test_sampling_commands_report_torus(capsys, model, route, nodes):
     assert code == 0
     rows = {r[0]: r[1] for r in csv.reader(io.StringIO(err))}
     assert rows["route"] == route and int(rows["nodes"]) == nodes
+    assert rows["window"] == "fft"
     assert int(rows["modes"]) == rec["modes"]
     assert float(rows["covariance_error"]) == pytest.approx(
         rec["covariance_error"], rel=1e-11)
+
+
+def test_sampling_commands_report_window(tmp_path, capsys):
+    # a table at L = 2 reads 41 nodes off a torus of 1250: one product
+    # with the window's DFT rows; bargmann-fock at R = 100 keeps the FFT
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_GOOD_TABLE))
+    for model, R, window in ((str(path), "2", "product"),
+                             ("bargmann-fock", "100", "fft")):
+        argv = ["--R", R, "--n", "4", "--seed", "3", "--model", model]
+        code, out, _ = run_cli(capsys, "moments", "--p", "2", *argv)
+        assert code == 0 and json.loads(out)["window"] == window
+        code, _, err = run_cli(capsys, "simulate", *argv)
+        assert code == 0
+        rows = {r[0]: r[1] for r in csv.reader(io.StringIO(err))}
+        assert rows["window"] == window
 
 
 def test_moments_reports_normals(capsys):

@@ -177,6 +177,31 @@ def _drawn(torus, s):
     return np.r_[0:lo, size - hi:size]
 
 
+def _evaluated(sampler, coeffs, draws):
+    """Fields of one channel by the sampler's evaluator, rebuilt: per pair
+    (a row of `draws`, one complex normal per kept mode) the kept modes
+    times `coeffs`, real and imaginary parts interleaved.  "fft": one
+    inverse FFT over all n modes.  "product": the draws in real form times
+    the window's DFT rows, E[k, t] = coeffs_k e^{2 pi i j_k t / n}, at the
+    batch's full row count."""
+    rows, kept, m, n = draws.shape[0], _kept(sampler), sampler.m, sampler.n
+    if sampler.window == "fft":
+        spectrum = np.zeros((rows, n), dtype=complex)
+        spectrum[:, kept] = coeffs * draws
+        field = np.fft.ifft(spectrum, axis=1, norm="forward")[:, :m]
+        out = np.empty((2 * rows, m))
+        out[0::2], out[1::2] = field.real, field.imag
+        return out
+    e = coeffs[:, None] * np.exp(2j * math.pi / n
+                                 * (np.outer(kept, np.arange(m)) % n))
+    # rows (Re zeta_k, Im zeta_k): [Re E | Im E] and [-Im E | Re E]
+    w = np.stack([np.c_[e.real, e.imag], np.c_[-e.imag, e.real]], axis=1)
+    padded = np.zeros((sampler.pairs, kept.size), dtype=complex)
+    padded[:rows] = draws
+    field = padded.view(float) @ w.reshape(2 * kept.size, 2 * m)
+    return field[:rows].reshape(2 * rows, m)
+
+
 @pytest.mark.parametrize("seed", [0, 123, 2 ** 63 + 5, 2 ** 64 - 1])
 def test_batch_stream_matches_fresh_philox(bf, seed):
     n = 101
@@ -186,10 +211,19 @@ def test_batch_stream_matches_fresh_philox(bf, seed):
     # a batch of pairs first..first + rows - 1, against one fresh stream
     # keyed by its first pair: pair-major rows of 2 (2 J + 1) normals, to
     # the modes 0..J, -J..-1; with no mode dropped (the wide band) rows of
-    # 2 n normals, to every mode in FFT order
+    # 2 n normals, to every mode in FFT order.  Bargmann-fock reads its
+    # window off one product with the window's DFT rows, the wide band's
+    # 50-node torus off the FFT; each is checked on the other evaluator
+    # too, with the product priced out or in.
     spec = SimulationSpec(window_length=2.0, num_samples=2, master_seed=seed)
-    for model in (bf, _WideBand()):
-        sampler = _SpectralSampler(model, spec)
+    wide = _WideBand()
+    samplers = [(bf, _SpectralSampler(bf, spec)),
+                (bf, _forced(bf, spec, "fft")),
+                (wide, _SpectralSampler(wide, spec)),
+                (wide, _forced(wide, spec, "product"))]
+    assert [s.window for _, s in samplers] == ["product", "fft", "fft",
+                                               "product"]
+    for model, sampler in samplers:
         assert sampler.route == "periodic"
         kept = _kept(sampler)
         if model is bf:
@@ -197,21 +231,14 @@ def test_batch_stream_matches_fresh_philox(bf, seed):
         else:
             assert sampler.lo + sampler.hi == sampler.n
         first, rows = 5, 4
-        zeta = np.zeros((rows, sampler.n), dtype=complex)
-        zeta[:, kept] = _philox_stream(seed, first).standard_normal(
+        draws = _philox_stream(seed, first).standard_normal(
             rows * 2 * kept.size).view(complex).reshape(rows, kept.size)
         _, amp, amp_d = _full_band(model, spec, sampler.n)
         for _ in range(2):  # the second call reuses this thread's buffers
             got = sampler.sample(seed, range(first, first + rows))
             for g, a in zip(got, (amp, amp_d)):
-                # one product and one inverse FFT over all n modes, the
-                # real and imaginary parts interleaved
-                field = np.fft.ifft(a * zeta, axis=1, norm="forward")
-                expect = np.empty_like(g)
-                expect[0::2] = field[:, :sampler.m].real
-                expect[1::2] = field[:, :sampler.m].imag
-                assert _same_bits(g, expect)
-        # fewer pairs after more: the rows it reads were zero-padded too
+                assert _same_bits(g, _evaluated(sampler, a[kept], draws))
+        # fewer pairs after more: the rows it reads were padded too
         assert _same_bits(sampler.sample(seed, range(first, first + 2))[0],
                           got[0][:4])
 
@@ -226,6 +253,7 @@ def test_circulant_stream_layout(cauchy):
     spec = SimulationSpec(window_length=4.0, num_samples=2, master_seed=seed)
     sampler = _SpectralSampler(cauchy, spec)
     assert sampler.route == "circulant" and sampler.factor.shape[1] == 2
+    assert sampler.window == "fft"
     kept = _kept(sampler)
     second = _drawn(sampler, 1)
     draws = _philox_stream(seed, first).standard_normal(
@@ -243,6 +271,88 @@ def test_circulant_stream_layout(cauchy):
         expect[0::2] = field[:, :sampler.m].real
         expect[1::2] = field[:, :sampler.m].imag
         assert _same_bits(g, expect)
+
+
+def _forced(model, spec, window):
+    """A sampler whose evaluator is forced by pricing the product in or
+    out (short windows: its matrices fit the memory rule)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "_PRODUCT_SPEED",
+                   math.inf if window == "product" else 0.0)
+        sampler = _SpectralSampler(model, spec)
+    assert sampler.window == window
+    return sampler
+
+
+@pytest.mark.parametrize("name, length", [("bf", 2.0), ("sinc", 4.0),
+                                          ("table", 2.0), ("cauchy", 1.0)])
+def test_product_and_fft_fields_agree(request, name, length):
+    # the same draws through both evaluators: fields within 1e-13 and the
+    # same zero count in every replicate, on periodic weights and on
+    # cauchy's two-column circulant factor
+    model = request.getfixturevalue(name)
+    spec = SimulationSpec(window_length=length, num_samples=2,
+                          master_seed=17)
+    fft = _forced(model, spec, "fft")
+    product = _forced(model, spec, "product")
+    assert fft.factor.shape[1] == (2 if name == "cauchy" else 1)
+    pairs = range(3, 3 + product.pairs)
+    a, b = fft.sample(17, pairs), product.sample(17, pairs)
+    for x, y in zip(a, b):
+        assert x.shape == y.shape == (2 * len(pairs), spec.grid_size)
+        assert np.max(np.abs(x - y)) <= 1e-13
+    za, zb = _zeros_from_batch(*a, spec), _zeros_from_batch(*b, spec)
+    assert np.array_equal(np.bincount(za.rows, minlength=len(za)),
+                          np.bincount(zb.rows, minlength=len(zb)))
+    np.testing.assert_allclose(za.zeros, zb.zeros, rtol=0.0, atol=1e-11)
+
+
+def test_product_sampler_prefix_and_threads(bf):
+    # the k-point window (L = 4) is read off the product, taken on whole
+    # blocks of `pairs` rows: any shorter or longer range from the same
+    # first pair gives the same rows, and zero sets do not depend on the
+    # thread count or on the replicate count
+    spec = SimulationSpec(window_length=4.0, num_samples=2, master_seed=41)
+    sampler = _SpectralSampler(bf, spec)
+    assert sampler.window == "product" and sampler.pairs == 992
+    whole = sampler.sample(41, range(7, 7 + sampler.pairs))
+    for rows in (1, 5, sampler.pairs - 1, sampler.pairs + 3):
+        head = sampler.sample(41, range(7, 7 + rows))
+        for w, h in zip(whole, head):
+            k = min(rows, sampler.pairs)
+            assert _same_bits(w[:2 * k], h[:2 * k])
+    # a full batch, a second and a short third
+    stats = {}
+    for n in (2 * 2 * 992 + 11, 2 * 2 * 992 + 10):
+        spec = SimulationSpec(window_length=4.0, num_samples=n,
+                              master_seed=41)
+        one, three = (zero_samples(bf, spec, threads=t) for t in (1, 3))
+        assert _same_bits(one.rows, three.rows)
+        assert _same_bits(one.zeros, three.zeros)
+        stats[n] = one
+    short, long_ = stats[2 * 2 * 992 + 10], stats[2 * 2 * 992 + 11]
+    cut = np.searchsorted(long_.rows, len(short))
+    assert _same_bits(long_.zeros[:cut], short.zeros)
+
+
+@pytest.mark.parametrize("name", ["bf", "cauchy"])
+@pytest.mark.parametrize("length", [100.0, 1000.0])
+def test_long_windows_keep_the_fft(request, name, length):
+    # at R = 100 and 1000 the product would cost more than the FFT, and
+    # its matrices would outgrow the FFT buffers
+    sampler = _SpectralSampler(request.getfixturevalue(name),
+                               SimulationSpec(window_length=length))
+    assert sampler.window == "fft" and sampler._matrix is None
+    assert 2 * sampler.normals * sampler.m > sampler.pairs * sampler.n
+
+
+def test_short_windows_take_the_product(bf, table):
+    # the k-point window and a table at L = 2 (41 of 1250 nodes)
+    for model, length in ((bf, 4.0), (table, 2.0)):
+        sampler = _SpectralSampler(model, SimulationSpec(length))
+        assert sampler.window == "product"
+        assert sampler._matrix.shape == (2, 2 * sampler.normals,
+                                         2 * sampler.m)
 
 
 @pytest.mark.parametrize("n", [2000, 2001])
